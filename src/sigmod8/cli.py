@@ -8,6 +8,7 @@ Subcommands:
                                   data
     selfcheck [--max-dim N] [--trials T] [--seed S]
                                   run the cross-module identity suites
+                                  (0 <= N <= 6, T >= 0)
 
 Exit codes: 0 success, 1 selfcheck identity failure, 2 parse error,
 3 precondition error.
@@ -243,6 +244,16 @@ def _cmd_selfcheck(args, out) -> int:
     return EXIT_OK
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sigmod8",
@@ -262,8 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bun.add_argument("path")
 
     p_self = sub.add_parser("selfcheck", help="run the identity suites")
-    p_self.add_argument("--max-dim", type=int, default=5)
-    p_self.add_argument("--trials", type=int, default=50)
+    p_self.add_argument(
+        "--max-dim", type=int, default=5, choices=range(z2forms.ENUMERATION_DIM_LIMIT + 1)
+    )
+    p_self.add_argument("--trials", type=_non_negative_int, default=50)
     p_self.add_argument("--seed", type=int, default=0)
     return parser
 

@@ -14,10 +14,23 @@ the Z8-valued Brown-Kervaire invariant, computed here two independent ways:
 The bridge between the two theories is the Wu sublagrangian L = <v>: when
 q(v) = 0 in Z4 the subquotient (L_perp/L, [lambda], [q]/2) carries a
 Z2-enhancement whose Arf invariant satisfies BK = 4*Arf.
+
+Work that depends only on the form is done once per form.  For dim <= 6
+(ENUMERATION_DIM_LIMIT, the range enumerate_nonsingular_forms is meant
+for) bk_gauss looks q up in a per-form table of all 2^dim BK values,
+indexed like enumerate_z4_enhancements.  The table comes from one
+Walsh-Hadamard transform of i^q0 (kernels.gauss_sums), uses nothing but
+the definition of the Gauss sum (not the difference-vector identity), and
+every entry is matched exactly; larger forms are counted one enhancement
+at a time.  The representatives of L_perp/L and the Gram form of the
+subquotient are cached per form too, as are split_vectors,
+is_nonsingular and wu_class in z2forms.  Each cache is an lru_cache keyed
+by the frozen Z2SymForm, so equal forms share entries.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence, Tuple
 
 from . import kernels
@@ -31,6 +44,7 @@ from .errors import (
     SingularForm,
 )
 from .z2forms import (
+    ENUMERATION_DIM_LIMIT,
     H_FORM,
     P_FORM,
     Z2SymForm,
@@ -258,8 +272,24 @@ def bk_gauss(q: Z4Quadratic) -> int:
         raise DimTooLarge(f"Gauss enumeration limited to dim <= {GAUSS_DIM_LIMIT}")
     if not is_nonsingular(form):
         raise SingularForm("bk_gauss requires a nonsingular form")
+    if form.dim <= ENUMERATION_DIM_LIMIT:
+        d = sum((v >> 1) << i for i, v in enumerate(q.values))
+        return _bk_gauss_table(form)[d]
     c0, c1, c2, c3 = kernels.gauss_counts(form.dim, q.values, form.rows)
     return _match_gauss(form.dim, c0 - c2, c1 - c3)
+
+
+@lru_cache(maxsize=1 << 16)
+def _bk_gauss_table(form: Z2SymForm) -> bytes:
+    """BK of every enhancement of the form, indexed like enumerate_z4_enhancements.
+
+    Entry d belongs to the enhancement with values diag_i + 2*d_i, whose
+    Gauss sum is entry d of the transform of i^q0, q0 having values diag_i.
+    """
+    diag = form.diagonal_mask()
+    q0 = [(diag >> i) & 1 for i in range(form.dim)]
+    re, im = kernels.gauss_sums(form.dim, q0, form.rows)
+    return bytes(_match_gauss(form.dim, r, i) for r, i in zip(re.tolist(), im.tolist()))
 
 
 def bk_classify(q: Z4Quadratic) -> Tuple[int, int, int, int]:
@@ -332,6 +362,23 @@ def isotropic_subquotient(q: Z4Quadratic) -> Z2Quadratic:
     qv = q.evaluate(v)
     if qv != 0:
         raise NotDivisibleBy4(f"q(v) = {qv} in Z4; BK is not divisible by 4")
+    reps, w_form = _subquotient_basis(form)
+    values = []
+    for b in reps:
+        qb = q.evaluate_mask(b)
+        if qb & 1:
+            raise SingularForm("representative is not isotropic")
+        values.append((qb >> 1) & 1)
+    return Z2Quadratic(w_form, tuple(values))
+
+
+@lru_cache(maxsize=1 << 16)
+def _subquotient_basis(form: Z2SymForm) -> Tuple[Tuple[int, ...], Z2SymForm]:
+    """Representatives of L_perp/L for L = <v>, and the Gram form of L_perp/L.
+
+    Raises SingularForm when lambda(v, v) = 1, so callers check q(v) first.
+    """
+    v = wu_class(form)
     dim = form.dim
     phi_v = _apply(form.rows, v.mask)  # functional x -> lambda(x, v)
     if phi_v == 0:
@@ -361,14 +408,7 @@ def isotropic_subquotient(q: Z4Quadratic) -> Z2Quadratic:
             raise SingularForm("Wu class does not lie in its own perpendicular")
         reps = [b for b in basis if b != drop]
     gram = _restrict(form.rows, reps)
-    w_form = Z2SymForm(len(reps), tuple(gram))
-    values = []
-    for b in reps:
-        qb = q.evaluate_mask(b)
-        if qb & 1:
-            raise SingularForm("representative is not isotropic")
-        values.append((qb >> 1) & 1)
-    return Z2Quadratic(w_form, tuple(values))
+    return tuple(reps), Z2SymForm(len(reps), tuple(gram))
 
 
 def enumerate_z4_enhancements(form: Z2SymForm) -> Iterator[Z4Quadratic]:

@@ -74,6 +74,10 @@ class InvalidClass(InvariantError):
     """A cochain pair (u, v) is not a valid mod-2 cohomology class."""
 
 
+class SignatureMismatch(InvariantError):
+    """sigma != P2(wu) mod 4 for a middle-concentrated unimodular complex."""
+
+
 class NotMiddleConcentrated(InvariantError):
     """A complex concentrated in its middle degree was required."""
 

@@ -31,6 +31,7 @@ from .errors import (
     NotMiddleConcentrated,
     NotUnimodular,
     ShapeMismatch,
+    SignatureMismatch,
 )
 from .intforms import IntSymForm, characteristic_vector, signature_exact
 
@@ -226,7 +227,8 @@ def cohomology_mod2(c: SymComplex, degree: int) -> List[Mod2CohomologyClass]:
         span.add(reduced)
         v = np.array([(reduced >> j) & 1 for j in range(width)], dtype=np.int64)
         dv = dstar @ v if dstar.shape[0] else np.zeros(0, dtype=np.int64)
-        assert not np.any(dv & 1)
+        if np.any(dv & 1):
+            raise InvalidClass("kernel vector of d* mod 2 has odd coboundary")
         u = dv // 2
         classes.append(
             Mod2CohomologyClass(degree, tuple(int(x) for x in u), tuple(int(x) for x in v))
@@ -285,7 +287,8 @@ def wu_and_mod4_signature(c: SymComplex) -> Tuple[Mod2CohomologyClass, int]:
     wu = Mod2CohomologyClass(mid, (), tuple(v))
     sigma = signature_exact(form.to_rational())
     p2 = pontryagin_square(c, wu)
-    assert sigma % 4 == p2, "signature / Pontryagin-square mismatch"
+    if sigma % 4 != p2:
+        raise SignatureMismatch(f"sigma = {sigma} but P2(wu) = {p2} in Z4")
     return wu, sigma % 4
 
 

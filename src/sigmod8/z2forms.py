@@ -81,6 +81,8 @@ class Z2SymForm:
     rows: Tuple[int, ...]
 
     def __post_init__(self):
+        # a tuple keeps the form hashable, as the per-form caches need
+        object.__setattr__(self, "rows", tuple(self.rows))
         if len(self.rows) != self.dim:
             raise ValueError("row count must equal dim")
         for i, r in enumerate(self.rows):
@@ -254,13 +256,21 @@ class Z2Subspace:
         return m == 0
 
 
+@lru_cache(maxsize=1 << 16)
 def is_nonsingular(form: Z2SymForm) -> bool:
-    """True iff the Gram matrix is invertible over Z2 (dim 0 counts)."""
+    """True iff the Gram matrix is invertible over Z2 (dim 0 counts).
+
+    Cached, since the result depends only on the form.
+    """
     return _rank(form.rows, form.dim) == form.dim
 
 
+@lru_cache(maxsize=1 << 16)
 def wu_class(form: Z2SymForm) -> Z2Vec:
-    """The unique v with lambda(x, x) = lambda(x, v) for all x."""
+    """The unique v with lambda(x, x) = lambda(x, v) for all x.
+
+    Cached, since the result depends only on the form.
+    """
     if not is_nonsingular(form):
         raise SingularForm("wu_class requires a nonsingular form")
     v = solve(form.rows, form.dim, form.diagonal_mask())
@@ -379,11 +389,16 @@ def witt_class_sym(form: Z2SymForm) -> int:
     return p & 1
 
 
+# Largest dim for which exhaustive enumeration of forms is meant.
+ENUMERATION_DIM_LIMIT = 6
+
+
 def enumerate_nonsingular_forms(dim: int, isotropic_only: bool = False):
     """Yield every nonsingular symmetric form of the given dimension.
 
     There are 2^(dim(dim+1)/2) symmetric matrices to filter, so this is
-    meant for dim <= 6.  With isotropic_only, restrict to zero diagonal.
+    meant for dim <= ENUMERATION_DIM_LIMIT.  With isotropic_only, restrict
+    to zero diagonal.
     """
     n_entries = dim * (dim + 1) // 2
     positions = [(i, j) for i in range(dim) for j in range(i, dim)]

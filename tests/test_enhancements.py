@@ -1,12 +1,15 @@
 """Arf / Brown-Kervaire invariants, with the Gauss sum as the oracle."""
 import pytest
 
+from sigmod8 import kernels
 from sigmod8.enhancements import (
     GAUSS_DIM_LIMIT,
     Z2Quadratic,
     Z4Quadratic,
     WittClassZ8,
+    _bk_gauss_table,
     _match_gauss,
+    _subquotient_basis,
     arf,
     bk_classify,
     bk_gauss,
@@ -30,6 +33,7 @@ from sigmod8.errors import (
     NoGaussMatch,
     NotDivisibleBy4,
     NotLinearDifference,
+    SingularForm,
 )
 from sigmod8.rng import SplitMix64
 from sigmod8.z2forms import (
@@ -37,6 +41,7 @@ from sigmod8.z2forms import (
     P_FORM,
     Z2SymForm,
     enumerate_nonsingular_forms,
+    is_nonsingular,
     wu_class,
 )
 
@@ -216,6 +221,50 @@ def test_bk_gauss_dim_limit():
         bk_gauss(big)
 
 
+def bk_by_counting(q):
+    """BK from the counting kernel, one enhancement at a time (the reference)."""
+    c0, c1, c2, c3 = kernels.gauss_counts(q.dim, q.values, q.form.rows)
+    return _match_gauss(q.dim, c0 - c2, c1 - c3)
+
+
+def test_bk_gauss_table_matches_counting_exhaustive_dim4():
+    for dim in range(0, 5):
+        for form in enumerate_nonsingular_forms(dim):
+            for q in enumerate_z4_enhancements(form):
+                assert bk_gauss(q) == bk_by_counting(q), (form.rows, q.values)
+
+
+def test_bk_gauss_table_matches_counting_sampled_dim5_dim6():
+    rng = SplitMix64(43)
+    for dim in (5, 6):
+        sampled = 0
+        while sampled < 12:
+            rows = [0] * dim
+            for i in range(dim):
+                for j in range(i, dim):
+                    if rng.randrange(2):
+                        rows[i] |= 1 << j
+                        rows[j] |= 1 << i
+            form = Z2SymForm(dim, tuple(rows))
+            if not is_nonsingular(form):
+                continue
+            sampled += 1
+            for q in enumerate_z4_enhancements(form):
+                assert bk_gauss(q) == bk_by_counting(q), (form.rows, q.values)
+
+
+def test_form_caches_shared_by_equal_forms():
+    a = Z2SymForm.from_matrix([[1, 1, 0, 0], [1, 1, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1]])
+    b = Z2SymForm(4, list(a.rows))  # rows given as a list are stored as a tuple
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert [bk_gauss(q) for q in enumerate_z4_enhancements(a)] == [
+        bk_gauss(q) for q in enumerate_z4_enhancements(b)
+    ]
+    assert _bk_gauss_table(a) is _bk_gauss_table(b)
+    assert _subquotient_basis(a) is _subquotient_basis(b)
+    assert wu_class(a) is wu_class(b)
+
+
 def test_gauss_match_rejects_impossible_sums():
     with pytest.raises(NoGaussMatch):
         _match_gauss(2, 1, 1)
@@ -332,6 +381,14 @@ def test_subquotient_identity_exhaustive_dim4():
                 w = isotropic_subquotient(q)
                 assert w.dim == (dim if v.mask == 0 else dim - 2)
                 assert bk == (4 * arf(w)) % 8
+
+
+def test_subquotient_error_precedence():
+    # on P, lambda(v, v) = 1 also breaks L_perp/L, but q(v) != 0 is reported first
+    with pytest.raises(NotDivisibleBy4):
+        isotropic_subquotient(p1())
+    with pytest.raises(SingularForm):
+        isotropic_subquotient(Z4Quadratic(Z2SymForm(1, (0,)), (0,)))
 
 
 def test_arf_difference_identity():

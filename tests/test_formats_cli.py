@@ -181,6 +181,16 @@ def test_cli_selfcheck_small():
     assert out.count("PASS") == 5
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--max-dim", "-1", "--trials", "-3"], ["--max-dim", "7"], ["--trials", "-1"]],
+)
+def test_cli_selfcheck_rejects_out_of_range(argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["selfcheck", *argv])
+    assert exc.value.code == 2
+
+
 def test_cli_selfcheck_detects_mutation(monkeypatch, tmp_path):
     """A sign flip in the closed Wall form must trip the wall suite."""
     from sigmod8 import selfcheck as sc

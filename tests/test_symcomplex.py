@@ -7,12 +7,14 @@ from sigmod8.errors import (
     NotMiddleConcentrated,
     NotUnimodular,
     ShapeMismatch,
+    SignatureMismatch,
 )
 from sigmod8.intforms import (
     characteristic_vector,
     random_unimodular_form,
     signature_exact,
 )
+from sigmod8 import symcomplex
 from sigmod8.rng import SplitMix64
 from sigmod8.symcomplex import (
     Mod2CohomologyClass,
@@ -87,6 +89,14 @@ def test_two_degree_class():
 def test_acyclic_complex_no_classes():
     c = SymComplex(ranks=(0, 0, 1, 1, 0), diffs={3: [[1]]})
     assert cohomology_mod2(c, 2) == []
+
+
+def test_cohomology_rejects_non_cocycle(monkeypatch):
+    """With the mod-2 equations of d* dropped, e_0 comes out with d*e_0 = 1."""
+    monkeypatch.setattr(symcomplex._XorBasis, "add", lambda self, vec: False)
+    c = SymComplex(ranks=(0, 0, 1, 1, 0), diffs={3: [[1]]})
+    with pytest.raises(InvalidClass):
+        cohomology_mod2(c, 2)
 
 
 # ---------------------------------------------------------- pontryagin_square
@@ -194,6 +204,12 @@ def test_wu_and_mod4_preconditions():
         wu_and_mod4_signature(two_degree_complex(2, 1, 1))
     with pytest.raises(NotUnimodular):
         wu_and_mod4_signature(middle_form_complex([[2]]))
+
+
+def test_wu_and_mod4_rejects_mismatch(monkeypatch):
+    monkeypatch.setattr(symcomplex, "signature_exact", lambda form: 2)
+    with pytest.raises(SignatureMismatch):
+        wu_and_mod4_signature(middle_form_complex([[1]]))
 
 
 # -------------------------------------------------------- cross-module oracle
