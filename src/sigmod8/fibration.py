@@ -16,6 +16,14 @@ identity.  Two computations are provided:
   This is the invariant the multiplicativity theorems constrain: it is
   divisible by 4 (Meyer) and by 8 when the action is trivial mod 4.
 
+Both pairings are evaluated as integer Gram matrices on a primitive
+integral basis of a kernel (the cocycle space, or ker[(1-f) | (1-g)]).
+Each basis vector is a positive integer multiple of the vector a rational
+row reduction would give, so the two Gram matrices are congruent by a
+positive diagonal matrix D (D G D), and by Sylvester's law of inertia
+they have the same signature.  Only the final form handed to
+`signature_exact` holds Fractions.
+
 The convention for the symplectic form is J = [[0, I], [-I, 0]], with
 phi(x, y) = x^T J y; the transvection along c acts by x -> x + phi(x, c) c,
 which reproduces the standard Dehn-twist matrices in this basis.
@@ -24,6 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, mul
 from typing import List, Sequence, Tuple
 
 from .errors import (
@@ -54,6 +64,12 @@ __all__ = [
 
 Matrix = Tuple[Tuple[int, ...], ...]
 
+# Tuples here are built from lists, not generators.  tuple(genexpr) allocates
+# room for 10 items and shrinks, so the freed tuple goes to a free list that
+# only exact-size allocations drain; with mixed fibre genera those lists
+# fill to CPython's 2000-entry cap, about 1 MB of resident memory after a
+# few thousand bundle requests.
+
 
 def standard_j(h: int) -> Matrix:
     """J = [[0, I_h], [-I_h, 0]]."""
@@ -70,35 +86,33 @@ def standard_j(h: int) -> Matrix:
 
 
 def _mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]):
-    n, m, p = len(a), len(b), len(b[0]) if b else 0
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(m)) for j in range(p))
-        for i in range(n)
-    )
+    cols = list(zip(*b))
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
 
 
 def _mat_vec(a, x):
-    return tuple(sum(a[i][j] * x[j] for j in range(len(x))) for i in range(len(a)))
+    return tuple([sum(map(mul, row, x)) for row in a])
 
 
 def _identity(n: int) -> Matrix:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)])
 
 
 def _mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple([tuple([x - y for x, y in zip(ra, rb)]) for ra, rb in zip(a, b)])
+
+
+def _negate(a):
+    return tuple([tuple([-x for x in row]) for row in a])
 
 
 def _transpose(a):
-    return tuple(zip(*a)) if a else ()
+    return tuple(list(zip(*a)))
 
 
 def _symplectic_inverse(m: Matrix, j: Matrix) -> Matrix:
     """M^{-1} = -J M^T J, exact and integral for symplectic M."""
-    n = len(m)
-    mt = _transpose(m)
-    inner = _mat_mul(_mat_mul(j, mt), j)
-    return tuple(tuple(-inner[i][k] for k in range(n)) for i in range(n))
+    return _negate(_mat_mul(_mat_mul(j, _transpose(m)), j))
 
 
 @dataclass(frozen=True)
@@ -121,7 +135,7 @@ class SymplecticMatrix:
         n = len(matrix)
         if n % 2:
             raise OddDimension("symplectic matrices have even size")
-        return cls(n // 2, tuple(tuple(int(x) for x in r) for r in matrix))
+        return cls(n // 2, tuple([tuple([int(x) for x in r]) for r in matrix]))
 
     def inverse(self) -> "SymplecticMatrix":
         return SymplecticMatrix(
@@ -147,7 +161,7 @@ def is_symplectic(matrix: Sequence[Sequence[int]]) -> bool:
     n = len(matrix)
     if n % 2 or any(len(r) != n for r in matrix):
         raise OddDimension("symplectic matrices have even size")
-    m = tuple(tuple(int(x) for x in r) for r in matrix)
+    m = tuple([tuple([int(x) for x in r]) for r in matrix])
     j = standard_j(n // 2)
     return _mat_mul(_mat_mul(_transpose(m), j), m) == j
 
@@ -161,13 +175,13 @@ def transvection(c: Sequence[int]) -> SymplecticMatrix:
     n = len(c)
     if n % 2:
         raise OddDimension("vectors must live in Z^{2h}")
-    c = tuple(int(x) for x in c)
+    c = tuple([int(x) for x in c])
     if not any(c):
         raise ZeroVector("transvection needs a nonzero vector")
     j = standard_j(n // 2)
     jc = _mat_vec(j, c)
     entries = tuple(
-        tuple(int(i == k) + jc[i] * c[k] for k in range(n)) for i in range(n)
+        [tuple([int(i == k) + jc[i] * c[k] for k in range(n)]) for i in range(n)]
     )
     return SymplecticMatrix(n // 2, entries)
 
@@ -208,7 +222,7 @@ class MonodromyData:
         for s in sym:
             if s.h != h:
                 raise ValueError("matrix size does not match fibre genus")
-        pairs = tuple((sym[2 * i], sym[2 * i + 1]) for i in range(len(sym) // 2))
+        pairs = tuple([(sym[2 * i], sym[2 * i + 1]) for i in range(len(sym) // 2)])
         return cls(h, len(pairs), pairs)
 
 
@@ -230,7 +244,7 @@ def _rational_inverse(m: Matrix) -> Tuple[Tuple[Fraction, ...], ...]:
             if r != col and work[r][col]:
                 fac = work[r][col]
                 work[r] = [a - fac * b for a, b in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
+    return tuple([tuple(row[n:]) for row in work])
 
 
 def wall_form_closed(f: SymplecticMatrix, g: SymplecticMatrix) -> RatSymForm:
@@ -245,7 +259,7 @@ def wall_form_closed(f: SymplecticMatrix, g: SymplecticMatrix) -> RatSymForm:
     one_minus_ginv = _mat_sub(eye, g.inverse().entries)
     gf = _mat_sub(g.entries, f.entries)
     s = _mat_mul(_mat_mul(_mat_mul(j, one_minus_ginv), inv), gf)
-    mat = tuple(tuple(Fraction(x) for x in row) for row in s)
+    mat = tuple([tuple([Fraction(x) for x in row]) for row in s])
     for i in range(n):
         for k in range(i + 1, n):
             if mat[i][k] != mat[k][i]:
@@ -259,7 +273,12 @@ def wall_form_general(
     """Wall pairing on ker[(1-f) | (1-g)] and its signature.
 
     Works with no hypothesis on 1 - f; the radical of the pairing (Wall's
-    degeneracy quotient) contributes 0 to the signature.
+    degeneracy quotient) contributes 0 to the signature.  The returned
+    form is the integer Gram matrix of Psi((y,z),(y',z')) = phi(y + z,
+    (1 - f) y') on the primitive integral kernel basis of
+    `_integral_kernel`.  Each of its vectors is a positive multiple of the
+    rational row-reduction kernel vector, so the form is D G D for a
+    positive diagonal D and has the same signature as the rational Gram G.
     """
     if f.h != g.h:
         raise ValueError("genus mismatch")
@@ -270,172 +289,137 @@ def wall_form_general(
     rows = [
         tuple(one_minus_f[i]) + tuple(one_minus_g[i]) for i in range(n)
     ]
-    basis = _rational_kernel(rows, 2 * n)
-    j = standard_j(f.h)
-
-    def psi(uu, vv):
-        y, z = uu[:n], uu[n:]
-        yprime = vv[:n]
-        x = tuple(a + b for a, b in zip(y, z))
-        w = _mat_vec(one_minus_f, yprime)
-        jx = _mat_vec(j, w)
-        return sum(x[i] * jx[i] for i in range(n))
-
-    gram = tuple(tuple(psi(u, v) for v in basis) for u in basis)
-    for i in range(len(basis)):
-        for k in range(i + 1, len(basis)):
-            if gram[i][k] != gram[k][i]:
-                raise NotSymplectic("Wall pairing is not symmetric on the kernel")
-    form = RatSymForm(len(basis), tuple(tuple(Fraction(x) for x in r) for r in gram))
-    return form, signature_exact(form)
+    basis = _integral_kernel(rows, 2 * n)
+    j_one_minus_f = _mat_mul(standard_j(f.h), one_minus_f)
+    xs = [list(map(add, u[:n], u[n:])) for u in basis]  # x = y + z
+    jws = [_mat_vec(j_one_minus_f, u[:n]) for u in basis]  # J (1 - f) y'
+    gram = [[sum(map(mul, x, jw)) for jw in jws] for x in xs]
+    return _int_form_signature(gram, "Wall pairing is not symmetric on the kernel")
 
 
-def _rational_kernel(rows: Sequence[Sequence], ncols: int) -> List[Tuple[Fraction, ...]]:
-    work = [[Fraction(x) for x in row] for row in rows]
+def _primitive(vec: Sequence[int]) -> Tuple[int, ...]:
+    """vec divided by the gcd of its entries (sign kept)."""
+    d = gcd(*vec)
+    return tuple([x // d for x in vec]) if d > 1 else tuple(vec)
+
+
+def _integral_kernel(rows: Sequence[Sequence[int]], ncols: int) -> List[Tuple[int, ...]]:
+    """Primitive integer vectors spanning the rational kernel of an integer matrix.
+
+    Fraction-free Gauss-Jordan: a row is cleared by pv * row - a * pivot_row
+    and divided by its gcd, so every entry stays an int.  The vector of a
+    free column fc has a positive entry at fc and 0 at the other free
+    columns: it is a positive multiple of the rational RREF kernel vector.
+    """
+    work = [tuple(row) for row in rows]
     pivots: List[int] = []
     r = 0
     for col in range(ncols):
-        piv = next((k for k in range(r, len(work)) if work[k][col] != 0), None)
+        if r == len(work):
+            break
+        piv = next((k for k in range(r, len(work)) if work[k][col]), None)
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
-        pv = work[r][col]
-        work[r] = [x / pv for x in work[r]]
-        for k in range(len(work)):
-            if k != r and work[k][col]:
-                fac = work[k][col]
-                work[k] = [a - fac * b for a, b in zip(work[k], work[r])]
+        prow = work[r]
+        pv = prow[col]
+        for k, row in enumerate(work):
+            a = row[col]
+            if k != r and a:
+                work[k] = _primitive([pv * x - a * y for x, y in zip(row, prow)])
         pivots.append(col)
         r += 1
-        if r == len(work):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
     out = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
+    for fc in (c for c in range(ncols) if c not in pivots):
+        scale = lcm(*(abs(work[rr][pc]) for rr, pc in enumerate(pivots) if work[rr][fc]))
+        vec = [0] * ncols
+        vec[fc] = scale
         for rr, pc in enumerate(pivots):
-            vec[pc] = -work[rr][fc]
-        out.append(tuple(vec))
+            vec[pc] = -work[rr][fc] * scale // work[rr][pc]
+        out.append(_primitive(vec))
     return out
+
+
+def _int_form_signature(gram: Sequence[Sequence[int]], asymmetric: str) -> Tuple[RatSymForm, int]:
+    """The integer Gram as a RatSymForm and its signature; NotSymplectic if asymmetric."""
+    for i in range(len(gram)):
+        for k in range(i + 1, len(gram)):
+            if gram[i][k] != gram[k][i]:
+                raise NotSymplectic(asymmetric)
+    form = RatSymForm(len(gram), tuple([tuple([Fraction(x) for x in r]) for r in gram]))
+    return form, signature_exact(form)
+
+
+def _handle_wall_form(f: SymplecticMatrix, g: SymplecticMatrix) -> Tuple[RatSymForm, int]:
+    """Wall form and signature of one handle: (f, g f^{-1} g^{-1})."""
+    return wall_form_general(f, g @ f.inverse() @ g.inverse())
 
 
 def handle_signatures(m: MonodromyData) -> List[int]:
     """sigma of the Wall form of (f_i, g_i f_i^{-1} g_i^{-1}) per handle."""
-    out = []
-    for f, g in m.pairs:
-        twisted = g @ f.inverse() @ g.inverse()
-        _, sig = wall_form_general(f, twisted)
-        out.append(sig)
-    return out
+    return [_handle_wall_form(f, g)[1] for f, g in m.pairs]
+
+
+def _cup_gram(m: MonodromyData) -> Tuple[List[Tuple[int, ...]], List[List[int]]]:
+    """Primitive integral cocycle basis C and the cup Gram C G C^T on it.
+
+    A 1-cocycle u is its values u_x on the 2g generators; on an inverse
+    letter u(x^{-1}) = -x^{-1} u_x.  With prefix products P_k of the relator
+    prod [f_i, g_i], letter k contributes the block B_k = P_k * (its value
+    map) in the columns of its generator, the cocycle condition is
+    sum_k B_k u = 0, and the cup pairing paired through phi is
+    c(u, v) = sum_{k >= 1} phi(U_{k-1} u, B_k v) + sum_i phi(u_i, v_i),
+    where U_{k-1} = sum_{t < k} B_t.  G is the big x big matrix of c.
+    """
+    n = 2 * m.h
+    j = standard_j(m.h)
+    mats = [mat.entries for pair in m.pairs for mat in pair]
+    invs = [_symplectic_inverse(mm, j) for mm in mats]
+    letters: List[Tuple[int, int]] = []
+    for i in range(m.g):
+        letters += [(2 * i, 1), (2 * i + 1, 1), (2 * i, -1), (2 * i + 1, -1)]
+    big = n * len(mats)
+
+    accum = [[0] * big for _ in range(n)]  # U_{k-1}; the relator at the end
+    gram_big = [[0] * big for _ in range(big)]
+    prefix = _identity(n)
+    for gi, sign in letters:
+        if sign == 1:
+            blk, step = prefix, mats[gi]
+        else:
+            blk = _negate(_mat_mul(prefix, invs[gi]))
+            step = invs[gi]
+        jb = _mat_mul(j, blk)
+        lo = gi * n
+        for r, row in enumerate(gram_big):  # G += U_{k-1}^T J B_k
+            acol = [accum[t][r] for t in range(n)]
+            if any(acol):
+                for c, jbc in enumerate(zip(*jb), lo):
+                    row[c] += sum(map(mul, acol, jbc))
+        for t in range(n):
+            accum[t][lo : lo + n] = map(add, accum[t][lo : lo + n], blk[t])
+        prefix = _mat_mul(prefix, step)
+    for gi in range(len(mats)):  # phi(u_i, v_i) for each generator
+        for a in range(n):
+            for b in range(n):
+                gram_big[gi * n + a][gi * n + b] += j[a][b]
+
+    cocycles = _integral_kernel(accum, big)
+    gct = [[sum(map(mul, row, c)) for row in gram_big] for c in cocycles]  # (G C^T)^T
+    return cocycles, [[sum(map(mul, c, w)) for w in gct] for c in cocycles]
 
 
 def local_system_signature(m: MonodromyData) -> int:
     """Signature of the twisted intersection form on H^1(base; Z^{2h}).
 
-    A 1-cocycle is determined by its values on the 2g generators subject to
-    vanishing on the surface relator; the cup product of two cocycles paired
-    through the fibre's symplectic form descends to a symmetric bilinear
-    form on H^1, and its signature is the signature of the local coefficient
-    system.  Coboundaries pair to zero, so the form can be evaluated on the
-    full cocycle space.
+    The cup product of two cocycles paired through the fibre's symplectic
+    form descends to a symmetric bilinear form on H^1, and its signature is
+    the signature of the local coefficient system.  Coboundaries pair to
+    zero, so the form is evaluated on the full cocycle space, as the
+    integer Gram matrix of `_cup_gram` on a primitive integral basis.
     """
-    n = 2 * m.h
-    j = standard_j(m.h)
-    # letters of the relator prod [f_i, g_i]: generator index + sign
-    mats: List[Matrix] = []
-    for f, g in m.pairs:
-        mats.append(f.entries)
-        mats.append(g.entries)
-    invs = [_symplectic_inverse(mm, j) for mm in mats]
-    letters: List[Tuple[int, int]] = []
-    for i in range(m.g):
-        letters += [(2 * i, 1), (2 * i + 1, 1), (2 * i, -1), (2 * i + 1, -1)]
-
-    # value of a cocycle on a letter, as a block acting on the generator value:
-    # u(x) = u_x,  u(x^{-1}) = -x^{-1} u_x
-    def letter_block(idx: int) -> Matrix:
-        gi, sign = letters[idx]
-        if sign == 1:
-            return _identity(n)
-        return tuple(tuple(-v for v in row) for row in invs[letters[idx][0]])
-
-    prefixes = [_identity(n)]
-    for idx in range(len(letters) - 1):
-        gi, sign = letters[idx]
-        mat = mats[gi] if sign == 1 else invs[gi]
-        prefixes.append(_mat_mul(prefixes[-1], mat))
-
-    ngen = 2 * m.g
-    big = n * ngen
-    # B_k = prefix_k * letter_block_k, placed in the columns of generator k
-    contribs = []
-    for idx in range(len(letters)):
-        blk = _mat_mul(prefixes[idx], letter_block(idx))
-        contribs.append((letters[idx][0], blk))
-
-    # relator condition: sum_k B_k u_{gen(k)} = 0  (n equations, big unknowns)
-    relator = [[0] * big for _ in range(n)]
-    for gi, blk in contribs:
-        for r in range(n):
-            for cdx in range(n):
-                relator[r][gi * n + cdx] += blk[r][cdx]
-    cocycles = _rational_kernel(relator, big)
-
-    # Gram of the cup pairing on cocycle coordinates:
-    # c(u, v) = sum_{k >= 1} phi(U_{k-1} u, B_k v) + sum_i phi(u_i, v_i)
-    # where U_{k-1} is the accumulated sum of the first k blocks.
-    accum = [[0] * big for _ in range(n)]
-    gram_big = [[0] * big for _ in range(big)]
-
-    def add_outer(amat, bmat):
-        # gram += A^T J B for n x big blocks A, B
-        ja = [_mat_vec(j, col) for col in zip(*bmat)]  # columns of J B
-        for r in range(big):
-            acol = [amat[t][r] for t in range(n)]
-            if not any(acol):
-                continue
-            row = gram_big[r]
-            for cdx in range(big):
-                row[cdx] += sum(acol[t] * ja[cdx][t] for t in range(n))
-
-    for k, (gi, blk) in enumerate(contribs):
-        bmat = [[0] * big for _ in range(n)]
-        for r in range(n):
-            for cdx in range(n):
-                bmat[r][gi * n + cdx] = blk[r][cdx]
-        if k >= 1:
-            add_outer(accum, bmat)
-        for r in range(n):
-            row_a, row_b = accum[r], bmat[r]
-            for cdx in range(big):
-                row_a[cdx] += row_b[cdx]
-    # correction terms phi(u_i, v_i) for each generator
-    for gi in range(ngen):
-        for a in range(n):
-            for b in range(n):
-                if j[a][b]:
-                    gram_big[gi * n + a][gi * n + b] += j[a][b]
-
-    dim = len(cocycles)
-    gram = [
-        [
-            sum(
-                cocycles[p][r] * gram_big[r][c] * cocycles[q][c]
-                for r in range(big)
-                for c in range(big)
-                if gram_big[r][c]
-            )
-            for q in range(dim)
-        ]
-        for p in range(dim)
-    ]
-    for i in range(dim):
-        for k in range(i + 1, dim):
-            if gram[i][k] != gram[k][i]:
-                raise NotSymplectic("cup pairing is not symmetric on cocycles")
-    form = RatSymForm(dim, tuple(tuple(Fraction(x) for x in r) for r in gram))
-    return signature_exact(form)
+    _, gram = _cup_gram(m)
+    return _int_form_signature(gram, "cup pairing is not symmetric on cocycles")[1]
 
 
 def bundle_signature(m: MonodromyData) -> int:
@@ -475,16 +459,11 @@ class BundleReport:
 
 
 def bundle_report(m: MonodromyData) -> BundleReport:
-    forms = []
-    sigs = []
-    for f, g in m.pairs:
-        twisted = g @ f.inverse() @ g.inverse()
-        form, sig = wall_form_general(f, twisted)
-        forms.append(form)
-        sigs.append(sig)
+    handles = [_handle_wall_form(f, g) for f, g in m.pairs]
+    sigs = tuple([sig for _, sig in handles])
     return BundleReport(
-        handle_forms=tuple(forms),
-        handle_signatures=tuple(sigs),
+        handle_forms=tuple([form for form, _ in handles]),
+        handle_signatures=sigs,
         handle_sum=sum(sigs),
         total=local_system_signature(m),
         z2_trivial=z2_trivial_check(m),

@@ -46,9 +46,11 @@ class SuiteResult:
     counterexample: Optional[str] = None
 
     def line(self) -> str:
-        if self.passed:
-            return f"suite {self.name}: PASS ({self.checked} checks)"
-        return f"suite {self.name}: FAIL after {self.checked} checks: {self.counterexample}"
+        if not self.passed:
+            return f"suite {self.name}: FAIL after {self.checked} checks: {self.counterexample}"
+        if self.checked == 0:  # e.g. --trials 0: nothing was checked, so no PASS
+            return f"suite {self.name}: SKIP (0 checks)"
+        return f"suite {self.name}: PASS ({self.checked} checks)"
 
 
 def suite_gauss_vs_classify(max_dim: int) -> SuiteResult:

@@ -1,4 +1,5 @@
 """Symplectic monodromy, Wall forms, and the local-system signature."""
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from sigmod8.errors import (
     OneMinusFSingular,
     ZeroVector,
 )
+import sigmod8.fibration as fib
 from sigmod8.fibration import (
     MonodromyData,
     SymplecticMatrix,
@@ -20,6 +22,7 @@ from sigmod8.fibration import (
     local_system_signature,
     random_monodromy,
     random_transvection_word,
+    standard_j,
     transvection,
     wall_form_closed,
     wall_form_general,
@@ -28,6 +31,30 @@ from sigmod8.fibration import (
 )
 from sigmod8.intforms import signature_exact
 from sigmod8.rng import SplitMix64
+
+
+def _rank_q(m):
+    """Rank over Q by Fraction elimination."""
+    m = [[Fraction(x) for x in r] for r in m]
+    if not m:
+        return 0
+    nrows, ncols = len(m), len(m[0])
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, nrows) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        pv = m[rank][col]
+        for r in range(nrows):
+            if r != rank and m[r][col] != 0:
+                f = m[r][col] / pv
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
 
 F1 = SymplecticMatrix.from_matrix([[0, 1], [-1, 0]])
 G1 = SymplecticMatrix.from_matrix([[0, 1], [-1, 1]])
@@ -260,30 +287,6 @@ def test_z4_trivial_family_mod8():
 
 def test_cup_form_nondegenerate_on_h1():
     """Twisted duality: the cup pairing's radical is exactly the coboundaries."""
-    from fractions import Fraction
-
-    import sigmod8.fibration as fib
-
-    def rank_of(m):
-        m = [list(r) for r in m]
-        if not m:
-            return 0
-        nrows, ncols = len(m), len(m[0])
-        rank = 0
-        for col in range(ncols):
-            piv = next((r for r in range(rank, nrows) if m[r][col] != 0), None)
-            if piv is None:
-                continue
-            m[rank], m[piv] = m[piv], m[rank]
-            pv = m[rank][col]
-            for r in range(nrows):
-                if r != rank and m[r][col] != 0:
-                    f = Fraction(m[r][col]) / pv
-                    m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-            rank += 1
-            if rank == nrows:
-                break
-        return rank
 
     captured = {}
     orig = fib.signature_exact
@@ -307,7 +310,160 @@ def test_cup_form_nondegenerate_on_h1():
                         rows.append(
                             [mat.entries[i][j] - int(i == j) for j in range(n)]
                         )
-            dim_b1 = rank_of(rows)
-            assert rank_of(gram) == len(gram) - dim_b1
+            dim_b1 = _rank_q(rows)
+            assert _rank_q(gram) == len(gram) - dim_b1
     finally:
         fib.signature_exact = orig
+
+
+# ------------------------------------------------- integral Gram matrices (oracles)
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _apply(mat, v):
+    return [_dot(row, v) for row in mat]
+
+
+def _phi(x, y):
+    return _dot(x, _apply(standard_j(len(x) // 2), y))
+
+
+def _assert_primitive_kernel(basis, rows, ncols):
+    """Primitive integer vectors in ker(rows), as many as ncols - rank."""
+    assert len(basis) == ncols - _rank_q(rows)
+    for v in basis:
+        assert len(v) == ncols and all(type(x) is int for x in v)
+        assert math.gcd(*v) == 1
+        assert all(_dot(row, v) == 0 for row in rows)
+
+
+def _relator_and_cup_oracle(m):
+    """Relator matrix and the big x big cup matrix, from the cocycle rule.
+
+    A cocycle u is its values on the generators x_0 .. x_{2g-1}; on a word,
+    u(w y) = u(w) + w.u(y) and u(x^{-1}) = -x^{-1}.u(x).  Along the relator
+    prod [f_i, g_i] = l_1 ... l_L the cup pairing through phi is
+    sum_k phi(u(l_1 ... l_{k-1}), l_1 ... l_{k-1}.v(l_k)) + sum_i phi(u_i, v_i).
+    """
+    n = 2 * m.h
+    gens = [mat for pair in m.pairs for mat in pair]
+    word = []
+    for i in range(m.g):
+        word += [(2 * i, 1), (2 * i + 1, 1), (2 * i, -1), (2 * i + 1, -1)]
+    big = n * len(gens)
+
+    def walk(u):
+        """(u(prefix), prefix.u(letter)) per letter, and u(relator)."""
+        prefix = [[int(i == k) for k in range(n)] for i in range(n)]
+        value, steps = [0] * n, []
+        for gi, sign in word:
+            ux = u[gi * n : gi * n + n]
+            a = gens[gi].entries if sign == 1 else gens[gi].inverse().entries
+            letter = ux if sign == 1 else [-x for x in _apply(a, ux)]
+            step = _apply(prefix, letter)
+            steps.append((value, step))
+            value = [x + y for x, y in zip(value, step)]
+            prefix = [[_dot(row, col) for col in zip(*a)] for row in prefix]
+        return steps, value
+
+    units = [[int(r == c) for c in range(big)] for r in range(big)]
+    walks = [walk(e) for e in units]
+    relator = [list(r) for r in zip(*(value for _, value in walks))]
+
+    def cup(r, c):
+        total = sum(_phi(ur, vc) for (ur, _), (_, vc) in zip(walks[r][0], walks[c][0]))
+        total += sum(
+            _phi(units[r][gi * n : gi * n + n], units[c][gi * n : gi * n + n])
+            for gi in range(len(gens))
+        )
+        return total
+
+    return relator, [[cup(r, c) for c in range(big)] for r in range(big)]
+
+
+def _gram_cases():
+    rng = SplitMix64(40)
+    cases = [EXAMPLE1, EXAMPLE2]
+    for h in (1, 2, 3):
+        cases.append(random_monodromy(h, rng))
+        cases.append(random_monodromy(h, rng, doubled=True))
+    return cases
+
+
+def test_integral_kernel_positive_multiples_of_rational_rref():
+    rng = SplitMix64(39)
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 7)
+        rows = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
+        if rng.randint(0, 1):
+            rows.append([2 * x - y for x, y in zip(rows[0], rows[-1])])
+        basis = fib._integral_kernel(rows, ncols)
+        _assert_primitive_kernel(basis, rows, ncols)
+        # the rational RREF basis: 1 at a free column, 0 at the others
+        work = [[Fraction(x) for x in r] for r in rows]
+        pivots = []
+        for col in range(ncols):
+            piv = next((k for k in range(len(pivots), len(work)) if work[k][col]), None)
+            if piv is None:
+                continue
+            r = len(pivots)
+            work[r], work[piv] = work[piv], work[r]
+            work[r] = [x / work[r][col] for x in work[r]]
+            for k in range(len(work)):
+                if k != r and work[k][col]:
+                    work[k] = [a - work[k][col] * b for a, b in zip(work[k], work[r])]
+            pivots.append(col)
+        free = [c for c in range(ncols) if c not in pivots]
+        assert len(basis) == len(free)
+        for v, fc in zip(basis, free):
+            rational = [Fraction(int(c == fc)) for c in range(ncols)]
+            for r, pc in enumerate(pivots):
+                rational[pc] = -work[r][fc]
+            assert v[fc] > 0 and [v[fc] * x for x in rational] == list(v)
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_cup_gram_equals_fraction_triple_sum(case):
+    m = _gram_cases()[case]
+    relator, cup = _relator_and_cup_oracle(m)
+    big = len(cup)
+    cocycles, gram = fib._cup_gram(m)
+    _assert_primitive_kernel(cocycles, relator, big)
+    assert len(gram) == len(cocycles)
+    for p, cp in enumerate(cocycles):
+        for q, cq in enumerate(cocycles):
+            expected = sum(
+                Fraction(cp[r]) * cup[r][c] * cq[c]
+                for r in range(big)
+                for c in range(big)
+                if cup[r][c]
+            )
+            assert gram[p][q] == expected, (p, q)
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_wall_gram_equals_psi_on_kernel_basis(case):
+    rng = SplitMix64(41 + case)
+    m = _gram_cases()[case]
+    pairs = [(f, g @ f.inverse() @ g.inverse()) for f, g in m.pairs]
+    pairs.append((random_transvection_word(m.h, 6, rng), random_transvection_word(m.h, 6, rng)))
+    for f, g in pairs:
+        n = 2 * m.h
+        rows = [
+            [int(i == k) - f.entries[i][k] for k in range(n)]
+            + [int(i == k) - g.entries[i][k] for k in range(n)]
+            for i in range(n)
+        ]
+        basis = fib._integral_kernel(rows, 2 * n)
+        _assert_primitive_kernel(basis, rows, 2 * n)
+
+        def psi(u, v):
+            x = [a + b for a, b in zip(u[:n], u[n:])]
+            return _phi(x, [_dot(r, v[:n]) for r in rows])
+
+        form, sig = wall_form_general(f, g)
+        assert form.dim == len(basis)
+        assert [list(r) for r in form.matrix] == [[psi(u, v) for v in basis] for u in basis]
+        assert sig == signature_exact(form)

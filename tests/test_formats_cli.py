@@ -191,6 +191,18 @@ def test_cli_selfcheck_rejects_out_of_range(argv):
     assert exc.value.code == 2
 
 
+def test_cli_selfcheck_zero_trials_reports_skip():
+    """A suite that checked nothing reports SKIP, never PASS (0 checks)."""
+    code, out = run_cli(["selfcheck", "--max-dim", "0", "--trials", "0"])
+    assert code == 0
+    assert "PASS (0 checks)" not in out
+    for name in ("morita", "van-der-blij", "wall-closed-vs-general"):
+        assert f"suite {name}: SKIP (0 checks)" in out
+    assert out.count("PASS (") == 2
+    assert "selfcheck: 2 suites passed, 3 skipped" in out
+    assert "all suites passed" not in out
+
+
 def test_cli_selfcheck_detects_mutation(monkeypatch, tmp_path):
     """A sign flip in the closed Wall form must trip the wall suite."""
     from sigmod8 import selfcheck as sc
