@@ -25,7 +25,9 @@ every entry is matched exactly; larger forms are counted one enhancement
 at a time.  The representatives of L_perp/L and the Gram form of the
 subquotient are cached per form too, as are split_vectors,
 is_nonsingular and wu_class in z2forms.  Each cache is an lru_cache keyed
-by the frozen Z2SymForm, so equal forms share entries.
+by the frozen Z2SymForm, so equal forms share entries; the form-only
+caches keep forms of dim <= 6 alone (z2forms.small_form_cache), since
+larger forms rarely recur.
 """
 from __future__ import annotations
 
@@ -54,6 +56,7 @@ from .z2forms import (
     _restrict,
     is_nonsingular,
     rref_basis,
+    small_form_cache,
     solve,
     split_vectors,
     wu_class,
@@ -372,7 +375,7 @@ def isotropic_subquotient(q: Z4Quadratic) -> Z2Quadratic:
     return Z2Quadratic(w_form, tuple(values))
 
 
-@lru_cache(maxsize=1 << 16)
+@small_form_cache
 def _subquotient_basis(form: Z2SymForm) -> Tuple[Tuple[int, ...], Z2SymForm]:
     """Representatives of L_perp/L for L = <v>, and the Gram form of L_perp/L.
 

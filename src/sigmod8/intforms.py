@@ -9,21 +9,22 @@ and the Brown-Kervaire invariant of the mod-4 reduction (Morita/Brown).
 Nondegenerate even forms with 2-primary cokernel bound a quadratic linking
 form (T, b, q) on T = coker(phi), with b = phi^{-1} mod Z and q = phi^{-1}
 on the diagonal mod 2Z; its Gauss sum sum_x e^(pi i q(x)) recovers the
-signature mod 8.
+signature mod 8.  The sum is exact: every q(x) is an integer numerator over
+D = 2 max(orders), so it is counted by numerator and compared with the
+eight candidates in Z[e^(pi i/D)] (Milgram's formula).  No floating point
+is used anywhere.
 """
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
+from . import kernels
 from .enhancements import Z4Quadratic, arf, isotropic_subquotient
 from .errors import (
     DegenerateForm,
     GroupTooLarge,
-    NoGaussMatch,
     NotMod4Multiplicative,
     NotTwoPrimary,
     NotUnimodular,
@@ -48,7 +49,6 @@ __all__ = [
 ]
 
 LINKING_GROUP_LIMIT = 1 << 20
-GAUSS_SNAP_TOL = 1e-6
 
 
 def _check_symmetric(matrix: Tuple[Tuple, ...]) -> None:
@@ -395,87 +395,48 @@ def boundary_linking_form(form: IntSymForm) -> LinkingForm:
         odd //= 2
     if odd != 1:
         raise NotTwoPrimary(f"cokernel has odd part {odd}")
-    u, d, _v = smith_normal_form(form.matrix)
+    _u, d, v = smith_normal_form(form.matrix)
     # coker(phi) = Z^n / phi Z^n maps isomorphically to Z^n / D Z^n by x -> Ux,
-    # so the generators are g_i = U^{-1} e_i and
-    # b(g_i, g_j) = g_i^T phi^{-1} g_j = (U^{-T} phi^{-1} U^{-1})_{ij}
+    # so the generators are g_i = U^{-1} e_i.  From D = U phi V,
+    # U^{-1} = phi V D^{-1}, so g_i = phi V e_i / d_i and
+    # b(g_i, g_j) = g_i^T phi^{-1} g_j = (V^T phi V)_{ij} / (d_i d_j):
+    # two integer products over the kept columns of V, one division each.
     n = form.dim
-    inv = _invert_rational(form.matrix)
-    uinv = _invert_rational(u)
+    keep = [i for i in range(n) if d[i][i] != 1]
+    cols = [[v[r][i] for r in range(n)] for i in keep]  # kept columns of V
+    phi_cols = [
+        [sum(form.matrix[r][s] * c[s] for s in range(n)) for r in range(n)]
+        for c in cols
+    ]
+    orders = tuple(d[i][i] for i in keep)
     ub = [
         [
-            sum(
-                uinv[k][i] * inv[k][l] * uinv[l][j]
-                for k in range(n)
-                for l in range(n)
-            )
-            for j in range(n)
+            Fraction(sum(x * y for x, y in zip(ci, pj)), di * dj)
+            for pj, dj in zip(phi_cols, orders)
         ]
-        for i in range(n)
+        for ci, di in zip(cols, orders)
     ]
-    keep = [i for i in range(n) if d[i][i] != 1]
-    orders = tuple(d[i][i] for i in keep)
-    bmat = tuple(tuple(ub[i][j] % 1 for j in keep) for i in keep)
-    qvec = tuple(ub[i][i] % 2 for i in keep)
+    bmat = tuple(tuple(x % 1 for x in row) for row in ub)
+    qvec = tuple(row[i] % 2 for i, row in enumerate(ub))
     return LinkingForm(orders, bmat, qvec)
 
 
-def _invert_rational(matrix: Sequence[Sequence[int]]) -> List[List[Fraction]]:
-    n = len(matrix)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise DegenerateForm("matrix is singular")
-        m[col], m[piv] = m[piv], m[col]
-        pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return [row[n:] for row in m]
-
-
 def bk_linking(lf: LinkingForm) -> int:
-    """Brown-Kervaire invariant of a linking form via its Gauss sum.
+    """Brown-Kervaire invariant of a linking form via its exact Gauss sum.
 
-    sum_{x in T} e^(pi i q(x)) = sqrt(|T|) e^(2 pi i k/8); evaluated in
-    floating point and snapped to the nearest admissible value (the eight
-    candidates are separated by at least sqrt(|T|) * 2 sin(pi/8)).
+    sum_{x in T} e^(pi i q(x)) = sqrt(|T|) e^(2 pi i k/8).  With
+    D = 2 max(orders), every q(x) is an integer numerator over D, so the
+    sum is counted by numerator and compared exactly in Z[e^(pi i/D)]
+    (kernels.linking_bk).
     """
     size = lf.order
     if size > LINKING_GROUP_LIMIT:
         raise GroupTooLarge(f"|T| = {size} exceeds {LINKING_GROUP_LIMIT}")
-    l = len(lf.orders)
-    total = 0j
-    # iterate the product of cyclic groups with an odometer
-    coeffs = [0] * l
-    while True:
-        qx = lf.evaluate_q(coeffs)
-        total += cmath.exp(1j * math.pi * float(qx))
-        i = 0
-        while i < l:
-            coeffs[i] += 1
-            if coeffs[i] < lf.orders[i]:
-                break
-            coeffs[i] = 0
-            i += 1
-        if i == l:
-            break
-    mag = math.sqrt(size)
-    best_k, best_err = None, None
-    for k in range(8):
-        target = mag * cmath.exp(1j * math.pi * k / 4)
-        err = abs(total - target)
-        if best_err is None or err < best_err:
-            best_k, best_err = k, err
-    if best_err > GAUSS_SNAP_TOL * max(mag, 1.0):
-        raise NoGaussMatch(
-            f"Gauss sum {total:.6g} is not within tolerance of any eighth root"
-        )
-    return best_k
+    denom = 2 * max(lf.orders, default=2)
+    # integers, since LinkingForm checks that orders_i q_i and orders_i b_ij are
+    qnum = [int(q * denom) for q in lf.qvec]
+    bnum = [[int(2 * b * denom) for b in row] for row in lf.bmat]
+    return kernels.linking_bk(lf.orders, qnum, bnum, denom)
 
 
 def tensor_product(a: IntSymForm, b: IntSymForm) -> IntSymForm:

@@ -12,12 +12,28 @@ mask of x.
   same form at once.  Since i^(q(x) + 2(x.d)) = i^q(x) (-1)^(x.d), they are
   one Walsh-Hadamard transform of i^q, done by butterflies in int64; every
   partial sum is bounded by 2^dim, so nothing can wrap.
+
+The Gauss sum of a quadratic linking form on T = sum Z/d_i is exact too.
+With D = 2 max(d_i) every value is q(x) = num(x)/D in Q/2Z for an integer
+numerator num(x) mod 2D, so sum_x e^(pi i q(x)) = sum_k c_k zeta^k in
+Z[zeta], zeta = e^(pi i/D) a primitive 2D-th root of unity:
+
+* linking_numerators: the table of num(x) over all of T, built one cyclic
+  factor at a time like _q_values.
+* linking_bk: the counts c_k, reduced by zeta^D = -1 to coordinates in the
+  basis 1, zeta, ..., zeta^(D-1), compared exactly with
+  sqrt|T| zeta_8^k (Milgram's formula), where zeta_8 = zeta^(D/4) and, for
+  odd log2|T|, sqrt 2 = zeta_8 + zeta_8^-1.
 """
 from __future__ import annotations
 
+from typing import Dict, Sequence
+
 import numpy as np
 
-__all__ = ["gauss_counts", "gauss_sums", "backend"]
+from .errors import NoGaussMatch
+
+__all__ = ["gauss_counts", "gauss_sums", "linking_numerators", "linking_bk", "backend"]
 
 # i^c for c in Z4, split into real and imaginary parts
 _RE = np.array([1, 0, -1, 0], dtype=np.int64)
@@ -46,8 +62,9 @@ def gauss_counts(dim: int, qdiag, rows):
     qdiag: sequence of dim values in {0,1,2,3} (q on the basis vectors)
     rows:  sequence of dim bit masks (rows of the Gram matrix)
     """
-    counts = np.bincount(_q_values(dim, qdiag, rows), minlength=4)
-    return (int(counts[0]), int(counts[1]), int(counts[2]), int(counts[3]))
+    q = _q_values(dim, qdiag, rows)
+    # count in place: bincount would first copy the uint8 table to int64
+    return tuple(int(np.count_nonzero(q == c)) for c in range(4))
 
 
 def gauss_sums(dim: int, qdiag, rows):
@@ -66,6 +83,67 @@ def gauss_sums(dim: int, qdiag, rows):
         h *= 2
     s = s.reshape(2, -1)
     return s[0], s[1]
+
+
+def linking_numerators(orders: Sequence[int], qnum: Sequence[int],
+                       bnum: Sequence[Sequence[int]], modulus: int) -> np.ndarray:
+    """num(x) = sum a_i^2 qnum_i + sum_{i<j} a_i a_j bnum_ij mod `modulus`.
+
+    One int64 entry per x = sum a_i g_i in the product of the cyclic groups
+    Z/orders[i], at index sum a_i * prod_{j<i} orders[j] (a_0 fastest).
+    Each factor and each coefficient is reduced mod `modulus` before it is
+    multiplied, so with modulus <= 2^22 no product exceeds 2^44.
+    """
+    num = np.zeros(1, dtype=np.int64)
+    for k, d in enumerate(orders):
+        a = np.arange(d, dtype=np.int64) % modulus
+        # lin(x) = sum_{j<k} a_j bnum_jk on the factors already built
+        lin = np.zeros(1, dtype=np.int64)
+        for j in range(k):
+            aj = np.arange(orders[j], dtype=np.int64) % modulus
+            lin = np.add.outer(aj * (bnum[j][k] % modulus), lin).ravel() % modulus
+        table = np.multiply.outer(a, lin)
+        table += num
+        table += ((a * a % modulus) * (qnum[k] % modulus))[:, None]
+        table %= modulus
+        num = table.ravel()
+    return num
+
+
+def _root_coords(exponent: int, scale: int, denom: int, out: Dict[int, int]) -> None:
+    """Add scale * zeta^exponent to `out`, coordinates in 1, ..., zeta^(denom-1)."""
+    e = exponent % (2 * denom)
+    sign = 1 if e < denom else -1
+    pos = e % denom
+    out[pos] = out.get(pos, 0) + sign * scale
+
+
+def linking_bk(orders: Sequence[int], qnum: Sequence[int],
+               bnum: Sequence[Sequence[int]], denom: int) -> int:
+    """k in Z8 with sum_x zeta^num(x) = sqrt|T| zeta_8^k, zeta = e^(pi i/denom).
+
+    num is linking_numerators(orders, qnum, bnum, 2 denom); denom must be a
+    multiple of 4 and |T| = prod orders a power of 2.  Raises NoGaussMatch
+    when the sum is none of the eight candidates.
+    """
+    num = linking_numerators(orders, qnum, bnum, 2 * denom)
+    counts = np.bincount(num, minlength=2 * denom)
+    coords = counts[:denom] - counts[denom:]
+    nz = np.flatnonzero(coords)
+    actual = dict(zip(nz.tolist(), coords[nz].tolist()))
+    size = num.size
+    half, odd = divmod(size.bit_length() - 1, 2)
+    eighth = denom // 4
+    for k in range(8):
+        target: Dict[int, int] = {}
+        for e in ((k + 1) * eighth, (k - 1) * eighth) if odd else (k * eighth,):
+            _root_coords(e, 1 << half, denom, target)
+        if target == actual:
+            return k
+    raise NoGaussMatch(
+        f"Gauss sum {actual} (powers of e^(pi i/{denom})) is not sqrt({size}) "
+        "times an eighth root of unity"
+    )
 
 
 def backend() -> str:

@@ -48,12 +48,13 @@ __all__ = [
 
 
 def _as_matrix(m, rows: int, cols: int, what: str) -> np.ndarray:
-    a = np.array(m, dtype=np.int64)
+    """m as an array of Python ints, which grow where int64 would wrap."""
+    a = np.array(m, dtype=object)
     if a.size == 0:
         a = a.reshape(rows, cols) if rows * cols == 0 else a
     if a.shape != (rows, cols):
         raise ShapeMismatch(f"{what} must have shape {(rows, cols)}, got {a.shape}")
-    return a
+    return np.array([[int(x) for x in row] for row in a], dtype=object).reshape(rows, cols)
 
 
 @dataclass(frozen=True)
@@ -106,17 +107,17 @@ class SymComplex:
         """Matrix of d: C_r -> C_{r-1} (zero when absent)."""
         if r in self.diffs:
             return self.diffs[r]
-        return np.zeros((self.rank(r - 1), self.rank(r)), dtype=np.int64)
+        return np.zeros((self.rank(r - 1), self.rank(r)), dtype=object)
 
     def p0(self, r: int) -> np.ndarray:
         if r in self.phi0:
             return self.phi0[r]
-        return np.zeros((self.rank(r), self.rank(self.n - r)), dtype=np.int64)
+        return np.zeros((self.rank(r), self.rank(self.n - r)), dtype=object)
 
     def p1(self, r: int) -> np.ndarray:
         if r in self.phi1:
             return self.phi1[r]
-        return np.zeros((self.rank(r), self.rank(self.n - r + 1)), dtype=np.int64)
+        return np.zeros((self.rank(r), self.rank(self.n - r + 1)), dtype=object)
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,7 @@ def validate_structure(c: SymComplex) -> Tuple[bool, List[str]]:
         # s = 0:  d phi0 + (-1)^r phi0 d* = 0 : C^{n-r-1} -> C_r
         dom = c.rank(n - r - 1)
         if c.rank(r) and dom:
-            lhs = np.zeros((c.rank(r), dom), dtype=np.int64)
+            lhs = np.zeros((c.rank(r), dom), dtype=object)
             if r + 1 <= n:
                 lhs = lhs + c.d(r + 1) @ c.p0(r + 1)
             lhs = lhs + (-1) ** r * (c.p0(r) @ c.d(n - r).T)
@@ -153,7 +154,7 @@ def validate_structure(c: SymComplex) -> Tuple[bool, List[str]]:
         # s = 1:  d phi1 + (-1)^r phi1 d* + (-1)^n (phi0 - T phi0) = 0
         dom = c.rank(n - r)
         if c.rank(r) and dom:
-            lhs = np.zeros((c.rank(r), dom), dtype=np.int64)
+            lhs = np.zeros((c.rank(r), dom), dtype=object)
             if r + 1 <= n:
                 lhs = lhs + c.d(r + 1) @ c.p1(r + 1)
             if n - r + 1 <= n:
@@ -197,7 +198,7 @@ def cohomology_mod2(c: SymComplex, degree: int) -> List[Mod2CohomologyClass]:
     if width == 0:
         return []
     # d*: C^r -> C^{r+1} is the transpose of d_{r+1}
-    dstar = c.d(r + 1).T if r + 1 <= n else np.zeros((0, width), dtype=np.int64)
+    dstar = c.d(r + 1).T if r + 1 <= n else np.zeros((0, width), dtype=object)
     # kernel of d* mod 2: equations are the rows of dstar
     equations = _XorBasis()
     for i in range(dstar.shape[0]):
@@ -225,8 +226,8 @@ def cohomology_mod2(c: SymComplex, degree: int) -> List[Mod2CohomologyClass]:
         if reduced == 0:
             continue
         span.add(reduced)
-        v = np.array([(reduced >> j) & 1 for j in range(width)], dtype=np.int64)
-        dv = dstar @ v if dstar.shape[0] else np.zeros(0, dtype=np.int64)
+        v = np.array([(reduced >> j) & 1 for j in range(width)], dtype=object)
+        dv = dstar @ v if dstar.shape[0] else np.zeros(0, dtype=object)
         if np.any(dv & 1):
             raise InvalidClass("kernel vector of d* mod 2 has odd coboundary")
         u = dv // 2
@@ -239,14 +240,14 @@ def cohomology_mod2(c: SymComplex, degree: int) -> List[Mod2CohomologyClass]:
 def _check_class(c: SymComplex, x: Mod2CohomologyClass) -> None:
     n = c.n
     r = x.degree
-    v = np.array(x.v, dtype=np.int64)
-    u = np.array(x.u, dtype=np.int64)
+    v = np.array(x.v, dtype=object)
+    u = np.array(x.u, dtype=object)
     if v.shape != (c.rank(r),) or u.shape != (c.rank(r + 1),):
         raise InvalidClass("class vectors have wrong lengths for the complex")
-    dstar_v = c.d(r + 1).T @ v if r + 1 <= n else np.zeros(0, dtype=np.int64)
+    dstar_v = c.d(r + 1).T @ v if r + 1 <= n else np.zeros(0, dtype=object)
     if np.any(dstar_v != 2 * u):
         raise InvalidClass("d*v != 2u")
-    dstar_u = c.d(r + 2).T @ u if r + 2 <= n else np.zeros(0, dtype=np.int64)
+    dstar_u = c.d(r + 2).T @ u if r + 2 <= n else np.zeros(0, dtype=object)
     if np.any(dstar_u):
         raise InvalidClass("d*u != 0")
 
@@ -259,9 +260,9 @@ def pontryagin_square(c: SymComplex, x: Mod2CohomologyClass) -> int:
         raise InvalidClass("the Pontryagin square pairs middle-degree classes")
     v = np.array(x.v, dtype=object)
     u = np.array(x.u, dtype=object)
-    value = int(v @ c.p0(r).astype(object) @ v) if v.size else 0
+    value = int(v @ c.p0(r) @ v) if v.size else 0
     # phi1 at degree r maps C^{n-r+1} = C^{r+1}, pairing v against u
-    p1 = c.p1(r).astype(object)
+    p1 = c.p1(r)
     if p1.size:
         value += 2 * int(v @ p1 @ u)
     return value % 4
@@ -298,7 +299,7 @@ def middle_form_complex(matrix: Sequence[Sequence[int]], quarter: int = 1) -> Sy
     n = 4 * quarter
     mid = n // 2
     ranks = tuple(m if r == mid else 0 for r in range(n + 1))
-    phi = np.array(matrix, dtype=np.int64).reshape(m, m)
+    phi = np.array(matrix, dtype=object).reshape(m, m)
     return SymComplex(ranks=ranks, diffs={}, phi0={mid: phi}, phi1={})
 
 

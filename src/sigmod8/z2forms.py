@@ -12,7 +12,7 @@ and every nonsingular form splits (non-uniquely) as p*P + k*H.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Iterable, List, Sequence, Tuple
 
 from .errors import (
@@ -256,20 +256,40 @@ class Z2Subspace:
         return m == 0
 
 
-@lru_cache(maxsize=1 << 16)
+# Largest dim for which exhaustive enumeration of forms is meant.
+ENUMERATION_DIM_LIMIT = 6
+
+
+def small_form_cache(fn):
+    """lru_cache fn(form) for forms of dim <= ENUMERATION_DIM_LIMIT only.
+
+    Those are the forms that enumeration and selfcheck revisit; a larger
+    form rarely recurs, so it is computed directly and not kept.
+    """
+    cached = lru_cache(maxsize=1 << 16)(fn)
+
+    @wraps(fn)
+    def call(form):
+        return cached(form) if form.dim <= ENUMERATION_DIM_LIMIT else fn(form)
+
+    call.cache_info = cached.cache_info
+    return call
+
+
+@small_form_cache
 def is_nonsingular(form: Z2SymForm) -> bool:
     """True iff the Gram matrix is invertible over Z2 (dim 0 counts).
 
-    Cached, since the result depends only on the form.
+    Cached for small forms, since the result depends only on the form.
     """
     return _rank(form.rows, form.dim) == form.dim
 
 
-@lru_cache(maxsize=1 << 16)
+@small_form_cache
 def wu_class(form: Z2SymForm) -> Z2Vec:
     """The unique v with lambda(x, x) = lambda(x, v) for all x.
 
-    Cached, since the result depends only on the form.
+    Cached for small forms, since the result depends only on the form.
     """
     if not is_nonsingular(form):
         raise SingularForm("wu_class requires a nonsingular form")
@@ -290,14 +310,14 @@ def _restrict(rows: Sequence[int], basis: Sequence[int]) -> List[int]:
     return out
 
 
-@lru_cache(maxsize=1 << 16)
+@small_form_cache
 def split_vectors(form: Z2SymForm) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]:
     """Split a nonsingular form into anisotropic lines and hyperbolic pairs.
 
     Returns (aniso, pairs) of bit-mask vectors: len(aniso) lines on which
     lambda(v, v) = 1, split off lowest-index-first, and hyperbolic pairs
-    spanning the isotropic remainder.  Deterministic, and cached since the
-    result depends only on the form.
+    spanning the isotropic remainder.  Deterministic, and cached for small
+    forms since the result depends only on the form.
     """
     rows = form.rows
     basis = [1 << i for i in range(form.dim)]
@@ -388,9 +408,6 @@ def witt_class_sym(form: Z2SymForm) -> int:
     p, _ = decompose(form)
     return p & 1
 
-
-# Largest dim for which exhaustive enumeration of forms is meant.
-ENUMERATION_DIM_LIMIT = 6
 
 
 def enumerate_nonsingular_forms(dim: int, isotropic_only: bool = False):

@@ -166,7 +166,7 @@ def test_criterion_3_four_ones_example(capsys):
 
 def test_criterion_4_linking_form_example(capsys):
     lf = boundary_linking_form(IntSymForm.from_matrix([[4]]))
-    bk = bk_linking(lf)  # snapped with 1e-6 relative tolerance
+    bk = bk_linking(lf)  # exact Gauss sum, counted by numerator
     sigma = signature_exact(IntSymForm.from_matrix([[4]]).to_rational())
     ok = lf.orders == (4,) and bk == 1 and bk == sigma % 8
     report(capsys, 4, ok, f"T = Z{lf.orders[0] if lf.orders else 1}, BK {bk}")

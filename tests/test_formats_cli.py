@@ -149,6 +149,16 @@ def test_cli_precondition_exit_code(tmp_path):
     assert "nonsingular = false" in out
 
 
+@pytest.mark.parametrize("big", [1 << 62, 1 << 70], ids=["2^62", "2^70"])
+def test_cli_symcomplex_huge_entries_exit_3(tmp_path, big):
+    path = tmp_path / "big.symcomplex"
+    path.write_text(f"symcomplex 4\n1 1 1 0 0\nd 1\n{big}\nd 2\n4\n")
+    code, out = run_cli(["invariants", str(path), "--kind", "symcomplex"])
+    assert code == 3
+    assert "structure valid = false" in out
+    assert "violation: d_1 d_2 != 0" in out
+
+
 def test_cli_bundle_report(tmp_path):
     path = tmp_path / "ex1.monodromy"
     path.write_text(EX1_MONODROMY)

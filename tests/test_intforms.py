@@ -1,18 +1,22 @@
 """Integral and rational forms: signatures, mod-8 identities, linking forms."""
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from sigmod8 import kernels
 from sigmod8.enhancements import bk_gauss
 from sigmod8.errors import (
     DegenerateForm,
     GroupTooLarge,
+    NoGaussMatch,
     NotMod4Multiplicative,
     NotTwoPrimary,
     NotUnimodular,
     OddDiagonal,
 )
 from sigmod8.intforms import (
+    LINKING_GROUP_LIMIT,
     IntSymForm,
     LinkingForm,
     RatSymForm,
@@ -237,6 +241,92 @@ def test_linking_bk_equals_signature_mod8():
         checked += 1
 
 
+def _congruent_power_diagonal(rng, log_order):
+    """Even form congruent over Z to diag(+-2^k_i), sum k_i = log_order, and its sigma."""
+    dim = rng.randint(1, min(log_order, 5))
+    ks = [1] * dim
+    for _ in range(log_order - dim):
+        ks[rng.randrange(dim)] += 1
+    signs = [rng.choice((1, -1)) for _ in range(dim)]
+    m = [[signs[i] << ks[i] if i == j else 0 for j in range(dim)] for i in range(dim)]
+    for _ in range(2 * dim):
+        i, j = rng.randrange(dim), rng.randrange(dim)
+        if i == j:
+            continue
+        k = rng.choice((-1, 1))
+        for c in range(dim):
+            m[j][c] += k * m[i][c]
+        for r in range(dim):
+            m[r][j] += k * m[r][i]
+    return IntSymForm.from_matrix(m), sum(signs)
+
+
+@pytest.mark.parametrize("log_order", range(1, 13))
+def test_linking_bk_exact_odd_and_even_log_order(log_order):
+    rng = SplitMix64(500 + log_order)
+    for _ in range(3):
+        form, sigma = _congruent_power_diagonal(rng, log_order)
+        lf = boundary_linking_form(form)
+        assert lf.order == 1 << log_order
+        assert sigma == signature_exact(form.to_rational())
+        assert bk_linking(lf) == sigma % 8
+
+
+def test_linking_bk_at_group_limit():
+    for entry, bk in ((1 << 20, 1), (-(1 << 20), 7)):
+        lf = boundary_linking_form(IntSymForm.from_matrix([[entry]]))
+        assert lf.order == LINKING_GROUP_LIMIT
+        assert bk_linking(lf) == bk
+
+
+@pytest.mark.parametrize(
+    "lf",
+    [
+        # b = 0 on Z2 and q = 1 on its generator: the sum 1 + e^(pi i) is 0
+        LinkingForm((2,), ((Fraction(0),),), (Fraction(1),)),
+        # degenerate Z2 (sum 2) plus the Z4 form of (Z, [4]) (sum 2 zeta_8):
+        # 4 zeta_8, which has modulus 4, not sqrt(8)
+        LinkingForm(
+            (2, 4),
+            ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(1, 4))),
+            (Fraction(0), Fraction(1, 4)),
+        ),
+    ],
+)
+def test_linking_gauss_no_match_at_odd_log_order(lf):
+    assert (lf.order.bit_length() - 1) % 2 == 1
+    with pytest.raises(NoGaussMatch):
+        bk_linking(lf)
+
+
+def _linking_forms_for_tables():
+    yield LinkingForm(
+        (4, 8),
+        ((Fraction(1, 4), Fraction(1, 4)), (Fraction(1, 4), Fraction(3, 8))),
+        (Fraction(5, 4), Fraction(3, 8)),
+    )
+    yield boundary_linking_form(IntSymForm.from_matrix([[4, 2], [2, 2]]))
+    rng = SplitMix64(77)
+    for log_order in (3, 4, 5, 6):
+        yield boundary_linking_form(_congruent_power_diagonal(rng, log_order)[0])
+
+
+def test_linking_numerators_match_evaluate_q():
+    for lf in _linking_forms_for_tables():
+        denom = 2 * max(lf.orders)
+        qnum = [q * denom for q in lf.qvec]
+        bnum = [[2 * b * denom for b in row] for row in lf.bmat]
+        assert all(x.denominator == 1 for x in qnum + sum(bnum, []))
+        table = kernels.linking_numerators(
+            lf.orders, [int(x) for x in qnum], [[int(x) for x in r] for r in bnum], 2 * denom
+        )
+        assert len(table) == lf.order
+        # index sum a_i prod_{j<i} orders[j]: a_0 runs fastest
+        for idx, rev in enumerate(itertools.product(*(range(d) for d in reversed(lf.orders)))):
+            coeffs = rev[::-1]
+            assert Fraction(int(table[idx]), denom) == lf.evaluate_q(coeffs)
+
+
 def test_linking_group_bound():
     big = LinkingForm(
         (1 << 11, 1 << 11),
@@ -355,8 +445,6 @@ def test_smith_normal_form_properties():
 
 def test_linking_gauss_mismatch_for_degenerate_pairing():
     """A degenerate b makes the Gauss sum miss every admissible value."""
-    from sigmod8.errors import NoGaussMatch
-
     degenerate = LinkingForm((2,), ((Fraction(0),),), (Fraction(0),))
     with pytest.raises(NoGaussMatch):
         bk_linking(degenerate)

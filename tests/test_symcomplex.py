@@ -62,6 +62,15 @@ def test_d_squared_checked():
     assert any("d_1 d_2" in v for v in violations)
 
 
+@pytest.mark.parametrize("big", [1 << 62, 1 << 70], ids=["2^62", "2^70"])
+def test_d_squared_exact_for_huge_entries(big):
+    # 2^62 * 4 = 2^64 wraps to 0 in int64; 2^70 does not fit at all
+    c = SymComplex(ranks=(1, 1, 1, 0, 0), diffs={1: [[big]], 2: [[4]]})
+    ok, violations = validate_structure(c)
+    assert not ok
+    assert violations == ["d_1 d_2 != 0"]
+
+
 def test_shape_mismatch_rejected():
     with pytest.raises(ShapeMismatch):
         SymComplex(ranks=(0, 0, 2, 0, 0), phi0={2: [[1]]})
