@@ -101,7 +101,7 @@ def _report_intform(form: intforms.IntSymForm, out) -> int:
     print(f"kind = intform, dim = {form.dim}", file=out)
     det = form.determinant()
     print(f"det = {det}", file=out)
-    sigma = intforms.signature_exact(form.to_rational())
+    sigma = intforms.signature_exact(form)
     print(f"sigma = {sigma}", file=out)
     print(f"sigma mod 8 = {sigma % 8}", file=out)
     if abs(det) == 1:
@@ -148,7 +148,7 @@ def _report_symcomplex(c: symcomplex.SymComplex, out) -> int:
             )
             if form.is_unimodular():
                 wu, sig4 = symcomplex.wu_and_mod4_signature(c)
-                sigma = intforms.signature_exact(form.to_rational())
+                sigma = intforms.signature_exact(form)
                 print(f"sigma = {sigma}", file=out)
                 print(f"sigma mod 4 = {sig4}", file=out)
                 print(f"wu class = {_fmt_vec(wu.v)}", file=out)

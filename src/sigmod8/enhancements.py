@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 from . import kernels
 from .errors import (
@@ -54,6 +54,7 @@ from .z2forms import (
     Z2Vec,
     _apply,
     _restrict,
+    eliminate,
     is_nonsingular,
     rref_basis,
     small_form_cache,
@@ -88,9 +89,43 @@ GAUSS_DIM_LIMIT = 24
 TABLE_CHECK_LIMIT = 10
 
 
+class _Enhancement:
+    """Evaluation shared by Z2Quadratic and Z4Quadratic.
+
+    For x the sum of the e_i in its mask, the value is the sum of the
+    values[i] plus CROSS times the number of pairs i < j in x with
+    lambda(e_i, e_j) = 1, modulo MASK + 1: (CROSS, MASK) is (1, 1) over Z2
+    and (2, 3) over Z4.
+    """
+
+    @property
+    def dim(self) -> int:
+        return self.form.dim
+
+    def evaluate_mask(self, x: int) -> int:
+        acc = cross = 0
+        rows, values = self.form.rows, self.values
+        m = x
+        while m:
+            low = m & -m
+            i = low.bit_length() - 1
+            acc += values[i]
+            cross += (rows[i] & x & (low - 1)).bit_count()
+            m ^= low
+        return (acc + self.CROSS * cross) & self.MASK
+
+    def evaluate(self, x: Z2Vec) -> int:
+        if x.dim != self.dim:
+            raise ValueError("dimension mismatch")
+        return self.evaluate_mask(x.mask)
+
+
 @dataclass(frozen=True)
-class Z2Quadratic:
+class Z2Quadratic(_Enhancement):
     """Z2-valued quadratic enhancement, stored by its values on the basis."""
+
+    CROSS = 1
+    MASK = 1
 
     form: Z2SymForm
     values: Tuple[int, ...]
@@ -103,37 +138,19 @@ class Z2Quadratic:
         if not self.form.is_isotropic():
             raise AnisotropicInput("Z2 enhancements require an isotropic form")
 
-    @property
-    def dim(self) -> int:
-        return self.form.dim
-
-    def evaluate_mask(self, x: int) -> int:
-        acc = 0
-        cross = 0
-        rows = self.form.rows
-        m = x
-        while m:
-            i = (m & -m).bit_length() - 1
-            acc += self.values[i]
-            cross += bin(rows[i] & x & ((1 << i) - 1)).count("1")
-            m &= m - 1
-        return (acc + cross) & 1
-
-    def evaluate(self, x: Z2Vec) -> int:
-        if x.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        return self.evaluate_mask(x.mask)
-
     def direct_sum(self, other: "Z2Quadratic") -> "Z2Quadratic":
         return Z2Quadratic(self.form.direct_sum(other.form), self.values + other.values)
 
 
 @dataclass(frozen=True)
-class Z4Quadratic:
+class Z4Quadratic(_Enhancement):
     """Z4-valued quadratic enhancement, stored by its values on the basis.
 
     The mod-2 reduction of q(e_i) must equal lambda(e_i, e_i).
     """
+
+    CROSS = 2
+    MASK = 3
 
     form: Z2SymForm
     values: Tuple[int, ...]
@@ -170,27 +187,6 @@ class Z4Quadratic:
                     f"table is not quadratic over the form at x = {x:#b}"
                 )
         return q
-
-    @property
-    def dim(self) -> int:
-        return self.form.dim
-
-    def evaluate_mask(self, x: int) -> int:
-        acc = 0
-        cross = 0
-        rows = self.form.rows
-        m = x
-        while m:
-            i = (m & -m).bit_length() - 1
-            acc += self.values[i]
-            cross += bin(rows[i] & x & ((1 << i) - 1)).count("1")
-            m &= m - 1
-        return (acc + 2 * (cross & 1)) & 3
-
-    def evaluate(self, x: Z2Vec) -> int:
-        if x.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        return self.evaluate_mask(x.mask)
 
     def direct_sum(self, other: "Z4Quadratic") -> "Z4Quadratic":
         return Z4Quadratic(self.form.direct_sum(other.form), self.values + other.values)
@@ -396,20 +392,15 @@ def _subquotient_basis(form: Z2SymForm) -> Tuple[Tuple[int, ...], Z2SymForm]:
             if (phi_v >> i) & 1:
                 b |= 1 << pivot
             kernel.append(b)
-        # quotient by <v>: express v in the RREF basis of L_perp and drop
-        # the lowest-pivot vector appearing in that expression
-        basis = list(rref_basis(kernel, dim))
-        residue = v.mask
-        drop = None
-        for b in basis:
-            low = b & -b
-            if residue & low:
-                residue ^= b
-                if drop is None:
-                    drop = b
-        if residue != 0 or drop is None:
+        # quotient by <v>: v is the sum of the RREF rows of L_perp at the
+        # pivots it holds, the lowest of which is its lowest set bit; drop
+        # that row
+        rows: Dict[int, int] = {}
+        eliminate(rows, kernel)
+        if eliminate(dict(rows), [v.mask]):
             raise SingularForm("Wu class does not lie in its own perpendicular")
-        reps = [b for b in basis if b != drop]
+        drop = v.mask & -v.mask
+        reps = [rows[p] for p in sorted(rows) if p != drop]
     gram = _restrict(form.rows, reps)
     return tuple(reps), Z2SymForm(len(reps), tuple(gram))
 

@@ -21,8 +21,10 @@ integral basis of a kernel (the cocycle space, or ker[(1-f) | (1-g)]).
 Each basis vector is a positive integer multiple of the vector a rational
 row reduction would give, so the two Gram matrices are congruent by a
 positive diagonal matrix D (D G D), and by Sylvester's law of inertia
-they have the same signature.  Only the final form handed to
-`signature_exact` holds Fractions.
+they have the same signature.  The Grams are returned as IntSymForm and
+`signature_exact` eliminates them fraction-free.  Only the closed Wall
+form holds Fractions: it solves (1 - f) X = g - f with the same integral
+kernel routine and divides each column once.
 
 The convention for the symplectic form is J = [[0, I], [-I, 0]], with
 phi(x, y) = x^T J y; the transvection along c acts by x -> x + phi(x, c) c,
@@ -43,7 +45,7 @@ from .errors import (
     OneMinusFSingular,
     ZeroVector,
 )
-from .intforms import RatSymForm, signature_exact
+from .intforms import IntSymForm, RatSymForm, signature_exact
 
 __all__ = [
     "SymplecticMatrix",
@@ -226,40 +228,33 @@ class MonodromyData:
         return cls(h, len(pairs), pairs)
 
 
-def _rational_inverse(m: Matrix) -> Tuple[Tuple[Fraction, ...], ...]:
-    n = len(m)
-    work = [
-        [Fraction(m[i][j]) for j in range(n)]
-        + [Fraction(int(i == j)) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if piv is None:
-            raise OneMinusFSingular("matrix is singular over Q")
-        work[col], work[piv] = work[piv], work[col]
-        pv = work[col][col]
-        work[col] = [x / pv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                fac = work[r][col]
-                work[r] = [a - fac * b for a, b in zip(work[r], work[col])]
-    return tuple([tuple(row[n:]) for row in work])
-
-
 def wall_form_closed(f: SymplecticMatrix, g: SymplecticMatrix) -> RatSymForm:
-    """S(f, g) = J (1 - g^{-1})(1 - f)^{-1}(g - f), requires det(1-f) != 0."""
+    """S(f, g) = J (1 - g^{-1})(1 - f)^{-1}(g - f), requires det(1-f) != 0.
+
+    X = (1 - f)^{-1}(g - f) solves (1 - f) X = g - f, so column k of X is
+    y / s for the kernel vector (y, s e_k) of [(1 - f) | f - g].  1 - f is
+    invertible exactly when `_integral_kernel` returns one such vector per
+    column, each with s > 0 and 0 in the other columns' slots; S is then
+    the integer product J (1 - g^{-1}) y over s, an exact Fraction.
+    """
     if f.h != g.h:
         raise ValueError("genus mismatch")
     n = 2 * f.h
     eye = _identity(n)
-    j = standard_j(f.h)
     one_minus_f = _mat_sub(eye, f.entries)
-    inv = _rational_inverse(one_minus_f)  # raises OneMinusFSingular
-    one_minus_ginv = _mat_sub(eye, g.inverse().entries)
-    gf = _mat_sub(g.entries, f.entries)
-    s = _mat_mul(_mat_mul(_mat_mul(j, one_minus_ginv), inv), gf)
-    mat = tuple([tuple([Fraction(x) for x in row]) for row in s])
+    f_minus_g = _mat_sub(f.entries, g.entries)
+    basis = _integral_kernel([a + b for a, b in zip(one_minus_f, f_minus_g)], 2 * n)
+    if len(basis) != n or any(
+        bool(u[n + j]) != (j == k) for k, u in enumerate(basis) for j in range(n)
+    ):
+        raise OneMinusFSingular("1 - f is singular over Q")
+    j_one_minus_ginv = _mat_mul(standard_j(f.h), _mat_sub(eye, g.inverse().entries))
+    mat = tuple(
+        [
+            tuple([Fraction(sum(map(mul, row, u[:n])), u[n + k]) for k, u in enumerate(basis)])
+            for row in j_one_minus_ginv
+        ]
+    )
     for i in range(n):
         for k in range(i + 1, n):
             if mat[i][k] != mat[k][i]:
@@ -269,7 +264,7 @@ def wall_form_closed(f: SymplecticMatrix, g: SymplecticMatrix) -> RatSymForm:
 
 def wall_form_general(
     f: SymplecticMatrix, g: SymplecticMatrix
-) -> Tuple[RatSymForm, int]:
+) -> Tuple[IntSymForm, int]:
     """Wall pairing on ker[(1-f) | (1-g)] and its signature.
 
     Works with no hypothesis on 1 - f; the radical of the pairing (Wall's
@@ -331,7 +326,7 @@ def _integral_kernel(rows: Sequence[Sequence[int]], ncols: int) -> List[Tuple[in
         r += 1
     out = []
     for fc in (c for c in range(ncols) if c not in pivots):
-        scale = lcm(*(abs(work[rr][pc]) for rr, pc in enumerate(pivots) if work[rr][fc]))
+        scale = lcm(*[abs(work[rr][pc]) for rr, pc in enumerate(pivots) if work[rr][fc]])
         vec = [0] * ncols
         vec[fc] = scale
         for rr, pc in enumerate(pivots):
@@ -340,17 +335,16 @@ def _integral_kernel(rows: Sequence[Sequence[int]], ncols: int) -> List[Tuple[in
     return out
 
 
-def _int_form_signature(gram: Sequence[Sequence[int]], asymmetric: str) -> Tuple[RatSymForm, int]:
-    """The integer Gram as a RatSymForm and its signature; NotSymplectic if asymmetric."""
-    for i in range(len(gram)):
-        for k in range(i + 1, len(gram)):
-            if gram[i][k] != gram[k][i]:
-                raise NotSymplectic(asymmetric)
-    form = RatSymForm(len(gram), tuple([tuple([Fraction(x) for x in r]) for r in gram]))
+def _int_form_signature(gram: Sequence[Sequence[int]], asymmetric: str) -> Tuple[IntSymForm, int]:
+    """The integer Gram as an IntSymForm and its signature; NotSymplectic if asymmetric."""
+    try:
+        form = IntSymForm(len(gram), tuple([tuple(r) for r in gram]))
+    except ValueError:
+        raise NotSymplectic(asymmetric) from None
     return form, signature_exact(form)
 
 
-def _handle_wall_form(f: SymplecticMatrix, g: SymplecticMatrix) -> Tuple[RatSymForm, int]:
+def _handle_wall_form(f: SymplecticMatrix, g: SymplecticMatrix) -> Tuple[IntSymForm, int]:
     """Wall form and signature of one handle: (f, g f^{-1} g^{-1})."""
     return wall_form_general(f, g @ f.inverse() @ g.inverse())
 
@@ -450,7 +444,7 @@ def z2_trivial_check(m: MonodromyData) -> bool:
 class BundleReport:
     """Per-handle Wall data plus the local-system signature."""
 
-    handle_forms: Tuple[RatSymForm, ...]
+    handle_forms: Tuple[IntSymForm, ...]
     handle_signatures: Tuple[int, ...]
     handle_sum: int
     total: int

@@ -8,7 +8,8 @@ blank lines are ignored.
     z4q <dim>           form rows, then one row of dim values in {0,1,2,3}
     intform <dim>       dim rows of dim integers
     ratform <dim>       dim rows of dim rationals (p/q or integers)
-    symcomplex <n>      one row of n+1 ranks, then labeled blocks
+    symcomplex <n>      one row of n+1 ranks, each in 0..256
+                        (symcomplex.RANK_LIMIT), then labeled blocks
                         `d <r>` / `phi0 <r>` / `phi1 <r>`, each followed by
                         its matrix rows (omitted blocks are zero)
     monodromy <h> <g>   2g matrices f1 g1 f2 g2 ..., each 2h rows of

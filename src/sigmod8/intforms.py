@@ -1,7 +1,8 @@
 """Symmetric forms over Z and Q: exact signatures and mod-8 identities.
 
-The signature is computed by congruence diagonalization in exact rational
-arithmetic (no eigenvalues).  For a unimodular integral form the
+The signature is computed by fraction-free symmetric elimination over Z
+(no eigenvalues); a rational form is scaled by the positive lcm of its
+denominators first.  For a unimodular integral form the
 characteristic (Wu) vector v satisfies phi(x,x) = phi(x,v) mod 2 and ties
 three quantities together mod 8: the signature, phi(v,v) (van der Blij),
 and the Brown-Kervaire invariant of the mod-4 reduction (Morita/Brown).
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
 from . import kernels
@@ -148,49 +150,42 @@ def _det_bareiss(matrix: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def signature_exact(form: RatSymForm) -> int:
-    """p - n after exact congruence diagonalization; the radical counts 0.
+def signature_exact(form: IntSymForm | RatSymForm) -> int:
+    """p - n of an IntSymForm or RatSymForm; the radical counts 0.
 
-    Zero-diagonal blocks are handled by the symmetric rank-2 step (add row
-    and column j to i), which contributes one positive and one negative
-    entry, i.e. 0 to the signature.
+    Fraction-free symmetric elimination.  Entries are scaled by the positive
+    lcm of their denominators (1 for ints).  A nonzero pivot d with row v
+    splits off (d) and leaves M - v v^T / d; the block kept is
+    sign(d) (d M - v v^T), a positive multiple of it, divided by the gcd of
+    its entries, so every step keeps the signature and stays in Z.  A block
+    with zero diagonal but m_ij != 0 first gets row and column j added to i,
+    making m_ii = 2 m_ij.
     """
-    n = form.dim
-    m = [list(row) for row in form.matrix]
-    active = list(range(n))
-    pos = neg = 0
-    while active:
-        piv = next((i for i in active if m[i][i] != 0), None)
+    scale = lcm(*[x.denominator for row in form.matrix for x in row])
+    m = [[x.numerator * (scale // x.denominator) for x in row] for row in form.matrix]
+    sig = 0
+    while m:
+        n = len(m)
+        piv = next((i for i in range(n) if m[i][i]), None)
         if piv is None:
-            offdiag = None
-            for ai, i in enumerate(active):
-                for j in active[ai + 1 :]:
-                    if m[i][j] != 0:
-                        offdiag = (i, j)
-                        break
-                if offdiag:
-                    break
-            if offdiag is None:
-                break  # remaining block is the radical
-            i, j = offdiag
-            for k in range(n):
-                m[i][k] += m[j][k]
-            for k in range(n):
-                m[k][i] += m[k][j]
-            piv = i
-        d = m[piv][piv]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        active.remove(piv)
-        factors = {i: m[i][piv] / d for i in active}
-        for i in active:
-            f = factors[i]
-            if f:
-                for j in active:
-                    m[i][j] -= f * m[piv][j]
-    return pos - neg
+            pair = next(((i, j) for i in range(n) for j in range(i + 1, n) if m[i][j]), None)
+            if pair is None:
+                break  # the remaining block is the radical
+            piv, j = pair
+            m[piv] = [a + b for a, b in zip(m[piv], m[j])]
+            for row in m:
+                row[piv] += row[j]
+        v = m.pop(piv)
+        d = v.pop(piv)
+        for row in m:
+            del row[piv]
+        sign = 1 if d > 0 else -1
+        sig += sign
+        m = [[sign * (d * x - a * y) for x, y in zip(row, v)] for row, a in zip(m, v)]
+        g = gcd(*[x for row in m for x in row])
+        if g > 1:
+            m = [[x // g for x in row] for row in m]
+    return sig
 
 
 def characteristic_vector(form: IntSymForm) -> Tuple[int, ...]:
@@ -479,9 +474,9 @@ def multiplicativity_defect(
     for name, form in (("e", e), ("b", b), ("f", f)):
         if not form.is_unimodular():
             raise NotUnimodular(f"form {name} must be unimodular")
-    sigma_e = signature_exact(e.to_rational())
-    sigma_b = signature_exact(b.to_rational())
-    sigma_f = signature_exact(f.to_rational())
+    sigma_e = signature_exact(e)
+    sigma_b = signature_exact(b)
+    sigma_f = signature_exact(f)
     if (sigma_e - sigma_b * sigma_f) % 4 != 0:
         raise NotMod4Multiplicative(
             f"sigma(e) - sigma(b)sigma(f) = {sigma_e - sigma_b * sigma_f} is not 0 mod 4"

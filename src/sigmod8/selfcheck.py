@@ -106,7 +106,7 @@ def suite_morita(trials: int, rng) -> SuiteResult:
     for _ in range(trials):
         dim = rng.randint(1, 8)
         form = random_unimodular_form(dim, rng)
-        sigma = signature_exact(form.to_rational())
+        sigma = signature_exact(form)
         if bk_gauss(reduce_to_enhanced(form)) != sigma % 8:
             return SuiteResult("morita", False, checked, f"matrix {form.matrix}")
         checked += 1
@@ -118,7 +118,7 @@ def suite_van_der_blij(trials: int, rng) -> SuiteResult:
     for _ in range(trials):
         dim = rng.randint(1, 8)
         form = random_unimodular_form(dim, rng)
-        sigma = signature_exact(form.to_rational())
+        sigma = signature_exact(form)
         if van_der_blij_residue(form) != sigma % 8:
             return SuiteResult("van-der-blij", False, checked, f"matrix {form.matrix}")
         checked += 1

@@ -34,6 +34,7 @@ from .errors import (
     SignatureMismatch,
 )
 from .intforms import IntSymForm, characteristic_vector, signature_exact
+from .z2forms import eliminate
 
 __all__ = [
     "SymComplex",
@@ -44,7 +45,13 @@ __all__ = [
     "wu_and_mod4_signature",
     "middle_form_complex",
     "two_degree_complex",
+    "RANK_LIMIT",
 ]
+
+# Largest rank of a chain group.  Blocks are dense object arrays (absent
+# ones are built as zeros) and validation multiplies them, so the cost is
+# cubic in the ranks.
+RANK_LIMIT = 256
 
 
 def _as_matrix(m, rows: int, cols: int, what: str) -> np.ndarray:
@@ -74,6 +81,9 @@ class SymComplex:
 
     def __post_init__(self):
         n = self.n
+        for r, rank in enumerate(self.ranks):
+            if not 0 <= rank <= RANK_LIMIT:
+                raise ShapeMismatch(f"rank {rank} of C_{r} is outside 0..{RANK_LIMIT}")
         canon_d: Dict[int, np.ndarray] = {}
         for r, m in dict(self.diffs).items():
             if not 1 <= r <= n:
@@ -166,30 +176,6 @@ def validate_structure(c: SymComplex) -> Tuple[bool, List[str]]:
     return not violations, violations
 
 
-class _XorBasis:
-    """Incremental GF(2) span with one pivot (lowest set bit) per row."""
-
-    def __init__(self):
-        self.rows: Dict[int, int] = {}
-
-    def reduce(self, vec: int) -> int:
-        """Reduce until the lowest set bit is not a pivot (0 iff in span)."""
-        while vec:
-            low = (vec & -vec).bit_length() - 1
-            row = self.rows.get(low)
-            if row is None:
-                return vec
-            vec ^= row
-        return 0
-
-    def add(self, vec: int) -> bool:
-        vec = self.reduce(vec)
-        if vec == 0:
-            return False
-        self.rows[(vec & -vec).bit_length() - 1] = vec
-        return True
-
-
 def cohomology_mod2(c: SymComplex, degree: int) -> List[Mod2CohomologyClass]:
     """A basis of H^degree(C; Z2), one integer-lifted (u, v) pair per class."""
     n = c.n
@@ -199,33 +185,26 @@ def cohomology_mod2(c: SymComplex, degree: int) -> List[Mod2CohomologyClass]:
         return []
     # d*: C^r -> C^{r+1} is the transpose of d_{r+1}
     dstar = c.d(r + 1).T if r + 1 <= n else np.zeros((0, width), dtype=object)
-    # kernel of d* mod 2: equations are the rows of dstar
-    equations = _XorBasis()
-    for i in range(dstar.shape[0]):
-        equations.add(int(sum((int(dstar[i, j]) & 1) << j for j in range(width))))
-    pivot_cols = set(equations.rows.keys())
-    kernel = []
-    for free in range(width):
-        if free in pivot_cols:
-            continue
-        vec = 1 << free
-        for pc in sorted(equations.rows, reverse=True):
-            if bin(equations.rows[pc] & vec).count("1") & 1:
-                vec ^= 1 << pc
-        kernel.append(vec)
+
+    def mask(row) -> int:  # an integer row reduced mod 2, bit-packed
+        return sum((int(x) & 1) << j for j, x in enumerate(row))
+
+    # kernel of d* mod 2: the equations are the rows of dstar; with them
+    # fully reduced, free column f gives f plus every pivot whose row holds f
+    equations: Dict[int, int] = {}
+    eliminate(equations, map(mask, dstar))
+    kernel = [
+        (1 << free) | sum(p for p, row in equations.items() if row >> free & 1)
+        for free in range(width)
+        if (1 << free) not in equations
+    ]
     # span of the image of d*: C^{r-1} -> C^r mod 2, then grow by kernel
-    # vectors; every vector that enlarges the span is a class representative
-    span = _XorBasis()
-    if 1 <= r <= n and c.rank(r - 1):
-        dT = c.d(r).T
-        for i in range(c.rank(r - 1)):
-            span.add(int(sum((int(dT[j, i]) & 1) << j for j in range(width))))
+    # vectors; every vector that enlarges the span, reduced against it, is a
+    # class representative
+    span: Dict[int, int] = {}
+    eliminate(span, map(mask, c.d(r)))
     classes = []
-    for vec in kernel:
-        reduced = span.reduce(vec)
-        if reduced == 0:
-            continue
-        span.add(reduced)
+    for reduced in eliminate(span, kernel):
         v = np.array([(reduced >> j) & 1 for j in range(width)], dtype=object)
         dv = dstar @ v if dstar.shape[0] else np.zeros(0, dtype=object)
         if np.any(dv & 1):
@@ -286,7 +265,7 @@ def wu_and_mod4_signature(c: SymComplex) -> Tuple[Mod2CohomologyClass, int]:
         raise NotUnimodular("middle form must be unimodular")
     v = characteristic_vector(form)
     wu = Mod2CohomologyClass(mid, (), tuple(v))
-    sigma = signature_exact(form.to_rational())
+    sigma = signature_exact(form)
     p2 = pontryagin_square(c, wu)
     if sigma % 4 != p2:
         raise SignatureMismatch(f"sigma = {sigma} but P2(wu) = {p2} in Z4")

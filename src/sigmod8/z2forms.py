@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, wraps
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
     AnisotropicInput,
@@ -25,6 +25,7 @@ __all__ = [
     "Z2Vec",
     "Z2SymForm",
     "Z2Subspace",
+    "eliminate",
     "is_nonsingular",
     "wu_class",
     "decompose",
@@ -37,7 +38,7 @@ __all__ = [
 
 
 def _parity(x: int) -> int:
-    return bin(x).count("1") & 1
+    return x.bit_count() & 1
 
 
 @dataclass(frozen=True)
@@ -144,23 +145,35 @@ def _apply(rows: Sequence[int], x: int) -> int:
     return out
 
 
-def _rank(rows: Iterable[int], dim: int) -> int:
-    work = list(rows)
-    rank = 0
-    for col in range(dim):
-        piv = None
-        for k in range(rank, len(work)):
-            if (work[k] >> col) & 1:
-                piv = k
-                break
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        for k in range(len(work)):
-            if k != rank and ((work[k] >> col) & 1):
-                work[k] ^= work[rank]
-        rank += 1
-    return rank
+def eliminate(
+    rows: Dict[int, int], vectors: Iterable[int], tags: Optional[int] = None
+) -> List[int]:
+    """Add `vectors` to the fully reduced GF(2) echelon form `rows`.
+
+    This is the one GF(2) elimination of the library.  `rows` maps each
+    pivot bit to its row.  A pivot is the lowest set bit of its row and is
+    clear in every other row, so reducing a vector takes one XOR per pivot
+    bit it holds.  Each vector is reduced against the rows before it; if a
+    bit below `tags` is left, its lowest set bit becomes a new pivot and is
+    cleared from the other rows.  Bits from `tags` up (no bits when None)
+    ride along in every row operation but never become pivots: with the
+    right-hand side as a tag, elimination solves a system.  Returns the
+    vectors that became rows, as they were when added.
+    """
+    limit = None if tags is None else 1 << tags
+    added = []
+    for vec in vectors:
+        for pivot, row in rows.items():
+            if vec & pivot:
+                vec ^= row
+        low = vec & -vec
+        if low and (limit is None or low < limit):
+            for pivot, row in rows.items():
+                if row & low:
+                    rows[pivot] = row ^ vec
+            rows[low] = vec
+            added.append(vec)
+    return added
 
 
 def solve(rows: Sequence[int], dim: int, rhs: int) -> int:
@@ -168,49 +181,22 @@ def solve(rows: Sequence[int], dim: int, rhs: int) -> int:
 
     Raises SingularForm when no unique solution exists.
     """
-    aug = [r | (((rhs >> i) & 1) << dim) for i, r in enumerate(rows)]
-    rank = 0
-    pivcols = []
-    for col in range(dim):
-        piv = None
-        for k in range(rank, len(aug)):
-            if (aug[k] >> col) & 1:
-                piv = k
-                break
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        for k in range(len(aug)):
-            if k != rank and ((aug[k] >> col) & 1):
-                aug[k] ^= aug[rank]
-        pivcols.append(col)
-        rank += 1
-    if rank < dim:
+    echelon: Dict[int, int] = {}
+    eliminate(echelon, [r | ((rhs >> i) & 1) << dim for i, r in enumerate(rows)], dim)
+    if len(echelon) < dim:
         raise SingularForm("matrix is singular over Z2")
-    v = 0
-    for r, col in enumerate(pivcols):
-        v |= ((aug[r] >> dim) & 1) << col
-    return v
+    # full rank: each row is its pivot plus the tag, the pivot's value in v
+    return sum(pivot for pivot, row in echelon.items() if row >> dim)
 
 
 def rref_basis(vectors: Iterable[int], dim: int) -> Tuple[int, ...]:
-    """Reduced-row-echelon canonical basis of the span of `vectors`."""
-    rows = [v for v in vectors if v]
-    out: List[int] = []
-    for col in range(dim):
-        bit = 1 << col
-        piv = next((i for i, r in enumerate(rows) if r & bit), None)
-        if piv is None:
-            continue
-        pivot_row = rows.pop(piv)
-        for i in range(len(rows)):
-            if rows[i] & bit:
-                rows[i] ^= pivot_row
-        for j in range(len(out)):
-            if out[j] & bit:
-                out[j] ^= pivot_row
-        out.append(pivot_row)
-    return tuple(out)
+    """Reduced-row-echelon canonical basis of the span of `vectors`.
+
+    Pivots are the lowest set bits below `dim`, in increasing order.
+    """
+    echelon: Dict[int, int] = {}
+    eliminate(echelon, vectors, dim)
+    return tuple([echelon[pivot] for pivot in sorted(echelon)])
 
 
 @dataclass(frozen=True)
@@ -221,12 +207,12 @@ class Z2Subspace:
     basis: Tuple[int, ...]
 
     def __post_init__(self):
-        canon = rref_basis(self.basis, self.ambient_dim)
-        if canon != self.basis:
-            object.__setattr__(self, "basis", canon)
         for b in self.basis:
             if b >> self.ambient_dim:
                 raise ValueError("basis vector outside ambient space")
+        canon = rref_basis(self.basis, self.ambient_dim)
+        if canon != self.basis:
+            object.__setattr__(self, "basis", canon)
 
     @classmethod
     def spanned_by(cls, vectors: Iterable[Z2Vec]) -> "Z2Subspace":
@@ -248,12 +234,7 @@ class Z2Subspace:
         return [Z2Vec(self.ambient_dim, b) for b in self.basis]
 
     def contains(self, v: Z2Vec) -> bool:
-        m = v.mask
-        for w in self.basis:
-            low = w & -w
-            if m & low:
-                m ^= w
-        return m == 0
+        return not eliminate({b & -b: b for b in self.basis}, [v.mask])
 
 
 # Largest dim for which exhaustive enumeration of forms is meant.
@@ -282,19 +263,17 @@ def is_nonsingular(form: Z2SymForm) -> bool:
 
     Cached for small forms, since the result depends only on the form.
     """
-    return _rank(form.rows, form.dim) == form.dim
+    return len(eliminate({}, form.rows)) == form.dim
 
 
 @small_form_cache
 def wu_class(form: Z2SymForm) -> Z2Vec:
     """The unique v with lambda(x, x) = lambda(x, v) for all x.
 
-    Cached for small forms, since the result depends only on the form.
+    Raises SingularForm (from `solve`) for a singular form.  Cached for
+    small forms, since the result depends only on the form.
     """
-    if not is_nonsingular(form):
-        raise SingularForm("wu_class requires a nonsingular form")
-    v = solve(form.rows, form.dim, form.diagonal_mask())
-    return Z2Vec(form.dim, v)
+    return Z2Vec(form.dim, solve(form.rows, form.dim, form.diagonal_mask()))
 
 
 def _restrict(rows: Sequence[int], basis: Sequence[int]) -> List[int]:
@@ -397,7 +376,7 @@ def symplectic_split(form: Z2SymForm, restricted_to: Z2Subspace) -> List[Tuple[Z
     for i in range(len(basis)):
         if (gram[i] >> i) & 1:
             raise AnisotropicInput("form is anisotropic on the subspace")
-    if _rank(gram, len(basis)) != len(basis):
+    if len(eliminate({}, gram)) != len(basis):
         raise DegenerateRestriction("restricted form is singular")
     pairs = _symplectic_pairs(form.rows, basis)
     return [(Z2Vec(form.dim, e), Z2Vec(form.dim, f)) for e, f in pairs]
@@ -429,5 +408,5 @@ def enumerate_nonsingular_forms(dim: int, isotropic_only: bool = False):
                 rows[i] |= 1 << j
                 if i != j:
                     rows[j] |= 1 << i
-        if _rank(rows, dim) == dim:
+        if len(eliminate({}, rows)) == dim:
             yield Z2SymForm(dim, tuple(rows))

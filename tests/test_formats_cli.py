@@ -1,8 +1,13 @@
 """Text formats and the command-line front end."""
 import io
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import sigmod8
 from sigmod8 import cli, formats
 from sigmod8.errors import CommutatorRelationViolated, ParseError
 
@@ -157,6 +162,32 @@ def test_cli_symcomplex_huge_entries_exit_3(tmp_path, big):
     assert code == 3
     assert "structure valid = false" in out
     assert "violation: d_1 d_2 != 0" in out
+
+
+@pytest.mark.parametrize(
+    "rank", ["99999999999999999999", "3000000000", "-1", "257"], ids=["1e20", "3e9", "-1", "257"]
+)
+def test_cli_symcomplex_oversized_rank_exit_2(tmp_path, rank):
+    """A rank outside 0..RANK_LIMIT is a parse error: exit 2, no traceback.
+
+    Runs in a child process whose address space is capped at 1 GiB, so a
+    build of the dense blocks fails at once instead of taking memory.
+    """
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    path = tmp_path / "big.symcomplex"
+    path.write_text(f"symcomplex 4\n0 0 {rank} 1 0\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(sigmod8.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sigmod8.cli", "invariants", str(path), "--kind", "symcomplex"],
+        capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert "parse error" in proc.stdout and "outside 0..256" in proc.stdout
 
 
 def test_cli_bundle_report(tmp_path):

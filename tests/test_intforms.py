@@ -16,6 +16,7 @@ from sigmod8.errors import (
     OddDiagonal,
 )
 from sigmod8.intforms import (
+    ENTRY_BOUND,
     LINKING_GROUP_LIMIT,
     IntSymForm,
     LinkingForm,
@@ -90,6 +91,102 @@ def test_signature_congruence_invariance():
         assert signature_exact(RatSymForm.from_matrix(pmp)) == signature_exact(
             RatSymForm.from_matrix(m)
         )
+
+
+def _charpoly(m):
+    """det(x I - m), highest coefficient first, by Berkowitz's recursion.
+
+    Only ring operations, so it is exact on ints and Fractions and shares
+    nothing with elimination: with m = [[a, R], [C, A]], the polynomial is
+    the lower-triangular Toeplitz matrix of (1, -a, -R C, -R A C, ...)
+    times the polynomial of A.
+    """
+    n = len(m)
+    if n == 0:
+        return [1]
+    row, col = m[0][1:], [r[0] for r in m[1:]]
+    sub = [r[1:] for r in m[1:]]
+    toeplitz = [1, -m[0][0]]
+    for _ in range(n - 1):
+        toeplitz.append(-sum(x * y for x, y in zip(row, col)))
+        col = [sum(x * y for x, y in zip(r, col)) for r in sub]
+    inner = _charpoly(sub)
+    return [
+        sum(toeplitz[i - j] * inner[j] for j in range(min(i, n - 1) + 1))
+        for i in range(n + 1)
+    ]
+
+
+def _sign_changes(coeffs):
+    signs = [c > 0 for c in coeffs if c != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _signature_descartes(matrix):
+    """sigma = V(p(x)) - V(p(-x)) for p = charpoly with the factor x^k removed.
+
+    A symmetric matrix has only real eigenvalues, and for a real-rooted
+    polynomial Descartes' rule counts the positive roots exactly.
+    """
+    p = _charpoly(matrix)
+    while p[-1] == 0:  # the radical: roots at 0
+        p.pop()
+    deg = len(p) - 1
+    return _sign_changes(p) - _sign_changes([c * (-1) ** (deg - i) for i, c in enumerate(p)])
+
+
+def _seeded_signature_forms():
+    """(label, matrix) pairs: generic, degenerate, zero-diagonal, rational."""
+    rng = SplitMix64(61)
+    for dim in range(13):
+        for trial in range(4):
+            m = [[0] * dim for _ in range(dim)]
+            for i in range(dim):
+                for j in range(i, dim):
+                    m[i][j] = m[j][i] = rng.randint(-ENTRY_BOUND + 1, ENTRY_BOUND - 1)
+            yield f"generic-{dim}-{trial}", m
+            # rank r < dim: sum of r signed squares of small integer vectors
+            r = rng.randint(0, max(dim - 1, 0))
+            vecs = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(r)]
+            signs = [rng.choice((-1, 1)) for _ in range(r)]
+            yield f"degenerate-{dim}-{trial}", [
+                [sum(s * v[i] * v[j] for s, v in zip(signs, vecs)) for j in range(dim)]
+                for i in range(dim)
+            ]
+            z = [[0 if i == j else m[i][j] % 5 - 2 for j in range(dim)] for i in range(dim)]
+            yield f"zero-diagonal-{dim}-{trial}", z
+            # a zero-diagonal block beside a radical and a negative line
+            yield f"zero-diagonal-radical-{dim}-{trial}", [
+                row + [0, 0] for row in z
+            ] + [[0] * dim + [0, 0], [0] * dim + [0, -rng.randint(1, 9)]]
+            dens = [[rng.randint(1, 12) for _ in range(dim)] for _ in range(dim)]
+            yield f"rational-{dim}-{trial}", [
+                [Fraction(m[i][j], dens[min(i, j)][max(i, j)]) for j in range(dim)]
+                for i in range(dim)
+            ]
+
+
+def test_signature_matches_descartes_route():
+    """signature_exact against an elimination-free second route."""
+    negative = 0
+    for label, matrix in _seeded_signature_forms():
+        expected = _signature_descartes(matrix)
+        if isinstance(matrix[0][0] if matrix else 0, Fraction):
+            form = RatSymForm.from_matrix(matrix)
+        else:
+            form = IntSymForm.from_matrix(matrix)
+        assert signature_exact(form) == expected, label
+        negative += expected < 0
+    assert negative > 50  # negative pivots are exercised, not just positive ones
+
+
+def test_signature_descartes_route_examples():
+    """The second route itself on forms with known signature."""
+    assert _charpoly([[2, 1], [1, 2]]) == [1, -4, 3]
+    assert _signature_descartes([[0, 1], [1, 0]]) == 0
+    assert _signature_descartes([[0, 0], [0, -3]]) == -1
+    assert _signature_descartes([[1, 0, 0], [0, 1, 0], [0, 0, -1]]) == 1
+    assert _signature_descartes([]) == 0
 
 
 def test_signature_sum_and_product_rules():

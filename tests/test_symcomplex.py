@@ -101,8 +101,12 @@ def test_acyclic_complex_no_classes():
 
 
 def test_cohomology_rejects_non_cocycle(monkeypatch):
-    """With the mod-2 equations of d* dropped, e_0 comes out with d*e_0 = 1."""
-    monkeypatch.setattr(symcomplex._XorBasis, "add", lambda self, vec: False)
+    """With the mod-2 equations of d* dropped, e_0 comes out with d*e_0 = 1.
+
+    The patched elimination keeps no rows and hands every vector back
+    unreduced, as if each were new.
+    """
+    monkeypatch.setattr(symcomplex, "eliminate", lambda rows, vectors, tags=None: list(vectors))
     c = SymComplex(ranks=(0, 0, 1, 1, 0), diffs={3: [[1]]})
     with pytest.raises(InvalidClass):
         cohomology_mod2(c, 2)
@@ -234,3 +238,14 @@ def test_cross_module_agreement():
         assert sig4 == sigma % 4
         p2 = pontryagin_square(c, wu)
         assert p2 == form.evaluate(list(wu.v), list(wu.v)) % 4
+
+
+@pytest.mark.parametrize("rank", [-1, symcomplex.RANK_LIMIT + 1, 10**20])
+def test_rank_outside_limit_rejected(rank):
+    with pytest.raises(ShapeMismatch):
+        SymComplex(ranks=(0, 0, rank, 1, 0))
+
+
+def test_rank_at_limit_accepted():
+    c = SymComplex(ranks=(0, symcomplex.RANK_LIMIT))
+    assert c.rank(1) == symcomplex.RANK_LIMIT

@@ -313,3 +313,76 @@ def test_subspace_canonical_equality():
 def test_rref_basis_is_canonical():
     assert rref_basis([0b11, 0b10], 2) == rref_basis([0b01, 0b10], 2)
     assert rref_basis([0], 2) == ()
+
+
+# ------------------------------------------- the GF(2) elimination, brute force
+
+def _brute_span(vectors):
+    span = {0}
+    for v in vectors:
+        span |= {s ^ v for s in span}
+    return span
+
+
+def _all_symmetric(dim):
+    positions = [(i, j) for i in range(dim) for j in range(i, dim)]
+    for bits in range(1 << len(positions)):
+        rows = [0] * dim
+        for idx, (i, j) in enumerate(positions):
+            if (bits >> idx) & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+        yield rows
+
+
+def _random_vector_lists(count=400):
+    rng = SplitMix64(71)
+    for _ in range(count):
+        dim = rng.randint(0, 8)
+        yield dim, [rng.randrange(1 << dim) for _ in range(rng.randint(0, 9))]
+
+
+def test_eliminate_rank_equals_brute_span():
+    from sigmod8.z2forms import eliminate
+
+    cases = [(d, rows) for d in range(5) for rows in _all_symmetric(d)]
+    for dim, vectors in cases + list(_random_vector_lists()):
+        rank = len(eliminate({}, vectors))
+        assert 1 << rank == len(_brute_span(vectors)), (dim, vectors)
+
+
+def test_nonsingular_and_solve_against_brute_force():
+    """Every symmetric matrix of dim <= 4 and every right-hand side."""
+    from sigmod8.z2forms import _apply, solve
+
+    seen = {True: 0, False: 0}
+    for dim in range(5):
+        for rows in _all_symmetric(dim):
+            images = {_apply(rows, x) for x in range(1 << dim)}
+            nonsingular = len(images) == 1 << dim
+            assert is_nonsingular(Z2SymForm(dim, tuple(rows))) == nonsingular
+            seen[nonsingular] += 1
+            for rhs in range(1 << dim):
+                if nonsingular:
+                    assert _apply(rows, solve(rows, dim, rhs)) == rhs
+                else:
+                    with pytest.raises(SingularForm):
+                        solve(rows, dim, rhs)
+    assert seen[True] and seen[False]
+
+
+def test_rref_basis_canonical_against_brute_force():
+    """Pivots at lowest set bits, increasing, clear in the other rows, and one
+    output per span: the whole span as input gives the same basis."""
+    for dim, vectors in _random_vector_lists():
+        basis = rref_basis(vectors, dim)
+        span = _brute_span(vectors)
+        assert _brute_span(basis) == span
+        pivots = [b & -b for b in basis]
+        assert pivots == sorted(set(pivots)) and all(pivots)
+        for b in basis:
+            assert all(not (b & p) for p in pivots if p != b & -b)
+        assert rref_basis(sorted(span, reverse=True), dim) == basis
+        sub = Z2Subspace(dim, basis)
+        for x in range(1 << dim):
+            assert sub.contains(Z2Vec(dim, x)) == (x in span)
