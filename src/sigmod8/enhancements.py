@@ -28,12 +28,24 @@ is_nonsingular and wu_class in z2forms.  Each cache is an lru_cache keyed
 by the frozen Z2SymForm, so equal forms share entries; the form-only
 caches keep forms of dim <= 6 alone (z2forms.small_form_cache), since
 larger forms rarely recur.
+
+The classification route has per-form tables too, indexed the same way,
+for the selfcheck suites that compare the two routes over every
+enhancement: _bk_classify_table (4n + p_plus - p_minus of each
+enhancement) and _arf_table (Arf of each Z2 enhancement of an isotropic
+form).  Enhancement d differs from enhancement 0 by 2*(d . x), so both
+evaluate enhancement 0 once on each split vector and flip the values by
+the parity of d . s; they read nothing from the Gauss route.  They are
+rebuilt on every call, never cached, so every selfcheck run computes the
+classification route afresh.  Enumeration validates the form once and
+builds its enhancements without re-running the constructors' checks;
+enhancements built directly are always validated.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterator, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import kernels
 from .errors import (
@@ -97,6 +109,17 @@ class _Enhancement:
     lambda(e_i, e_j) = 1, modulo MASK + 1: (CROSS, MASK) is (1, 1) over Z2
     and (2, 3) over Z4.
     """
+
+    @classmethod
+    def _trusted(cls, form: Z2SymForm, values: Tuple[int, ...]):
+        """An enhancement whose values the caller built valid for the form.
+
+        Skips __post_init__; for enumeration, which validates the form once.
+        """
+        q = object.__new__(cls)
+        object.__setattr__(q, "form", form)
+        object.__setattr__(q, "values", values)
+        return q
 
     @property
     def dim(self) -> int:
@@ -316,7 +339,8 @@ def witt_class_z4(q: Z4Quadratic) -> WittClassZ8:
 
 def double(h: Z2Quadratic) -> Z4Quadratic:
     """q = 2h; satisfies BK(2h) = 4*Arf(h) in Z8."""
-    return Z4Quadratic(h.form, tuple(2 * v for v in h.values))
+    # h's form is isotropic, so the even values 2h(e_i) have the right parity
+    return Z4Quadratic._trusted(h.form, tuple(2 * v for v in h.values))
 
 
 def difference_vector(q: Z4Quadratic, qprime: Z4Quadratic) -> Tuple[Z2Vec, int]:
@@ -406,16 +430,101 @@ def _subquotient_basis(form: Z2SymForm) -> Tuple[Tuple[int, ...], Z2SymForm]:
 
 
 def enumerate_z4_enhancements(form: Z2SymForm) -> Iterator[Z4Quadratic]:
-    """All 2^dim quadratic enhancements q with jq = diagonal of the form."""
+    """All 2^dim quadratic enhancements q with jq = diagonal of the form.
+
+    Enhancement d has values diag_i + 2*d_i, valid by construction.
+    """
     diag = form.diagonal_mask()
     base = [((diag >> i) & 1) for i in range(form.dim)]
     for bits in range(1 << form.dim):
         vals = tuple(base[i] + 2 * ((bits >> i) & 1) for i in range(form.dim))
-        yield Z4Quadratic(form, vals)
+        yield Z4Quadratic._trusted(form, vals)
 
 
 def enumerate_z2_enhancements(form: Z2SymForm) -> Iterator[Z2Quadratic]:
-    """All 2^dim Z2-enhancements of an isotropic form."""
+    """All 2^dim Z2-enhancements of an isotropic form; enhancement b has values b_i."""
+    if not form.is_isotropic():
+        raise AnisotropicInput("Z2 enhancements require an isotropic form")
     for bits in range(1 << form.dim):
         vals = tuple((bits >> i) & 1 for i in range(form.dim))
-        yield Z2Quadratic(form, vals)
+        yield Z2Quadratic._trusted(form, vals)
+
+
+def _flip_coordinates(dim: int, vectors: Sequence[int]) -> List[int]:
+    """For every d in Z2^dim, the mask whose bit k is d . vectors[k]."""
+    coords = [0]
+    for i in range(dim):
+        col = sum(((s >> i) & 1) << k for k, s in enumerate(vectors))
+        coords += [c ^ col for c in coords]
+    return coords
+
+
+def _split_table(q0: _Enhancement, pair_weight: int, modulus: int) -> bytes:
+    """A splitting invariant of each enhancement q_d = q0 + CROSS*(d . x).
+
+    Over split_vectors of the form, entry d adds +1 for each anisotropic
+    line s with q_d(s) = 1 and -1 where q_d(s) = 3, and pair_weight for
+    each hyperbolic pair (e, f) with q_d(e) = q_d(f) = CROSS, all modulo
+    `modulus`.  q0 is evaluated once per split vector: q_d(s) is q0(s) with
+    its CROSS bit flipped when d . s = 1.  The sums are built over the flip
+    patterns t (bit k for split vector k) and then read at t(d).
+    """
+    aniso, pairs = split_vectors(q0.form)
+    table = [0]
+    for s in aniso:  # lines exist over Z4 only, where q0(s) is 1 or 3
+        sign = 1 - 2 * (q0.evaluate_mask(s) // q0.CROSS)
+        table = [x + sign for x in table] + [x - sign for x in table]
+    for e, f in pairs:
+        be, bf = q0.evaluate_mask(e) // q0.CROSS, q0.evaluate_mask(f) // q0.CROSS
+        weights = [pair_weight * ((be ^ te) & (bf ^ tf)) for tf in (0, 1) for te in (0, 1)]
+        table = [x + w for w in weights for x in table]
+    split = list(aniso) + [s for pair in pairs for s in pair]
+    return bytes([table[t] % modulus for t in _flip_coordinates(q0.form.dim, split)])
+
+
+def _bk_classify_table(form: Z2SymForm) -> bytes:
+    """4n + p_plus - p_minus mod 8 of every enhancement of a nonsingular form.
+
+    The residue bk_classify reads off split_vectors, indexed like
+    enumerate_z4_enhancements and _bk_gauss_table.  Not cached.
+    """
+    return _split_table(next(enumerate_z4_enhancements(form)), 4, 8)
+
+
+def _arf_table(form: Z2SymForm) -> bytes:
+    """Arf invariant of every Z2 enhancement of an isotropic nonsingular form.
+
+    Indexed like enumerate_z2_enhancements.  Not cached.
+    """
+    return _split_table(next(enumerate_z2_enhancements(form)), 1, 2)
+
+
+def _subquotient_indices(
+    form: Z2SymForm,
+) -> Tuple[Optional[Z2SymForm], List[Optional[int]]]:
+    """Where isotropic_subquotient puts each enhancement, for _arf_table lookups.
+
+    Returns the Gram form W of L_perp/L and, for each enhancement d
+    (indexed like enumerate_z4_enhancements), the index of its subquotient
+    values q_d(b_j)/2 in _arf_table(W), or None when q_d(v) != 0.  W is None
+    when no enhancement has q_d(v) = 0.  Not cached.
+    """
+    v = wu_class(form).mask
+    q0 = next(enumerate_z4_enhancements(form))
+    qv = q0.evaluate_mask(v)
+    if qv & 1:  # q_d(v) = q0(v) + 2(d . v) is odd for every d
+        return None, [None] * (1 << form.dim)
+    reps, w_form = _subquotient_basis(form)
+    h0 = 0
+    for j, b in enumerate(reps):
+        qb = q0.evaluate_mask(b)
+        if qb & 1:
+            raise SingularForm("representative is not isotropic")
+        h0 |= (qb >> 1) << j
+    # bit j of t flips q(b_j) by 2 and the top bit flips q(v) by 2
+    top = 1 << len(reps)
+    want = (qv >> 1) * top
+    return w_form, [
+        h0 ^ t ^ want if t & top == want else None
+        for t in _flip_coordinates(form.dim, reps + (v,))
+    ]

@@ -139,15 +139,26 @@ class SymplecticMatrix:
             raise OddDimension("symplectic matrices have even size")
         return cls(n // 2, tuple([tuple([int(x) for x in r]) for r in matrix]))
 
+    @classmethod
+    def _trusted(cls, h: int, entries: Matrix) -> "SymplecticMatrix":
+        """A matrix symplectic by construction: no M^T J M check.
+
+        Only for products and inverses of matrices that were checked.
+        """
+        m = object.__new__(cls)
+        object.__setattr__(m, "h", h)
+        object.__setattr__(m, "entries", entries)
+        return m
+
     def inverse(self) -> "SymplecticMatrix":
-        return SymplecticMatrix(
+        return SymplecticMatrix._trusted(
             self.h, _symplectic_inverse(self.entries, standard_j(self.h))
         )
 
     def __matmul__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
         if self.h != other.h:
             raise ValueError("genus mismatch")
-        return SymplecticMatrix(self.h, _mat_mul(self.entries, other.entries))
+        return SymplecticMatrix._trusted(self.h, _mat_mul(self.entries, other.entries))
 
     def is_identity_mod(self, k: int) -> bool:
         n = 2 * self.h

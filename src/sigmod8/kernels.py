@@ -41,18 +41,26 @@ _IM = np.array([0, 1, 0, -1], dtype=np.int64)
 
 
 def _q_values(dim: int, qdiag, rows) -> np.ndarray:
-    """q(x) in Z4 for every x in Z2^dim, indexed by the bit mask of x."""
+    """q(x) in Z4 for every x in Z2^dim, indexed by the bit mask of x.
+
+    Filled in place, one coset at a time, so the only arrays are the table
+    and half a table for lambda(x, e_j).
+    """
     if dim < 0 or dim > 30:
         raise ValueError("dim out of range for the enumeration kernel")
-    q = np.zeros(1, dtype=np.uint8)
+    q = np.zeros(1 << dim, dtype=np.uint8)
+    lam = np.zeros(1 << max(dim - 1, 0), dtype=np.uint8)
     for j in range(dim):
-        lam = np.zeros(1, dtype=np.uint8)
         row = rows[j]
         for i in range(j):
-            bit = (row >> i) & 1
-            lam = np.concatenate([lam, lam ^ bit])
-        qj = (q + qdiag[j] + 2 * lam) & 3
-        q = np.concatenate([q, qj])
+            n = 1 << i
+            np.bitwise_xor(lam[:n], (row >> i) & 1, out=lam[n:2 * n])
+        half = 1 << j
+        qj = q[half:2 * half]
+        np.left_shift(lam[:half], 1, out=qj)
+        qj += q[:half]
+        qj += qdiag[j]
+        qj &= 3
     return q
 
 

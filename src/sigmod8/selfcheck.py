@@ -4,24 +4,30 @@ Each suite re-derives one of the library's core identities two independent
 ways and compares: the Gauss sum against the splitting classification, the
 Arf invariant against Brown-Kervaire values, integral signatures against
 van der Blij residues and mod-4 reductions, and the closed Wall form
-against the kernel pairing.  All randomness comes from the caller's
-SplitMix64 state, so failures reproduce from the seed alone.
+against the kernel pairing.  The two exhaustive suites compare two
+per-form tables over every enhancement of the form: the Gauss table of
+bk_gauss against the classification or Arf table, which is rebuilt from
+the splitting on every call.  The check counts and counterexamples are
+per enhancement, as if each had been checked on its own.  All randomness
+comes from the caller's SplitMix64 state, so failures reproduce from the
+seed alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import List, Optional
 
 from .enhancements import (
-    arf,
-    bk_classify,
+    _arf_table,
+    _bk_classify_table,
+    _bk_gauss_table,
+    _subquotient_indices,
     bk_gauss,
-    double,
     enumerate_z2_enhancements,
     enumerate_z4_enhancements,
-    isotropic_subquotient,
 )
-from .errors import NotDivisibleBy4, OneMinusFSingular
+from .errors import OneMinusFSingular
 from .fibration import (
     random_transvection_word,
     wall_form_closed,
@@ -53,49 +59,70 @@ class SuiteResult:
         return f"suite {self.name}: PASS ({self.checked} checks)"
 
 
+def _first_mismatch(expected: bytes, got: bytes) -> Optional[int]:
+    """Index of the first entry where two tables differ, None when equal."""
+    if expected == got:
+        return None
+    diffs = (i for i, (a, b) in enumerate(zip(expected, got)) if a != b)
+    return next(diffs, min(len(expected), len(got)))
+
+
+def _values(enhancements, index: int):
+    """Values of the enhancement at `index` of an enumeration."""
+    return next(islice(enhancements, index, None)).values
+
+
 def suite_gauss_vs_classify(max_dim: int) -> SuiteResult:
     checked = 0
     for dim in range(0, max_dim + 1):
         for form in enumerate_nonsingular_forms(dim):
-            for q in enumerate_z4_enhancements(form):
-                m, n, pp, pm = bk_classify(q)
-                if (4 * n + pp - pm) % 8 != bk_gauss(q):
-                    return SuiteResult(
-                        "gauss-vs-classify",
-                        False,
-                        checked,
-                        f"form rows {form.rows}, values {q.values}",
-                    )
-                checked += 1
+            gauss = _bk_gauss_table(form)
+            d = _first_mismatch(gauss, _bk_classify_table(form))
+            if d is not None:
+                return SuiteResult(
+                    "gauss-vs-classify",
+                    False,
+                    checked + d,
+                    f"form rows {form.rows}, values "
+                    f"{_values(enumerate_z4_enhancements(form), d)}",
+                )
+            checked += len(gauss)
     return SuiteResult("gauss-vs-classify", True, checked)
 
 
 def suite_bk_4arf(max_dim: int) -> SuiteResult:
     checked = 0
+    # BK(2h) = 4 Arf(h): 2h_b is enhancement b of the isotropic form
     for dim in range(0, max_dim + 1, 2):
         for form in enumerate_nonsingular_forms(dim, isotropic_only=True):
-            for h in enumerate_z2_enhancements(form):
-                if bk_gauss(double(h)) != (4 * arf(h)) % 8:
-                    return SuiteResult(
-                        "bk-4arf",
-                        False,
-                        checked,
-                        f"isotropic form rows {form.rows}, h values {h.values}",
-                    )
-                checked += 1
+            gauss = _bk_gauss_table(form)
+            b = _first_mismatch(gauss, bytes([4 * a % 8 for a in _arf_table(form)]))
+            if b is not None:
+                return SuiteResult(
+                    "bk-4arf",
+                    False,
+                    checked + b,
+                    f"isotropic form rows {form.rows}, h values "
+                    f"{_values(enumerate_z2_enhancements(form), b)}",
+                )
+            checked += len(gauss)
+    # BK(q) = 4 Arf(W) on the Wu subquotient, for every q with q(v) = 0
     for dim in range(0, max_dim + 1):
         for form in enumerate_nonsingular_forms(dim):
-            for q in enumerate_z4_enhancements(form):
-                try:
-                    w = isotropic_subquotient(q)
-                except NotDivisibleBy4:
+            w_form, indices = _subquotient_indices(form)
+            if w_form is None:
+                continue
+            gauss, arf_w = _bk_gauss_table(form), _arf_table(w_form)
+            for d, index in enumerate(indices):
+                if index is None:
                     continue
-                if bk_gauss(q) != (4 * arf(w)) % 8:
+                if gauss[d] != 4 * arf_w[index] % 8:
                     return SuiteResult(
                         "bk-4arf",
                         False,
                         checked,
-                        f"form rows {form.rows}, values {q.values}",
+                        f"form rows {form.rows}, values "
+                        f"{_values(enumerate_z4_enhancements(form), d)}",
                     )
                 checked += 1
     return SuiteResult("bk-4arf", True, checked)

@@ -7,9 +7,12 @@ from sigmod8.enhancements import (
     Z2Quadratic,
     Z4Quadratic,
     WittClassZ8,
+    _arf_table,
+    _bk_classify_table,
     _bk_gauss_table,
     _match_gauss,
     _subquotient_basis,
+    _subquotient_indices,
     arf,
     bk_classify,
     bk_gauss,
@@ -55,6 +58,22 @@ def sum_forms(*qs):
 
 def n_copies(q, n):
     return sum_forms(*([q] * n)) if n else Z4Quadratic(Z2SymForm(0, ()), ())
+
+
+def random_nonsingular_forms(dim, count, rng):
+    """`count` seeded nonsingular forms of the given dim, by rejection."""
+    forms = []
+    while len(forms) < count:
+        rows = [0] * dim
+        for i in range(dim):
+            for j in range(i, dim):
+                if rng.randrange(2):
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+        form = Z2SymForm(dim, tuple(rows))
+        if is_nonsingular(form):
+            forms.append(form)
+    return forms
 
 
 def random_isotropic_enhanced(k, rng):
@@ -129,6 +148,29 @@ def test_value_parity_enforced():
         Z4Quadratic(P_FORM, (2,))
     with pytest.raises(ValueError):
         Z4Quadratic(H_FORM, (1, 0))
+
+
+def test_enumeration_validates_once_direct_construction_always():
+    """Enumeration skips per-enhancement checks; its output would pass them."""
+    for dim in range(0, 4):
+        for form in enumerate_nonsingular_forms(dim):
+            for q in enumerate_z4_enhancements(form):
+                assert Z4Quadratic(form, q.values) == q
+            if form.is_isotropic():
+                for h in enumerate_z2_enhancements(form):
+                    assert Z2Quadratic(form, h.values) == h
+                    assert double(h) == Z4Quadratic(form, double(h).values)
+    form = Z2SymForm.from_matrix([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
+    with pytest.raises(ValueError, match="wrong parity"):
+        Z4Quadratic(form, (1, 1, 1))
+    with pytest.raises(ValueError):
+        Z4Quadratic(form, (1, 0, 5))
+    with pytest.raises(ValueError):
+        Z2Quadratic(H_FORM, (0, 2))
+    with pytest.raises(AnisotropicInput):
+        Z2Quadratic(form, (0, 0, 0))
+    with pytest.raises(AnisotropicInput):
+        next(enumerate_z2_enhancements(form))
 
 
 def test_from_table_roundtrip_and_rejection():
@@ -237,18 +279,7 @@ def test_bk_gauss_table_matches_counting_exhaustive_dim4():
 def test_bk_gauss_table_matches_counting_sampled_dim5_dim6():
     rng = SplitMix64(43)
     for dim in (5, 6):
-        sampled = 0
-        while sampled < 12:
-            rows = [0] * dim
-            for i in range(dim):
-                for j in range(i, dim):
-                    if rng.randrange(2):
-                        rows[i] |= 1 << j
-                        rows[j] |= 1 << i
-            form = Z2SymForm(dim, tuple(rows))
-            if not is_nonsingular(form):
-                continue
-            sampled += 1
+        for form in random_nonsingular_forms(dim, 12, rng):
             for q in enumerate_z4_enhancements(form):
                 assert bk_gauss(q) == bk_by_counting(q), (form.rows, q.values)
 
@@ -293,6 +324,52 @@ def test_bk_classify_matches_gauss_exhaustive_dim4():
                 assert m + n + (pp + pm_ + 1) // 2 >= 0
                 assert pp + pm_ + 2 * (m + n) == dim
                 assert (4 * n + pp - pm_) % 8 == bk_gauss(q)
+
+
+def test_classify_table_matches_bk_classify():
+    """Entry d of the table is 4n + p_plus - p_minus of enhancement d."""
+    forms = [f for dim in range(0, 5) for f in enumerate_nonsingular_forms(dim)]
+    rng = SplitMix64(44)
+    forms += random_nonsingular_forms(5, 12, rng) + random_nonsingular_forms(6, 12, rng)
+    for form in forms:
+        table = _bk_classify_table(form)
+        assert len(table) == 1 << form.dim
+        for d, q in enumerate(enumerate_z4_enhancements(form)):
+            m, n, pp, pm_ = bk_classify(q)
+            assert table[d] == (4 * n + pp - pm_) % 8, (form.rows, q.values)
+    # rebuilt on every call: the classification route is never a cache hit
+    assert not hasattr(_bk_classify_table, "cache_info")
+    assert not hasattr(_arf_table, "cache_info")
+    assert _bk_classify_table(forms[-1]) is not _bk_classify_table(forms[-1])
+
+
+def test_arf_table_matches_arf():
+    forms = [f for dim in (0, 2, 4) for f in enumerate_nonsingular_forms(dim, isotropic_only=True)]
+    rng = SplitMix64(45)
+    forms += [random_isotropic_enhanced(3, rng).form for _ in range(12)]
+    for form in forms:
+        table = _arf_table(form)
+        assert len(table) == 1 << form.dim
+        for b, h in enumerate(enumerate_z2_enhancements(form)):
+            assert table[b] == arf(h), (form.rows, h.values)
+
+
+def test_subquotient_indices_match_isotropic_subquotient():
+    """The index the bk-4arf suite reads is the subquotient's value mask."""
+    forms = [f for dim in range(0, 5) for f in enumerate_nonsingular_forms(dim)]
+    forms += random_nonsingular_forms(6, 12, SplitMix64(46))
+    for form in forms:
+        v = wu_class(form)
+        w_form, indices = _subquotient_indices(form)
+        assert len(indices) == 1 << form.dim
+        for d, q in enumerate(enumerate_z4_enhancements(form)):
+            if q.evaluate(v) != 0:
+                assert indices[d] is None
+                continue
+            w = isotropic_subquotient(q)
+            assert w.form == w_form
+            assert indices[d] == sum(bit << j for j, bit in enumerate(w.values))
+            assert _arf_table(w_form)[indices[d]] == arf(w)
 
 
 def test_witt_class_type():

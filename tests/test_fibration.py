@@ -125,6 +125,26 @@ def test_is_symplectic_examples():
 def test_symplectic_matrix_constructor_rejects():
     with pytest.raises(NotSymplectic):
         SymplecticMatrix.from_matrix([[2, 0], [0, 1]])
+    with pytest.raises(NotSymplectic):
+        SymplecticMatrix(1, ((1, 1), (1, 1)))
+    near = [[int(i == j) for j in range(4)] for i in range(4)]
+    near[0][0] = 2  # det 2
+    with pytest.raises(NotSymplectic):
+        SymplecticMatrix.from_matrix(near)
+    with pytest.raises(NotSymplectic):
+        MonodromyData.from_matrices(2, [near, standard_j(2)])
+
+
+def test_products_and_inverses_stay_symplectic():
+    """Products and inverses skip the M^T J M check; they must not need it."""
+    rng = SplitMix64(23)
+    for trial in range(200):
+        h = 1 + trial % 3
+        f = random_transvection_word(h, 6, rng)
+        g = random_transvection_word(h, 6, rng)
+        for m in (f, f.inverse(), f @ g, (f @ g).inverse(), f @ g.inverse()):
+            assert is_symplectic(m.entries)
+        assert (f @ f.inverse()).entries == fib._identity(2 * h)
 
 
 # ------------------------------------------------------------ wall_form_closed

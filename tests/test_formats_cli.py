@@ -265,6 +265,116 @@ def test_cli_selfcheck_detects_mutation(monkeypatch, tmp_path):
     assert result.counterexample is not None
 
 
+def test_gauss_vs_classify_detects_wrong_classify_table(monkeypatch):
+    from sigmod8 import selfcheck as sc
+
+    real = sc._bk_classify_table
+
+    def shifted(form):
+        table = bytearray(real(form))
+        table[-1] = (table[-1] + 1) % 8
+        return bytes(table)
+
+    monkeypatch.setattr(sc, "_bk_classify_table", shifted)
+    result = sc.suite_gauss_vs_classify(3)
+    assert not result.passed
+    assert result.checked == 0  # the dim-0 form's only entry
+    assert result.counterexample == "form rows (), values ()"
+
+
+def _flip_arf_entry(monkeypatch, skip):
+    """Flip entry 0 of every _arf_table the suites build after the first `skip`."""
+    from sigmod8 import selfcheck as sc
+
+    real = sc._arf_table
+    calls = []
+
+    def flipped(form):
+        table = bytearray(real(form))
+        calls.append(form)
+        if len(calls) > skip:
+            table[0] ^= 1
+        return bytes(table)
+
+    monkeypatch.setattr(sc, "_arf_table", flipped)
+
+
+def test_bk_4arf_detects_wrong_arf_table_doubled_half(monkeypatch):
+    from sigmod8 import selfcheck as sc
+
+    _flip_arf_entry(monkeypatch, 0)
+    result = sc.suite_bk_4arf(4)
+    assert not result.passed
+    assert result.checked == 0
+    assert result.counterexample == "isotropic form rows (), h values ()"
+
+
+def test_bk_4arf_detects_wrong_arf_table_subquotient_half(monkeypatch):
+    from sigmod8 import selfcheck as sc
+    from sigmod8.z2forms import enumerate_nonsingular_forms
+
+    # the doubled half builds one table per isotropic form of dim 0, 2, 4,
+    # checking all 2^dim entries of each; leave those tables alone
+    isotropic = [f for dim in (0, 2, 4)
+                 for f in enumerate_nonsingular_forms(dim, isotropic_only=True)]
+    _flip_arf_entry(monkeypatch, len(isotropic))
+    result = sc.suite_bk_4arf(4)
+    assert not result.passed
+    assert result.checked == sum(1 << f.dim for f in isotropic)
+    assert result.counterexample == "form rows (), values ()"
+
+
+def _brute_selfcheck_counts(max_dim):
+    """gauss-vs-classify and bk-4arf check counts, by brute force.
+
+    Nonsingularity and the Wu class are found by trying every vector, with
+    no elimination, so the counts do not rest on the library's GF(2) code.
+    """
+    def bilinear(rows, x, y):
+        return sum((rows[i] >> j) & 1 for i in range(len(rows)) if (x >> i) & 1
+                   for j in range(len(rows)) if (y >> j) & 1) % 2
+
+    def q_value(rows, values, x):
+        n = len(rows)
+        total = sum(values[i] for i in range(n) if (x >> i) & 1)
+        total += 2 * sum((rows[i] >> j) & 1 for i in range(n) for j in range(i + 1, n)
+                         if (x >> i) & 1 and (x >> j) & 1)
+        return total % 4
+
+    gauss = arf_checks = 0
+    for n in range(max_dim + 1):
+        entries = [(i, j) for i in range(n) for j in range(i, n)]
+        for bits in range(1 << len(entries)):
+            rows = [0] * n
+            for k, (i, j) in enumerate(entries):
+                if (bits >> k) & 1:
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+            vectors = range(1 << n)
+            if any(all(bilinear(rows, x, y) == 0 for y in vectors) for x in range(1, 1 << n)):
+                continue  # a nonzero radical vector: singular
+            gauss += 1 << n
+            diag = [(rows[i] >> i) & 1 for i in range(n)]
+            if n % 2 == 0 and not any(diag):
+                arf_checks += 1 << n  # every Z2 enhancement of an isotropic form
+            wu = next(v for v in vectors
+                      if all(bilinear(rows, x, x) == bilinear(rows, x, v) for x in vectors))
+            for lift in vectors:
+                values = [diag[i] + 2 * ((lift >> i) & 1) for i in range(n)]
+                arf_checks += q_value(rows, values, wu) == 0
+    return gauss, arf_checks
+
+
+@pytest.mark.parametrize("max_dim, counts", [(3, (243, 16)), (4, (7411, 4272))])
+def test_cli_selfcheck_counts_every_enhancement(max_dim, counts):
+    gauss, arf_checks = _brute_selfcheck_counts(max_dim)
+    assert (gauss, arf_checks) == counts
+    code, out = run_cli(["selfcheck", "--max-dim", str(max_dim), "--trials", "0"])
+    assert code == 0
+    assert f"suite gauss-vs-classify: PASS ({gauss} checks)" in out
+    assert f"suite bk-4arf: PASS ({arf_checks} checks)" in out
+
+
 def test_cli_selfcheck_determinism():
     _, out1 = run_cli(["selfcheck", "--max-dim", "2", "--trials", "4", "--seed", "9"])
     _, out2 = run_cli(["selfcheck", "--max-dim", "2", "--trials", "4", "--seed", "9"])
