@@ -25,8 +25,12 @@ from . import enhancements as enh
 from . import formats, intforms, symcomplex, z2forms
 from .errors import (
     CommutatorRelationViolated,
+    DegenerateForm,
+    GroupTooLarge,
     InvariantError,
     NotDivisibleBy4,
+    NotTwoPrimary,
+    OddDiagonal,
     ParseError,
 )
 from .fibration import bundle_report
@@ -113,16 +117,24 @@ def _report_intform(form: intforms.IntSymForm, out) -> int:
         _report_subquotient(q, out)
     else:
         print("characteristic vector: undefined (not unimodular)", file=out)
-    if det != 0 and all(form.matrix[i][i] % 2 == 0 for i in range(form.dim)):
-        odd = abs(det)
-        while odd % 2 == 0:
-            odd //= 2
-        if odd == 1:
-            lf = intforms.boundary_linking_form(form)
-            orders = " + ".join(f"Z{d}" for d in lf.orders) or "0"
-            print(f"boundary linking form: T = {orders}", file=out)
-            if lf.order <= intforms.LINKING_GROUP_LIMIT:
-                print(f"BK(linking) = {intforms.bk_linking(lf)}", file=out)
+    try:
+        lf = intforms.boundary_linking_form(form)
+    except (DegenerateForm, OddDiagonal, NotTwoPrimary):
+        return EXIT_OK
+    orders = " + ".join(f"Z{d}" for d in lf.orders) or "0"
+    print(f"boundary linking form: T = {orders}", file=out)
+    try:
+        bk = intforms.bk_linking(lf)
+    except GroupTooLarge:
+        return EXIT_OK
+    print(f"BK(linking) = {bk}", file=out)
+    return EXIT_OK
+
+
+def _report_ratform(form: intforms.RatSymForm, out) -> int:
+    sigma = intforms.signature_exact(form)
+    print(f"kind = ratform, dim = {form.dim}", file=out)
+    print(f"sigma = {sigma}", file=out)
     return EXIT_OK
 
 
@@ -143,9 +155,7 @@ def _report_symcomplex(c: symcomplex.SymComplex, out) -> int:
             print(f"P2(class {idx}) = {p2}", file=out)
         middle = all(r == 0 for d, r in enumerate(c.ranks) if d != mid)
         if middle and c.rank(mid):
-            form = intforms.IntSymForm.from_matrix(
-                [[int(x) for x in row] for row in c.p0(mid)]
-            )
+            form = intforms.IntSymForm(c.rank(mid), c.p0(mid))
             if form.is_unimodular():
                 wu, sig4 = symcomplex.wu_and_mod4_signature(c)
                 sigma = intforms.signature_exact(form)
@@ -156,65 +166,13 @@ def _report_symcomplex(c: symcomplex.SymComplex, out) -> int:
     return EXIT_OK
 
 
-def _cmd_invariants(args, out) -> int:
-    try:
-        with open(args.path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"error: cannot read {args.path}: {exc}", file=out)
-        return EXIT_PARSE
-    try:
-        obj = formats.load(text, args.kind, args.path)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=out)
-        return EXIT_PARSE
-    except InvariantError as exc:
-        print(f"error: {exc}", file=out)
-        return EXIT_PRECONDITION
-    print(f"input: {args.path}", file=out)
-    try:
-        if args.kind == "z2form":
-            return _report_z2form(obj, out)
-        if args.kind == "z4q":
-            return _report_z4q(obj, out)
-        if args.kind == "z2q":
-            return _report_z2q(obj, out)
-        if args.kind == "intform":
-            return _report_intform(obj, out)
-        if args.kind == "ratform":
-            sigma = intforms.signature_exact(obj)
-            print(f"kind = ratform, dim = {obj.dim}", file=out)
-            print(f"sigma = {sigma}", file=out)
-            return EXIT_OK
-        if args.kind == "symcomplex":
-            return _report_symcomplex(obj, out)
-        print(f"error: kind {args.kind} has no invariant report", file=out)
-        return EXIT_PRECONDITION
-    except InvariantError as exc:
-        print(f"error: {exc}", file=out)
-        return EXIT_PRECONDITION
+_REPORTS = {
+    "z2form": _report_z2form, "z4q": _report_z4q, "z2q": _report_z2q,
+    "intform": _report_intform, "ratform": _report_ratform, "symcomplex": _report_symcomplex,
+}
 
 
-def _cmd_bundle(args, out) -> int:
-    try:
-        with open(args.path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"error: cannot read {args.path}: {exc}", file=out)
-        return EXIT_PARSE
-    try:
-        data = formats.parse_monodromy(text, args.path)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=out)
-        return EXIT_PARSE
-    except CommutatorRelationViolated as exc:
-        print(f"error: {exc}", file=out)
-        print(f"offending product: {exc.product}", file=out)
-        return EXIT_PRECONDITION
-    except InvariantError as exc:
-        print(f"error: {exc}", file=out)
-        return EXIT_PRECONDITION
-    print(f"input: {args.path}", file=out)
+def _report_bundle(data, out) -> int:
     print(f"fibre genus h = {data.h}, base genus g = {data.g}", file=out)
     report = bundle_report(data)
     for i, sig in enumerate(report.handle_signatures, start=1):
@@ -230,6 +188,37 @@ def _cmd_bundle(args, out) -> int:
             file=out,
         )
     return EXIT_OK
+
+
+def _run_on_file(path: str, parse, report, out) -> int:
+    """Read and parse the file at `path`, then print its report.
+
+    A file that cannot be read as UTF-8 text, or a parse error, exits 2; an
+    InvariantError from parsing or from the report exits 3.  A violated
+    commutator relation also prints its offending product.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read {path}: {exc}", file=out)
+        return EXIT_PARSE
+    try:
+        obj = parse(text, path=path)
+    except ParseError as exc:
+        print(f"parse error: {exc}", file=out)
+        return EXIT_PARSE
+    except InvariantError as exc:
+        print(f"error: {exc}", file=out)
+        if isinstance(exc, CommutatorRelationViolated):
+            print(f"offending product: {exc.product}", file=out)
+        return EXIT_PRECONDITION
+    print(f"input: {path}", file=out)
+    try:
+        return report(obj, out)
+    except InvariantError as exc:
+        print(f"error: {exc}", file=out)
+        return EXIT_PRECONDITION
 
 
 def _cmd_selfcheck(args, out) -> int:
@@ -299,9 +288,10 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
     if args.command == "invariants":
-        return _cmd_invariants(args, out)
+        parse = functools.partial(formats.load, kind=args.kind)
+        return _run_on_file(args.path, parse, _REPORTS[args.kind], out)
     if args.command == "bundle":
-        return _cmd_bundle(args, out)
+        return _run_on_file(args.path, formats.parse_monodromy, _report_bundle, out)
     if args.command == "selfcheck":
         return _cmd_selfcheck(args, out)
     return EXIT_OK

@@ -45,7 +45,8 @@ from .errors import (
     OneMinusFSingular,
     ZeroVector,
 )
-from .intforms import IntSymForm, RatSymForm, signature_exact
+from .intforms import IntSymForm, Matrix, RatSymForm, signature_exact
+from .intforms import _identity, _mat_mul, _mat_sub, _mat_vec, _negate, _transpose
 
 __all__ = [
     "SymplecticMatrix",
@@ -64,13 +65,8 @@ __all__ = [
     "bundle_report",
 ]
 
-Matrix = Tuple[Tuple[int, ...], ...]
-
-# Tuples here are built from lists, not generators.  tuple(genexpr) allocates
-# room for 10 items and shrinks, so the freed tuple goes to a free list that
-# only exact-size allocations drain; with mixed fibre genera those lists
-# fill to CPython's 2000-entry cap, about 1 MB of resident memory after a
-# few thousand bundle requests.
+# Tuples here are built from lists, not generators, for the resident-memory
+# reason given with `intforms.Matrix`.
 
 
 def standard_j(h: int) -> Matrix:
@@ -85,31 +81,6 @@ def standard_j(h: int) -> Matrix:
             row[i - h] = -1
         rows.append(tuple(row))
     return tuple(rows)
-
-
-def _mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]):
-    cols = list(zip(*b))
-    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
-
-
-def _mat_vec(a, x):
-    return tuple([sum(map(mul, row, x)) for row in a])
-
-
-def _identity(n: int) -> Matrix:
-    return tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)])
-
-
-def _mat_sub(a, b):
-    return tuple([tuple([x - y for x, y in zip(ra, rb)]) for ra, rb in zip(a, b)])
-
-
-def _negate(a):
-    return tuple([tuple([-x for x in row]) for row in a])
-
-
-def _transpose(a):
-    return tuple(list(zip(*a)))
 
 
 def _symplectic_inverse(m: Matrix, j: Matrix) -> Matrix:

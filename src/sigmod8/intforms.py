@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import List, Sequence, Tuple
 
 from . import kernels
@@ -51,6 +52,40 @@ __all__ = [
 ]
 
 LINKING_GROUP_LIMIT = 1 << 20
+
+# An integer matrix is a tuple of int rows; Python ints grow, so nothing
+# wraps.  Tuples are built from lists, not generators: tuple(genexpr) sizes
+# for 10 items and shrinks, and the freed tuples fill free lists that only
+# exact-size allocations drain, about 1 MB of resident memory after a few
+# thousand requests of mixed sizes.
+Matrix = Tuple[Tuple[int, ...], ...]
+
+
+def _mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
+    """a @ b; an empty b counts as 0 x 0."""
+    cols = list(zip(*b))
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
+
+
+def _mat_vec(a: Sequence[Sequence[int]], x: Sequence[int]) -> Tuple[int, ...]:
+    return tuple([sum(map(mul, row, x)) for row in a])
+
+
+def _identity(n: int) -> Matrix:
+    return tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)])
+
+
+def _mat_sub(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
+    return tuple([tuple([x - y for x, y in zip(ra, rb)]) for ra, rb in zip(a, b)])
+
+
+def _negate(a: Sequence[Sequence[int]]) -> Matrix:
+    return tuple([tuple([-x for x in row]) for row in a])
+
+
+def _transpose(a: Sequence[Sequence[int]]) -> Matrix:
+    """The transpose; an empty a counts as 0 x 0."""
+    return tuple(list(zip(*a)))
 
 
 def _check_symmetric(matrix: Tuple[Tuple, ...]) -> None:
@@ -106,9 +141,7 @@ class IntSymForm:
         )
 
     def evaluate(self, x: Sequence[int], y: Sequence[int]) -> int:
-        return sum(
-            x[i] * self.matrix[i][j] * y[j] for i in range(self.dim) for j in range(self.dim)
-        )
+        return sum(map(mul, x, _mat_vec(self.matrix, y)))
 
 
 @dataclass(frozen=True)
@@ -379,12 +412,13 @@ def boundary_linking_form(form: IntSymForm) -> LinkingForm:
     Q/2Z; for (Z, [4]) this is the cyclic form (Z4, b(1,1)=1/4, q(1)=1/4),
     whose Gauss sum reproduces BK = 1 = sigma(Z, [4]) mod 8.
     """
-    det = form.determinant()
-    if det == 0:
-        raise DegenerateForm("boundary needs a nondegenerate form")
+    # the parity check first: it is cheap, and the CLI calls this on every form
     for i in range(form.dim):
         if form.matrix[i][i] % 2:
             raise OddDiagonal("boundary linking form needs an even form")
+    det = form.determinant()
+    if det == 0:
+        raise DegenerateForm("boundary needs a nondegenerate form")
     odd = abs(det)
     while odd % 2 == 0:
         odd //= 2
@@ -396,20 +430,14 @@ def boundary_linking_form(form: IntSymForm) -> LinkingForm:
     # U^{-1} = phi V D^{-1}, so g_i = phi V e_i / d_i and
     # b(g_i, g_j) = g_i^T phi^{-1} g_j = (V^T phi V)_{ij} / (d_i d_j):
     # two integer products over the kept columns of V, one division each.
-    n = form.dim
-    keep = [i for i in range(n) if d[i][i] != 1]
-    cols = [[v[r][i] for r in range(n)] for i in keep]  # kept columns of V
-    phi_cols = [
-        [sum(form.matrix[r][s] * c[s] for s in range(n)) for r in range(n)]
-        for c in cols
-    ]
+    keep = [i for i in range(form.dim) if d[i][i] != 1]
     orders = tuple(d[i][i] for i in keep)
+    v_t = _transpose(v)
+    cols = [v_t[i] for i in keep]  # kept columns of V
+    gram = _mat_mul(cols, _mat_mul(form.matrix, _transpose(cols)))
     ub = [
-        [
-            Fraction(sum(x * y for x, y in zip(ci, pj)), di * dj)
-            for pj, dj in zip(phi_cols, orders)
-        ]
-        for ci, di in zip(cols, orders)
+        [Fraction(x, di * dj) for x, dj in zip(row, orders)]
+        for row, di in zip(gram, orders)
     ]
     bmat = tuple(tuple(x % 1 for x in row) for row in ub)
     qvec = tuple(row[i] % 2 for i, row in enumerate(ub))
@@ -436,18 +464,8 @@ def bk_linking(lf: LinkingForm) -> int:
 
 def tensor_product(a: IntSymForm, b: IntSymForm) -> IntSymForm:
     """Kronecker product; sigma is multiplicative and Wu vectors tensor."""
-    n, m = a.dim, b.dim
-    rows = []
-    for i in range(n):
-        for k in range(m):
-            rows.append(
-                tuple(
-                    a.matrix[i][j] * b.matrix[k][l]
-                    for j in range(n)
-                    for l in range(m)
-                )
-            )
-    return IntSymForm(n * m, tuple(rows))
+    rows = [tuple([x * y for x in ra for y in rb]) for ra in a.matrix for rb in b.matrix]
+    return IntSymForm(a.dim * b.dim, tuple(rows))
 
 
 @dataclass(frozen=True)

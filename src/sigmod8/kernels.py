@@ -29,23 +29,21 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-import numpy as np
-
 from .errors import NoGaussMatch
 
 __all__ = ["gauss_counts", "gauss_sums", "linking_numerators", "linking_bk", "backend"]
 
-# i^c for c in Z4, split into real and imaginary parts
-_RE = np.array([1, 0, -1, 0], dtype=np.int64)
-_IM = np.array([0, 1, 0, -1], dtype=np.int64)
+# numpy is imported inside the kernels, on first use, so that importing the
+# package, and every request that needs no Gauss sum, does without it.
 
 
-def _q_values(dim: int, qdiag, rows) -> np.ndarray:
-    """q(x) in Z4 for every x in Z2^dim, indexed by the bit mask of x.
+def _q_values(dim: int, qdiag, rows):
+    """q(x) in Z4 for every x in Z2^dim, indexed by the bit mask of x (uint8).
 
     Filled in place, one coset at a time, so the only arrays are the table
     and half a table for lambda(x, e_j).
     """
+    import numpy as np
     if dim < 0 or dim > 30:
         raise ValueError("dim out of range for the enumeration kernel")
     q = np.zeros(1 << dim, dtype=np.uint8)
@@ -70,6 +68,7 @@ def gauss_counts(dim: int, qdiag, rows):
     qdiag: sequence of dim values in {0,1,2,3} (q on the basis vectors)
     rows:  sequence of dim bit masks (rows of the Gram matrix)
     """
+    import numpy as np
     q = _q_values(dim, qdiag, rows)
     # count in place: bincount would first copy the uint8 table to int64
     return tuple(int(np.count_nonzero(q == c)) for c in range(4))
@@ -81,8 +80,10 @@ def gauss_sums(dim: int, qdiag, rows):
     Takes the same arguments as gauss_counts and returns two int64 arrays
     (re, im) of length 2^dim, indexed by the bit mask of d.
     """
+    import numpy as np
     q = _q_values(dim, qdiag, rows)
-    s = np.stack([_RE[q], _IM[q]])
+    # rows: real and imaginary parts of i^c for c in Z4
+    s = np.array([[1, 0, -1, 0], [0, 1, 0, -1]], dtype=np.int64)[:, q]
     h = 1
     while h < q.size:
         # axis 2 is bit log2(h) of the index
@@ -94,7 +95,7 @@ def gauss_sums(dim: int, qdiag, rows):
 
 
 def linking_numerators(orders: Sequence[int], qnum: Sequence[int],
-                       bnum: Sequence[Sequence[int]], modulus: int) -> np.ndarray:
+                       bnum: Sequence[Sequence[int]], modulus: int):
     """num(x) = sum a_i^2 qnum_i + sum_{i<j} a_i a_j bnum_ij mod `modulus`.
 
     One int64 entry per x = sum a_i g_i in the product of the cyclic groups
@@ -102,6 +103,7 @@ def linking_numerators(orders: Sequence[int], qnum: Sequence[int],
     Each factor and each coefficient is reduced mod `modulus` before it is
     multiplied, so with modulus <= 2^22 no product exceeds 2^44.
     """
+    import numpy as np
     num = np.zeros(1, dtype=np.int64)
     for k, d in enumerate(orders):
         a = np.arange(d, dtype=np.int64) % modulus
@@ -134,6 +136,7 @@ def linking_bk(orders: Sequence[int], qnum: Sequence[int],
     multiple of 4 and |T| = prod orders a power of 2.  Raises NoGaussMatch
     when the sum is none of the eight candidates.
     """
+    import numpy as np
     num = linking_numerators(orders, qnum, bnum, 2 * denom)
     counts = np.bincount(num, minlength=2 * denom)
     coords = counts[:denom] - counts[denom:]

@@ -18,13 +18,20 @@ with d*v = 2u and d*u = 0; the Pontryagin square of the structure is
     P2(u, v) = phi0(v, v) + 2 phi1(v, u)  in Z4,
 
 a quadratic refinement of the mod-2 cup product.
+
+Blocks are integer matrices in the library's one form, tuples of int rows
+(`intforms.Matrix`), so entries never wrap.  A block that is omitted, or
+is zero, is not stored, and no zero block is built for it: validation,
+cohomology and the Pontryagin square add up only the products of the
+blocks that are present, so their cost grows with the blocks given, not
+with the ranks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple
-
-import numpy as np
+from functools import reduce
+from operator import add, mul
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     InvalidClass,
@@ -33,7 +40,8 @@ from .errors import (
     ShapeMismatch,
     SignatureMismatch,
 )
-from .intforms import IntSymForm, characteristic_vector, signature_exact
+from .intforms import IntSymForm, Matrix, characteristic_vector, signature_exact
+from .intforms import _mat_mul, _mat_vec, _negate, _transpose
 from .z2forms import eliminate
 
 __all__ = [
@@ -48,20 +56,22 @@ __all__ = [
     "RANK_LIMIT",
 ]
 
-# Largest rank of a chain group.  Blocks are dense object arrays (absent
-# ones are built as zeros) and validation multiplies them, so the cost is
-# cubic in the ranks.
+# Largest rank of a chain group.  A block that is present is dense, and
+# validation multiplies present blocks, so the cost is cubic in the ranks
+# of the blocks given; absent blocks cost nothing.
 RANK_LIMIT = 256
 
 
-def _as_matrix(m, rows: int, cols: int, what: str) -> np.ndarray:
-    """m as an array of Python ints, which grow where int64 would wrap."""
-    a = np.array(m, dtype=object)
-    if a.size == 0:
-        a = a.reshape(rows, cols) if rows * cols == 0 else a
-    if a.shape != (rows, cols):
-        raise ShapeMismatch(f"{what} must have shape {(rows, cols)}, got {a.shape}")
-    return np.array([[int(x) for x in row] for row in a], dtype=object).reshape(rows, cols)
+def _as_matrix(m, rows: int, cols: int, what: str) -> Matrix:
+    """m as a tuple of int rows; any matrix without entries fits a zero side."""
+    try:
+        out = tuple([tuple([int(x) for x in row]) for row in m])
+    except TypeError:
+        raise ShapeMismatch(f"{what} is not a matrix") from None
+    fits = len(out) == rows and all(len(x) == cols for x in out)
+    if not (fits or rows * cols == 0 and not any(out)):
+        raise ShapeMismatch(f"{what} must be a {rows} x {cols} matrix")
+    return out
 
 
 @dataclass(frozen=True)
@@ -71,38 +81,29 @@ class SymComplex:
     ranks[r] is the rank of C_r for 0 <= r <= n.  diffs maps r to the
     matrix of d: C_r -> C_{r-1}; phi0 and phi1 map r to the matrices of
     phi0: C^{n-r} -> C_r and phi1: C^{n-r+1} -> C_r.  Missing entries are
-    zero maps.
+    zero maps.  Once built, the three maps hold only the nonzero blocks, as
+    tuples of int rows; d, p0 and p1 return any block in full.
     """
 
     ranks: Tuple[int, ...]
-    diffs: Mapping[int, np.ndarray] = field(default_factory=dict)
-    phi0: Mapping[int, np.ndarray] = field(default_factory=dict)
-    phi1: Mapping[int, np.ndarray] = field(default_factory=dict)
+    diffs: Mapping[int, Matrix] = field(default_factory=dict)
+    phi0: Mapping[int, Matrix] = field(default_factory=dict)
+    phi1: Mapping[int, Matrix] = field(default_factory=dict)
 
     def __post_init__(self):
         n = self.n
         for r, rank in enumerate(self.ranks):
             if not 0 <= rank <= RANK_LIMIT:
                 raise ShapeMismatch(f"rank {rank} of C_{r} is outside 0..{RANK_LIMIT}")
-        canon_d: Dict[int, np.ndarray] = {}
-        for r, m in dict(self.diffs).items():
-            if not 1 <= r <= n:
-                raise ShapeMismatch(f"differential degree {r} outside 1..{n}")
-            canon_d[r] = _as_matrix(m, self.ranks[r - 1], self.ranks[r], f"d_{r}")
-        canon_p0: Dict[int, np.ndarray] = {}
-        for r, m in dict(self.phi0).items():
-            if not 0 <= r <= n:
-                raise ShapeMismatch(f"phi0 degree {r} outside 0..{n}")
-            canon_p0[r] = _as_matrix(m, self.ranks[r], self.ranks[n - r], f"phi0_{r}")
-        canon_p1: Dict[int, np.ndarray] = {}
-        for r, m in dict(self.phi1).items():
-            if not 0 <= r <= n:
-                raise ShapeMismatch(f"phi1 degree {r} outside 0..{n}")
-            cols = self.ranks[n - r + 1] if n - r + 1 <= n else 0
-            canon_p1[r] = _as_matrix(m, self.ranks[r], cols, f"phi1_{r}")
-        object.__setattr__(self, "diffs", canon_d)
-        object.__setattr__(self, "phi0", canon_p0)
-        object.__setattr__(self, "phi1", canon_p1)
+        for name, low in (("diffs", 1), ("phi0", 0), ("phi1", 0)):
+            nonzero: Dict[int, Matrix] = {}
+            for r, m in dict(getattr(self, name)).items():
+                if not low <= r <= n:
+                    raise ShapeMismatch(f"{name} degree {r} outside {low}..{n}")
+                block = _as_matrix(m, *self._shape(name, r), f"{name}[{r}]")
+                if any(map(any, block)):
+                    nonzero[r] = block
+            object.__setattr__(self, name, nonzero)
 
     @property
     def n(self) -> int:
@@ -113,21 +114,25 @@ class SymComplex:
             return self.ranks[r]
         return 0
 
-    def d(self, r: int) -> np.ndarray:
+    def _shape(self, name: str, r: int) -> Tuple[int, int]:
+        """Rows and columns of the block of `name` in degree r."""
+        if name == "diffs":
+            return self.rank(r - 1), self.rank(r)
+        return self.rank(r), self.rank(self.n - r + (name == "phi1"))
+
+    def _full(self, name: str, r: int) -> Matrix:
+        rows, cols = self._shape(name, r)
+        return getattr(self, name).get(r) or ((0,) * cols,) * rows
+
+    def d(self, r: int) -> Matrix:
         """Matrix of d: C_r -> C_{r-1} (zero when absent)."""
-        if r in self.diffs:
-            return self.diffs[r]
-        return np.zeros((self.rank(r - 1), self.rank(r)), dtype=object)
+        return self._full("diffs", r)
 
-    def p0(self, r: int) -> np.ndarray:
-        if r in self.phi0:
-            return self.phi0[r]
-        return np.zeros((self.rank(r), self.rank(self.n - r)), dtype=object)
+    def p0(self, r: int) -> Matrix:
+        return self._full("phi0", r)
 
-    def p1(self, r: int) -> np.ndarray:
-        if r in self.phi1:
-            return self.phi1[r]
-        return np.zeros((self.rank(r), self.rank(self.n - r + 1)), dtype=object)
+    def p1(self, r: int) -> Matrix:
+        return self._full("phi1", r)
 
 
 @dataclass(frozen=True)
@@ -143,56 +148,70 @@ class Mod2CohomologyClass:
     v: Tuple[int, ...]
 
 
+def _transposed(block: Optional[Matrix]) -> Optional[Matrix]:
+    """The transpose of a block; None, an absent block, stays None."""
+    return block and _transpose(block)
+
+
+def _vanishes(*terms) -> bool:
+    """Whether the terms add up to zero.
+
+    A term (sign, a, b, ...) is sign times the product of its blocks, and
+    is zero, never built, when one of them is None.
+    """
+    total = None
+    for sign, *blocks in terms:
+        if all(b is not None for b in blocks):
+            m = reduce(_mat_mul, blocks)
+            m = m if sign > 0 else _negate(m)
+            total = m if total is None else tuple([tuple(map(add, a, b)) for a, b in zip(total, m)])
+    return total is None or not any(map(any, total))
+
+
 def validate_structure(c: SymComplex) -> Tuple[bool, List[str]]:
     """Check d^2 = 0 and the s in {0, 1} structure relations everywhere."""
     n = c.n
+    d, p0, p1 = c.diffs.get, c.phi0.get, c.phi1.get
     violations = []
     for r in range(2, n + 1):
-        if c.rank(r) and c.rank(r - 2):
-            if np.any(c.d(r - 1) @ c.d(r)):
-                violations.append(f"d_{r-1} d_{r} != 0")
+        if not _vanishes((1, d(r - 1), d(r))):
+            violations.append(f"d_{r-1} d_{r} != 0")
     for r in range(0, n + 1):
         # s = 0:  d phi0 + (-1)^r phi0 d* = 0 : C^{n-r-1} -> C_r
-        dom = c.rank(n - r - 1)
-        if c.rank(r) and dom:
-            lhs = np.zeros((c.rank(r), dom), dtype=object)
-            if r + 1 <= n:
-                lhs = lhs + c.d(r + 1) @ c.p0(r + 1)
-            lhs = lhs + (-1) ** r * (c.p0(r) @ c.d(n - r).T)
-            if np.any(lhs):
-                violations.append(f"s=0 relation fails at r={r}")
+        if not _vanishes((1, d(r + 1), p0(r + 1)), ((-1) ** r, p0(r), _transposed(d(n - r)))):
+            violations.append(f"s=0 relation fails at r={r}")
         # s = 1:  d phi1 + (-1)^r phi1 d* + (-1)^n (phi0 - T phi0) = 0
-        dom = c.rank(n - r)
-        if c.rank(r) and dom:
-            lhs = np.zeros((c.rank(r), dom), dtype=object)
-            if r + 1 <= n:
-                lhs = lhs + c.d(r + 1) @ c.p1(r + 1)
-            if n - r + 1 <= n:
-                lhs = lhs + (-1) ** r * (c.p1(r) @ c.d(n - r + 1).T)
-            t_phi0 = (-1) ** (r * (n - r)) * c.p0(n - r).T
-            lhs = lhs + (-1) ** n * (c.p0(r) - t_phi0)
-            if np.any(lhs):
-                violations.append(f"s=1 relation fails at r={r}")
+        if not _vanishes(
+            (1, d(r + 1), p1(r + 1)),
+            ((-1) ** r, p1(r), _transposed(d(n - r + 1))),
+            ((-1) ** n, p0(r)),
+            (-((-1) ** (n + r * (n - r))), _transposed(p0(n - r))),
+        ):
+            violations.append(f"s=1 relation fails at r={r}")
     return not violations, violations
+
+
+def _coboundary(c: SymComplex, r: int, x: Sequence[int]) -> Tuple[int, ...]:
+    """d*x on C_{r+1} for a cochain x on C_r; zeros when d_{r+1} is absent."""
+    block = c.diffs.get(r + 1)
+    return _mat_vec(_transpose(block), x) if block else (0,) * c.rank(r + 1)
 
 
 def cohomology_mod2(c: SymComplex, degree: int) -> List[Mod2CohomologyClass]:
     """A basis of H^degree(C; Z2), one integer-lifted (u, v) pair per class."""
-    n = c.n
     r = degree
     width = c.rank(r)
     if width == 0:
         return []
-    # d*: C^r -> C^{r+1} is the transpose of d_{r+1}
-    dstar = c.d(r + 1).T if r + 1 <= n else np.zeros((0, width), dtype=object)
 
     def mask(row) -> int:  # an integer row reduced mod 2, bit-packed
-        return sum((int(x) & 1) << j for j, x in enumerate(row))
+        return sum((x & 1) << j for j, x in enumerate(row))
 
-    # kernel of d* mod 2: the equations are the rows of dstar; with them
-    # fully reduced, free column f gives f plus every pivot whose row holds f
+    # kernel of d* mod 2: the equations are the rows of d*, the columns of
+    # d_{r+1}; with them fully reduced, free column f gives f plus every
+    # pivot whose row holds f
     equations: Dict[int, int] = {}
-    eliminate(equations, map(mask, dstar))
+    eliminate(equations, map(mask, zip(*c.diffs.get(r + 1, ()))))
     kernel = [
         (1 << free) | sum(p for p, row in equations.items() if row >> free & 1)
         for free in range(width)
@@ -202,32 +221,24 @@ def cohomology_mod2(c: SymComplex, degree: int) -> List[Mod2CohomologyClass]:
     # vectors; every vector that enlarges the span, reduced against it, is a
     # class representative
     span: Dict[int, int] = {}
-    eliminate(span, map(mask, c.d(r)))
+    eliminate(span, map(mask, c.diffs.get(r, ())))
     classes = []
     for reduced in eliminate(span, kernel):
-        v = np.array([(reduced >> j) & 1 for j in range(width)], dtype=object)
-        dv = dstar @ v if dstar.shape[0] else np.zeros(0, dtype=object)
-        if np.any(dv & 1):
+        v = tuple([(reduced >> j) & 1 for j in range(width)])
+        dv = _coboundary(c, r, v)
+        if any(x & 1 for x in dv):
             raise InvalidClass("kernel vector of d* mod 2 has odd coboundary")
-        u = dv // 2
-        classes.append(
-            Mod2CohomologyClass(degree, tuple(int(x) for x in u), tuple(int(x) for x in v))
-        )
+        classes.append(Mod2CohomologyClass(degree, tuple([x // 2 for x in dv]), v))
     return classes
 
 
 def _check_class(c: SymComplex, x: Mod2CohomologyClass) -> None:
-    n = c.n
     r = x.degree
-    v = np.array(x.v, dtype=object)
-    u = np.array(x.u, dtype=object)
-    if v.shape != (c.rank(r),) or u.shape != (c.rank(r + 1),):
+    if len(x.v) != c.rank(r) or len(x.u) != c.rank(r + 1):
         raise InvalidClass("class vectors have wrong lengths for the complex")
-    dstar_v = c.d(r + 1).T @ v if r + 1 <= n else np.zeros(0, dtype=object)
-    if np.any(dstar_v != 2 * u):
+    if _coboundary(c, r, x.v) != tuple([2 * b for b in x.u]):
         raise InvalidClass("d*v != 2u")
-    dstar_u = c.d(r + 2).T @ u if r + 2 <= n else np.zeros(0, dtype=object)
-    if np.any(dstar_u):
+    if any(_coboundary(c, r + 1, x.u)):
         raise InvalidClass("d*u != 0")
 
 
@@ -237,13 +248,11 @@ def pontryagin_square(c: SymComplex, x: Mod2CohomologyClass) -> int:
     r = x.degree
     if 2 * r != c.n:
         raise InvalidClass("the Pontryagin square pairs middle-degree classes")
-    v = np.array(x.v, dtype=object)
-    u = np.array(x.u, dtype=object)
-    value = int(v @ c.p0(r) @ v) if v.size else 0
     # phi1 at degree r maps C^{n-r+1} = C^{r+1}, pairing v against u
-    p1 = c.p1(r)
-    if p1.size:
-        value += 2 * int(v @ p1 @ u)
+    value = 0
+    for coeff, block, w in ((1, c.phi0.get(r), x.v), (2, c.phi1.get(r), x.u)):
+        if block:
+            value += coeff * sum(map(mul, x.v, _mat_vec(block, w)))
     return value % 4
 
 
@@ -259,8 +268,7 @@ def wu_and_mod4_signature(c: SymComplex) -> Tuple[Mod2CohomologyClass, int]:
     for r in range(n + 1):
         if r != mid and c.rank(r):
             raise NotMiddleConcentrated(f"nonzero rank in degree {r}")
-    phi = c.p0(mid)
-    form = IntSymForm.from_matrix([[int(x) for x in row] for row in phi])
+    form = IntSymForm(c.rank(mid), c.p0(mid))
     if not form.is_unimodular():
         raise NotUnimodular("middle form must be unimodular")
     v = characteristic_vector(form)
@@ -278,8 +286,7 @@ def middle_form_complex(matrix: Sequence[Sequence[int]], quarter: int = 1) -> Sy
     n = 4 * quarter
     mid = n // 2
     ranks = tuple(m if r == mid else 0 for r in range(n + 1))
-    phi = np.array(matrix, dtype=object).reshape(m, m)
-    return SymComplex(ranks=ranks, diffs={}, phi0={mid: phi}, phi1={})
+    return SymComplex(ranks=ranks, phi0={mid: matrix})
 
 
 def two_degree_complex(d: int, a: int, p: int, quarter: int = 1) -> SymComplex:

@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -146,6 +147,39 @@ def test_cli_missing_file_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("binary", [False, True], ids=["directory", "not-utf8"])
+@pytest.mark.parametrize("command", [["bundle"], ["invariants", "--kind", "intform"]])
+def test_cli_unreadable_path_exit_code(tmp_path, command, binary):
+    """A directory or a file that is not UTF-8 text: both commands say so and exit 2."""
+    path = tmp_path
+    if binary:
+        path = tmp_path / "bytes.intform"
+        path.write_bytes(b"\xff\xfe intform 1\n")
+    code, out = run_cli(command[:1] + [str(path)] + command[1:])
+    assert code == 2
+    assert out.startswith(f"error: cannot read {path}: ")
+
+
+@pytest.mark.parametrize(
+    "rows, lines",
+    [
+        ([[4]], ["boundary linking form: T = Z4", "BK(linking) = 1"]),
+        ([[0, 1], [1, 0]], ["boundary linking form: T = 0", "BK(linking) = 0"]),
+        ([[1, 0], [0, 2]], []),  # odd diagonal
+        ([[0, 0], [0, 0]], []),  # degenerate
+        ([[2, 1], [1, 2]], []),  # det 3, odd cokernel
+        ([[1 << 21]], ["boundary linking form: T = Z2097152"]),  # |T| past the limit
+    ],
+    ids=["z4", "hyperbolic", "odd", "degenerate", "odd-part", "too-large"],
+)
+def test_cli_intform_linking_lines(tmp_path, rows, lines):
+    path = tmp_path / "f.intform"
+    path.write_text(f"intform {len(rows)}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+    code, out = run_cli(["invariants", str(path), "--kind", "intform"])
+    assert code == 0
+    assert [x for x in out.splitlines() if x.startswith(("boundary", "BK(linking)"))] == lines
+
+
 def test_cli_precondition_exit_code(tmp_path):
     path = tmp_path / "sing.z2form"
     path.write_text("z2form 2\n0 0\n0 1\n")
@@ -188,6 +222,33 @@ def test_cli_symcomplex_oversized_rank_exit_2(tmp_path, rank):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stdout + proc.stderr
     assert "parse error" in proc.stdout and "outside 0..256" in proc.stdout
+
+
+def test_cli_symcomplex_block_free_rank_256(tmp_path):
+    """Absent blocks are never built: ranks at RANK_LIMIT and no blocks is quick."""
+    path = tmp_path / "free.symcomplex"
+    path.write_text("symcomplex 4\n0 256 256 256 0\n")
+    start = time.perf_counter()
+    code, out = run_cli(["invariants", str(path), "--kind", "symcomplex"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert "structure valid = true" in out
+    assert "mod-2 cohomology classes in degree 2: 256" in out
+    squares = [x for x in out.splitlines() if x.startswith("P2(class ")]
+    assert squares == [f"P2(class {i}) = 0" for i in range(256)]
+    assert elapsed < 1.0
+
+
+def test_importing_cli_does_not_load_numpy():
+    """numpy is imported by the Gauss kernels on first use, not at import."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(sigmod8.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, sigmod8.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_cli_bundle_report(tmp_path):

@@ -249,3 +249,126 @@ def test_rank_outside_limit_rejected(rank):
 def test_rank_at_limit_accepted():
     c = SymComplex(ranks=(0, symcomplex.RANK_LIMIT))
     assert c.rank(1) == symcomplex.RANK_LIMIT
+
+
+# ------------------------------------------------------------- absent blocks
+
+def test_absent_blocks_are_full_zero_blocks():
+    c = SymComplex(ranks=(2, 3, 0, 1, 4), diffs={1: [[1, 0, 0], [0, 0, 0]]})
+    n = c.n
+    assert c.diffs.keys() == {1} and not c.phi0 and not c.phi1
+    for r in range(-1, n + 3):
+        for block, rows, cols in (
+            (c.d(r), c.rank(r - 1), c.rank(r)),
+            (c.p0(r), c.rank(r), c.rank(n - r)),
+            (c.p1(r), c.rank(r), c.rank(n - r + 1)),
+        ):
+            if block is c.diffs.get(r):
+                continue
+            assert block == tuple([(0,) * cols] * rows)
+    assert c.d(1) == ((1, 0, 0), (0, 0, 0))
+
+
+def test_given_zero_blocks_are_not_stored():
+    c = SymComplex(ranks=(0, 0, 2, 0, 0), phi0={2: [[0, 0], [0, 0]]}, phi1={4: []})
+    assert not c.phi0 and not c.phi1
+    assert c.p0(2) == ((0, 0), (0, 0))
+
+
+def _dense(block, rows, cols):
+    return np.array(block, dtype=object).reshape(rows, cols)
+
+
+def _dense_violations(c):
+    """validate_structure on dense blocks, every absent block a zero matrix."""
+    n, rk = c.n, c.rank
+    d = lambda r: _dense(c.d(r), rk(r - 1), rk(r))
+    p0 = lambda r: _dense(c.p0(r), rk(r), rk(n - r))
+    p1 = lambda r: _dense(c.p1(r), rk(r), rk(n - r + 1))
+    out = [f"d_{r-1} d_{r} != 0" for r in range(2, n + 1) if np.any(d(r - 1) @ d(r))]
+    for r in range(n + 1):
+        s0 = d(r + 1) @ p0(r + 1) + (-1) ** r * (p0(r) @ d(n - r).T)
+        if np.any(s0):
+            out.append(f"s=0 relation fails at r={r}")
+        s1 = d(r + 1) @ p1(r + 1) + (-1) ** r * (p1(r) @ d(n - r + 1).T)
+        s1 = s1 + (-1) ** n * (p0(r) - (-1) ** (r * (n - r)) * p0(n - r).T)
+        if np.any(s1):
+            out.append(f"s=1 relation fails at r={r}")
+    return out
+
+
+def _random_complex(rng):
+    """Random small blocks; about half of the degrees have none."""
+    if rng.randrange(2):
+        # two-degree complexes summed in degrees (3, 2), a bare C_1 beside them
+        k, j = rng.randint(1, 3), rng.randint(0, 2)
+        ds = [2 * rng.randint(-2, 2) for _ in range(k)]
+        ps = [rng.randint(-2, 2) for _ in range(k)]
+        diag = lambda xs: [[x if a == b else 0 for b in range(k)] for a, x in enumerate(xs)]
+        return SymComplex(
+            ranks=(0, j, k, k, 0),
+            diffs={3: diag(ds)},
+            phi0={2: diag([rng.randint(-3, 3) for _ in range(k)])},
+            phi1={2: diag(ps), 3: diag([-p for p in ps])},
+        )
+    n = rng.randint(1, 6)
+    ranks = tuple(rng.randint(0, 3) for _ in range(n + 1))
+    probe = SymComplex(ranks=ranks)
+    blocks = {"diffs": {}, "phi0": {}, "phi1": {}}
+    for name, low, full in (("diffs", 1, probe.d), ("phi0", 0, probe.p0), ("phi1", 0, probe.p1)):
+        for r in range(low, n + 1):
+            if rng.randrange(2):
+                hi = rng.choice((0, 1, 2))
+                step = 2 if name == "diffs" and rng.randrange(2) else 1
+                blocks[name][r] = [
+                    [step * rng.randint(-hi, hi) for _ in row] for row in full(r)
+                ]
+    return SymComplex(ranks=ranks, **blocks)
+
+
+def _written_out(c):
+    """The same complex with every block of every degree given in full."""
+    n = c.n
+    return SymComplex(
+        ranks=c.ranks,
+        diffs={r: c.d(r) for r in range(1, n + 1)},
+        phi0={r: c.p0(r) for r in range(n + 1)},
+        phi1={r: c.p1(r) for r in range(n + 1)},
+    )
+
+
+def _outcome(c):
+    """Verdict, violations, classes in every degree and middle P2 values."""
+    ok, violations = validate_structure(c)
+    classes = [cohomology_mod2(c, r) for r in range(c.n + 1)]
+    p2 = []
+    if c.n % 2 == 0:
+        for x in classes[c.n // 2]:
+            try:
+                p2.append(pontryagin_square(c, x))
+            except InvalidClass as exc:
+                p2.append(str(exc))
+    return ok, violations, classes, p2
+
+
+def test_omitted_and_written_out_zero_blocks_agree():
+    rng = SplitMix64(26)
+    seen_valid = seen_p2 = 0
+    for _ in range(150):
+        c = _random_complex(rng)
+        outcome = _outcome(c)
+        assert outcome == _outcome(_written_out(c))
+        ok, violations, classes, p2 = outcome
+        assert violations == _dense_violations(c)
+        assert ok == (not violations)
+        seen_valid += ok
+        seen_p2 += any(isinstance(v, int) and v for v in p2)
+        if ok and c.n % 2 == 0:
+            mid = c.n // 2
+            for x, value in zip(classes[mid], p2):
+                v, u = np.array(x.v, dtype=object), np.array(x.u, dtype=object)
+                p0 = _dense(c.p0(mid), c.rank(mid), c.rank(mid))
+                p1 = _dense(c.p1(mid), c.rank(mid), c.rank(mid + 1))
+                assert value == int(v @ p0 @ v + 2 * (v @ p1 @ u)) % 4
+    # the seeded set reaches valid complexes and nonzero squares
+    assert seen_valid >= 50 and seen_p2 >= 30
