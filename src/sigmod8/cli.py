@@ -30,6 +30,7 @@ from .errors import (
     InvariantError,
     NotDivisibleBy4,
     NotTwoPrimary,
+    NotUnimodular,
     OddDiagonal,
     ParseError,
 )
@@ -155,14 +156,15 @@ def _report_symcomplex(c: symcomplex.SymComplex, out) -> int:
             print(f"P2(class {idx}) = {p2}", file=out)
         middle = all(r == 0 for d, r in enumerate(c.ranks) if d != mid)
         if middle and c.rank(mid):
-            form = intforms.IntSymForm(c.rank(mid), c.p0(mid))
-            if form.is_unimodular():
-                wu, sig4 = symcomplex.wu_and_mod4_signature(c)
-                sigma = intforms.signature_exact(form)
-                print(f"sigma = {sigma}", file=out)
-                print(f"sigma mod 4 = {sig4}", file=out)
-                print(f"wu class = {_fmt_vec(wu.v)}", file=out)
-                print(f"P2(wu) = {symcomplex.pontryagin_square(c, wu)}", file=out)
+            try:
+                wu, sigma = symcomplex._wu_and_signature(c)
+            except NotUnimodular:
+                return EXIT_OK
+            # _wu_and_signature has checked that P2(wu) = sigma mod 4
+            print(f"sigma = {sigma}", file=out)
+            print(f"sigma mod 4 = {sigma % 4}", file=out)
+            print(f"wu class = {_fmt_vec(wu.v)}", file=out)
+            print(f"P2(wu) = {sigma % 4}", file=out)
     return EXIT_OK
 
 

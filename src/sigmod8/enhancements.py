@@ -7,7 +7,8 @@ q(x+y) = q(x)+q(y)+2*lambda(x,y) and always exists; its Witt invariant is
 the Z8-valued Brown-Kervaire invariant, computed here two independent ways:
 
 * bk_gauss: the exact Gauss sum  sum_x i^q(x) = sqrt(2)^dim e^(2 pi i BK/8),
-  accumulated in Gaussian integers via the enumeration kernel;
+  accumulated in Gaussian integers by kernels.gauss_counts, which counts
+  q over all of Z2^dim meeting in the middle: O(dim 2^(dim/2)) work;
 * bk_classify: splitting q into standard pieces q00, q22, P1, P-1 and
   reading off 4n + p_plus - p_minus.
 

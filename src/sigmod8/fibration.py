@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import add, mul
 from typing import List, Sequence, Tuple
@@ -69,8 +70,9 @@ __all__ = [
 # reason given with `intforms.Matrix`.
 
 
+@lru_cache(maxsize=16)
 def standard_j(h: int) -> Matrix:
-    """J = [[0, I_h], [-I_h, 0]]."""
+    """J = [[0, I_h], [-I_h, 0]], built once per h (a tuple, so sharing it is safe)."""
     n = 2 * h
     rows = []
     for i in range(n):
@@ -83,9 +85,20 @@ def standard_j(h: int) -> Matrix:
     return tuple(rows)
 
 
-def _symplectic_inverse(m: Matrix, j: Matrix) -> Matrix:
-    """M^{-1} = -J M^T J, exact and integral for symplectic M."""
-    return _negate(_mat_mul(_mat_mul(j, _transpose(m)), j))
+def _j_times(m: Matrix) -> Matrix:
+    """J M, the signed row permutation (M_lower; -M_upper): no product."""
+    h = len(m) // 2
+    return m[h:] + _negate(m[:h])
+
+
+def _symplectic_inverse(m: Matrix) -> Matrix:
+    """M^{-1} = -J M^T J = J (J M)^T, exact and integral for symplectic M."""
+    return _j_times(_transpose(_j_times(m)))
+
+
+def _preserves_j(m: Matrix) -> bool:
+    """M^T J M = J, with J M formed by _j_times: one product."""
+    return _mat_mul(_transpose(m), _j_times(m)) == standard_j(len(m) // 2)
 
 
 @dataclass(frozen=True)
@@ -99,8 +112,7 @@ class SymplecticMatrix:
         n = 2 * self.h
         if len(self.entries) != n or any(len(r) != n for r in self.entries):
             raise OddDimension(f"expected a {n}x{n} matrix")
-        j = standard_j(self.h)
-        if _mat_mul(_mat_mul(_transpose(self.entries), j), self.entries) != j:
+        if not _preserves_j(self.entries):
             raise NotSymplectic("M^T J M != J")
 
     @classmethod
@@ -122,9 +134,7 @@ class SymplecticMatrix:
         return m
 
     def inverse(self) -> "SymplecticMatrix":
-        return SymplecticMatrix._trusted(
-            self.h, _symplectic_inverse(self.entries, standard_j(self.h))
-        )
+        return SymplecticMatrix._trusted(self.h, _symplectic_inverse(self.entries))
 
     def __matmul__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
         if self.h != other.h:
@@ -145,9 +155,7 @@ def is_symplectic(matrix: Sequence[Sequence[int]]) -> bool:
     n = len(matrix)
     if n % 2 or any(len(r) != n for r in matrix):
         raise OddDimension("symplectic matrices have even size")
-    m = tuple([tuple([int(x) for x in r]) for r in matrix])
-    j = standard_j(n // 2)
-    return _mat_mul(_mat_mul(_transpose(m), j), m) == j
+    return _preserves_j(tuple([tuple([int(x) for x in r]) for r in matrix]))
 
 
 def transvection(c: Sequence[int]) -> SymplecticMatrix:
@@ -162,8 +170,7 @@ def transvection(c: Sequence[int]) -> SymplecticMatrix:
     c = tuple([int(x) for x in c])
     if not any(c):
         raise ZeroVector("transvection needs a nonzero vector")
-    j = standard_j(n // 2)
-    jc = _mat_vec(j, c)
+    jc = c[n // 2:] + tuple([-x for x in c[:n // 2]])  # J c, as in _j_times
     entries = tuple(
         [tuple([int(i == k) + jc[i] * c[k] for k in range(n)]) for i in range(n)]
     )
@@ -230,7 +237,7 @@ def wall_form_closed(f: SymplecticMatrix, g: SymplecticMatrix) -> RatSymForm:
         bool(u[n + j]) != (j == k) for k, u in enumerate(basis) for j in range(n)
     ):
         raise OneMinusFSingular("1 - f is singular over Q")
-    j_one_minus_ginv = _mat_mul(standard_j(f.h), _mat_sub(eye, g.inverse().entries))
+    j_one_minus_ginv = _j_times(_mat_sub(eye, g.inverse().entries))
     mat = tuple(
         [
             tuple([Fraction(sum(map(mul, row, u[:n])), u[n + k]) for k, u in enumerate(basis)])
@@ -267,7 +274,7 @@ def wall_form_general(
         tuple(one_minus_f[i]) + tuple(one_minus_g[i]) for i in range(n)
     ]
     basis = _integral_kernel(rows, 2 * n)
-    j_one_minus_f = _mat_mul(standard_j(f.h), one_minus_f)
+    j_one_minus_f = _j_times(one_minus_f)
     xs = [list(map(add, u[:n], u[n:])) for u in basis]  # x = y + z
     jws = [_mat_vec(j_one_minus_f, u[:n]) for u in basis]  # J (1 - f) y'
     gram = [[sum(map(mul, x, jw)) for jw in jws] for x in xs]
@@ -350,7 +357,7 @@ def _cup_gram(m: MonodromyData) -> Tuple[List[Tuple[int, ...]], List[List[int]]]
     n = 2 * m.h
     j = standard_j(m.h)
     mats = [mat.entries for pair in m.pairs for mat in pair]
-    invs = [_symplectic_inverse(mm, j) for mm in mats]
+    invs = [_symplectic_inverse(mm) for mm in mats]
     letters: List[Tuple[int, int]] = []
     for i in range(m.g):
         letters += [(2 * i, 1), (2 * i + 1, 1), (2 * i, -1), (2 * i + 1, -1)]
@@ -365,7 +372,7 @@ def _cup_gram(m: MonodromyData) -> Tuple[List[Tuple[int, ...]], List[List[int]]]
         else:
             blk = _negate(_mat_mul(prefix, invs[gi]))
             step = invs[gi]
-        jb = _mat_mul(j, blk)
+        jb = _j_times(blk)
         lo = gi * n
         for r, row in enumerate(gram_big):  # G += U_{k-1}^T J B_k
             acol = [accum[t][r] for t in range(n)]

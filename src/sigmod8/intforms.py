@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 from typing import List, Sequence, Tuple
@@ -101,7 +102,12 @@ def _check_symmetric(matrix: Tuple[Tuple, ...]) -> None:
 
 @dataclass(frozen=True)
 class IntSymForm:
-    """Symmetric bilinear form over Z (arbitrary-precision entries)."""
+    """Symmetric bilinear form over Z (arbitrary-precision entries).
+
+    The determinant is computed once per instance, on first use, and kept
+    on it: one report asks for it through determinant, is_unimodular and
+    every function that needs a unimodular form.
+    """
 
     dim: int
     matrix: Tuple[Tuple[int, ...], ...]
@@ -120,8 +126,12 @@ class IntSymForm:
         n = len(entries)
         return cls(n, tuple(tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n)))
 
-    def determinant(self) -> int:
+    @cached_property
+    def _det(self) -> int:
         return _det_bareiss(self.matrix)
+
+    def determinant(self) -> int:
+        return self._det
 
     def is_unimodular(self) -> bool:
         return abs(self.determinant()) == 1

@@ -1,17 +1,32 @@
 """Gauss-sum kernels over Z2^dim, in exact integer numpy arithmetic.
 
-Both kernels start from the table of q-values over Z2^dim, built by
-doubling: if q is known on the span of e_0..e_{j-1} then on the coset +e_j
-it is q + q(e_j) + 2*lambda(x, e_j), and lambda(x, e_j) is itself built by
-doubling over the earlier coordinates.  The table is indexed by the bit
-mask of x.
+Both kernels rest on the table of q-values over a coordinate block, built
+by doubling: if q is known on the span of e_0..e_{j-1} then on the coset
++e_j it is q + q(e_j) + 2*lambda(x, e_j), and lambda(x, e_j) is the parity
+of x & row_j, one popcount per entry.  Tables are indexed by the bit mask
+of x.  Only the lower triangle of the Gram rows is read.
 
-* gauss_counts: the four counts #{x : q(x) = c}, c in Z4, of one
-  enhancement, from which S = (c0 - c2) + (c1 - c3) i is exact.
 * gauss_sums: the Gauss sums of all 2^dim enhancements q + 2(x.d) of the
   same form at once.  Since i^(q(x) + 2(x.d)) = i^q(x) (-1)^(x.d), they are
   one Walsh-Hadamard transform of i^q, done by butterflies in int64; every
   partial sum is bounded by 2^dim, so nothing can wrap.
+* gauss_counts: the four counts #{x : q(x) = c}, c in Z4, of one
+  enhancement, from which S = (c0 - c2) + (c1 - c3) i is exact.  It meets
+  in the middle: with x = x_L + x_H, x_L in the low a = floor(dim/2)
+  coordinates and x_H in the high b = dim - a,
+
+      q(x) = q_L(x_L) + q_H(x_H) + 2 x_L.y(x_H),   y(x_H) = B x_H,
+
+  B the low x high block of the Gram matrix.  Over the group ring Z[Z4]
+  (t for 1 in Z4), the counts of q_L(x_L) + 2 x_L.y = k over x_L, for
+  every y at once, are one Walsh-Hadamard transform with butterfly
+  (u, v) -> (u + v, u + t^2 v).  On the part where t^2 = -1 that is
+  gauss_sums of the low block, W(y), so
+  S = sum_{x_H} i^q_H(x_H) W(y(x_H)), read off a histogram of (y, q_H)
+  over the 2^b high vectors.  On the part where t^2 = 1 it only counts
+  parities, and q(x) mod 2 = sum x_j q(e_j) is linear, so c0 + c2 is 2^dim
+  or 2^(dim-1).  Work and memory are O(dim 2^(dim/2)); every count is at
+  most 2^30, so int64 cannot wrap.
 
 The Gauss sum of a quadratic linking form on T = sum Z/d_i is exact too.
 With D = 2 max(d_i) every value is q(x) = num(x)/D in Q/2Z for an integer
@@ -40,38 +55,68 @@ __all__ = ["gauss_counts", "gauss_sums", "linking_numerators", "linking_bk", "ba
 def _q_values(dim: int, qdiag, rows):
     """q(x) in Z4 for every x in Z2^dim, indexed by the bit mask of x (uint8).
 
-    Filled in place, one coset at a time, so the only arrays are the table
-    and half a table for lambda(x, e_j).
+    The coset +e_j adds q(e_j) + 2 popcount(x & row_j) to q(x) for every
+    x < 2^j.  Those increments are computed for all j at once, a
+    dim x 2^(dim-1) table, so each doubling step is a single addition.
+    The uint8 sums wrap mod 256, a multiple of 4, and are reduced mod 4
+    once at the end.
     """
     import numpy as np
     if dim < 0 or dim > 30:
         raise ValueError("dim out of range for the enumeration kernel")
+    x = np.arange(1 << max(dim - 1, 0), dtype=np.uint32)
+    step = np.bitwise_count(x & np.array(rows, dtype=np.uint32)[:, None])
+    step <<= 1
+    step += np.array(qdiag, dtype=np.uint8)[:, None]
     q = np.zeros(1 << dim, dtype=np.uint8)
-    lam = np.zeros(1 << max(dim - 1, 0), dtype=np.uint8)
     for j in range(dim):
-        row = rows[j]
-        for i in range(j):
-            n = 1 << i
-            np.bitwise_xor(lam[:n], (row >> i) & 1, out=lam[n:2 * n])
         half = 1 << j
-        qj = q[half:2 * half]
-        np.left_shift(lam[:half], 1, out=qj)
-        qj += q[:half]
-        qj += qdiag[j]
-        qj &= 3
+        np.add(q[:half], step[j, :half], out=q[half:2 * half])
+    q &= 3
     return q
 
 
+def _transform(q):
+    """Re and im of sum_x i^q(x) (-1)^(x.d) for every d, an int64 (2, 2^dim) array."""
+    import numpy as np
+    s = np.array([[1, 0, -1, 0], [0, 1, 0, -1]], dtype=np.int64)[:, q]
+    butterfly = np.array([[1, 1], [1, -1]], dtype=np.int64)
+    h = 1
+    while h < q.size:
+        # axis 1 is bit log2(h) of the index: (u, v) -> (u + v, u - v)
+        s = butterfly @ s.reshape(-1, 2, h)
+        h *= 2
+    return s.reshape(2, -1)
+
+
 def gauss_counts(dim: int, qdiag, rows):
-    """Counts of q-values over all of Z2^dim.
+    """Counts of q-values over all of Z2^dim, meeting in the middle.
 
     qdiag: sequence of dim values in {0,1,2,3} (q on the basis vectors)
     rows:  sequence of dim bit masks (rows of the Gram matrix)
     """
     import numpy as np
-    q = _q_values(dim, qdiag, rows)
-    # count in place: bincount would first copy the uint8 table to int64
-    return tuple(int(np.count_nonzero(q == c)) for c in range(4))
+    if dim < 0 or dim > 30:
+        raise ValueError("dim out of range for the enumeration kernel")
+    a = dim // 2
+    w = _transform(_q_values(a, qdiag[:a], rows[:a]))
+    high = rows[a:]
+    qh = _q_values(dim - a, qdiag[a:], [r >> a for r in high])
+    # y(x_H) = B x_H, by doubling over the high coordinates
+    y = np.zeros(qh.size, dtype=np.int64)
+    low = (1 << a) - 1
+    for j, r in enumerate(high):
+        np.bitwise_xor(y[:1 << j], r & low, out=y[1 << j:2 << j])
+    # row k of hist.T @ w.T sums W(y(x_H)) over the x_H with q_H(x_H) = k,
+    # and S is the sum over k of i^k times row k
+    y <<= 2
+    y += qh
+    hist = np.bincount(y, minlength=4 << a).reshape(-1, 4)
+    (r0, m0), (r1, m1), (r2, m2), (r3, m3) = (hist.T @ w.T).tolist()
+    re, im = r0 - m1 - r2 + m3, m0 + r1 - m2 - r3
+    even = 1 << (dim - 1) if any(v & 1 for v in qdiag) else 1 << dim
+    odd = (1 << dim) - even
+    return (even + re) >> 1, (odd + im) >> 1, (even - re) >> 1, (odd - im) >> 1
 
 
 def gauss_sums(dim: int, qdiag, rows):
@@ -80,17 +125,7 @@ def gauss_sums(dim: int, qdiag, rows):
     Takes the same arguments as gauss_counts and returns two int64 arrays
     (re, im) of length 2^dim, indexed by the bit mask of d.
     """
-    import numpy as np
-    q = _q_values(dim, qdiag, rows)
-    # rows: real and imaginary parts of i^c for c in Z4
-    s = np.array([[1, 0, -1, 0], [0, 1, 0, -1]], dtype=np.int64)[:, q]
-    h = 1
-    while h < q.size:
-        # axis 2 is bit log2(h) of the index
-        s = s.reshape(2, -1, 2, h)
-        s = np.stack([s[:, :, 0] + s[:, :, 1], s[:, :, 0] - s[:, :, 1]], axis=2)
-        h *= 2
-    s = s.reshape(2, -1)
+    s = _transform(_q_values(dim, qdiag, rows))
     return s[0], s[1]
 
 

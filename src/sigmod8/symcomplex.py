@@ -261,6 +261,15 @@ def wu_and_mod4_signature(c: SymComplex) -> Tuple[Mod2CohomologyClass, int]:
 
     Returns (wu, sigma mod 4) after checking sigma = P2(wu) mod 4.
     """
+    wu, sigma = _wu_and_signature(c)
+    return wu, sigma % 4
+
+
+def _wu_and_signature(c: SymComplex) -> Tuple[Mod2CohomologyClass, int]:
+    """wu_and_mod4_signature with sigma itself in place of sigma mod 4.
+
+    Raises what wu_and_mod4_signature raises; on return P2(wu) = sigma mod 4.
+    """
     n = c.n
     if n % 2:
         raise NotMiddleConcentrated("complex dimension must be even")
@@ -277,7 +286,7 @@ def wu_and_mod4_signature(c: SymComplex) -> Tuple[Mod2CohomologyClass, int]:
     p2 = pontryagin_square(c, wu)
     if sigma % 4 != p2:
         raise SignatureMismatch(f"sigma = {sigma} but P2(wu) = {p2} in Z4")
-    return wu, sigma % 4
+    return wu, sigma
 
 
 def middle_form_complex(matrix: Sequence[Sequence[int]], quarter: int = 1) -> SymComplex:

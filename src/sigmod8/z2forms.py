@@ -297,29 +297,31 @@ def split_vectors(form: Z2SymForm) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, in
     lambda(v, v) = 1, split off lowest-index-first, and hyperbolic pairs
     spanning the isotropic remainder.  Deterministic, and cached for small
     forms since the result depends only on the form.
+
+    The basis and its Gram rows keep their positions; `alive` lists, in
+    order, the positions not yet split off.  Replacing each b_j by
+    b_j + lambda(b_j, v) v makes it orthogonal to v, and since
+    lambda(v, v) = 1 the Gram entries change to
+    lambda_jk + lambda(b_j, v) lambda(b_k, v): row j gains the row of v
+    when lambda(b_j, v) = 1.  Bits at positions no longer alive go stale
+    and are never read.
     """
-    rows = form.rows
+    gram = list(form.rows)
     basis = [1 << i for i in range(form.dim)]
+    alive = list(range(form.dim))
     aniso = []
     while True:
-        gram = _restrict(rows, basis) if len(basis) != form.dim else list(rows)
-        n = len(basis)
-        idx = next((i for i in range(n) if (gram[i] >> i) & 1), None)
+        idx = next((i for i in alive if (gram[i] >> i) & 1), None)
         if idx is None:
             break
-        # complement: replace each other basis vector b with b + v when
-        # lambda(b, v) = 1, so the new basis is orthogonal to v
-        v = basis[idx]
+        v, row_v = basis[idx], gram[idx]
         aniso.append(v)
-        new_basis = []
-        for j, b in enumerate(basis):
-            if j == idx:
-                continue
-            if (gram[j] >> idx) & 1:
-                b ^= v
-            new_basis.append(b)
-        basis = new_basis
-    pairs = _symplectic_pairs(rows, basis)
+        alive.remove(idx)
+        for j in alive:
+            if (row_v >> j) & 1:
+                basis[j] ^= v
+                gram[j] ^= row_v
+    pairs = _symplectic_pairs(basis, gram, alive)
     return tuple(aniso), tuple(pairs)
 
 
@@ -335,31 +337,37 @@ def decompose(form: Z2SymForm) -> Tuple[int, int]:
     return len(aniso), len(pairs)
 
 
-def _symplectic_pairs(rows: Sequence[int], basis: List[int]) -> List[Tuple[int, int]]:
-    """Split an isotropic nonsingular restriction into hyperbolic pairs."""
+def _symplectic_pairs(
+    basis: List[int], gram: List[int], alive: Sequence[int]
+) -> List[Tuple[int, int]]:
+    """Split an isotropic nonsingular restriction into hyperbolic pairs.
+
+    basis[i] is a vector and gram[i] its Gram row (bit k is
+    lambda(basis[i], basis[k])) for each position i in `alive`, taken in
+    order; both lists are updated in place.  Once (e, f) is split off,
+    b_j + lambda(b_j, f) e + lambda(b_j, e) f is orthogonal to both, and
+    with alpha = lambda(., f), beta = lambda(., e) the Gram entries change
+    to lambda_jk + alpha_j beta_k + alpha_k beta_j.
+    """
     pairs: List[Tuple[int, int]] = []
-    basis = list(basis)
-    while basis:
-        gram = _restrict(rows, basis)
-        n = len(basis)
-        e = basis[0]
-        mate = next((j for j in range(1, n) if (gram[0] >> j) & 1), None)
+    alive = list(alive)
+    while alive:
+        first = alive[0]
+        row_e = gram[first]
+        mate = next((j for j in alive[1:] if (row_e >> j) & 1), None)
         if mate is None:
             raise DegenerateRestriction("restricted form is singular")
-        f = basis[mate]
-        rest = []
-        for j in range(1, n):
-            if j == mate:
-                continue
-            b = basis[j]
-            # make b orthogonal to both e and f
-            if (gram[j] >> mate) & 1:
-                b ^= e
-            if (gram[j] >> 0) & 1:
-                b ^= f
-            rest.append(b)
+        row_f = gram[mate]
+        e, f = basis[first], basis[mate]
+        alive = [j for j in alive[1:] if j != mate]
+        for j in alive:
+            if (row_f >> j) & 1:
+                basis[j] ^= e
+                gram[j] ^= row_e
+            if (row_e >> j) & 1:
+                basis[j] ^= f
+                gram[j] ^= row_f
         pairs.append((e, f))
-        basis = rest
     return pairs
 
 
@@ -378,7 +386,7 @@ def symplectic_split(form: Z2SymForm, restricted_to: Z2Subspace) -> List[Tuple[Z
             raise AnisotropicInput("form is anisotropic on the subspace")
     if len(eliminate({}, gram)) != len(basis):
         raise DegenerateRestriction("restricted form is singular")
-    pairs = _symplectic_pairs(form.rows, basis)
+    pairs = _symplectic_pairs(basis, gram, range(len(basis)))
     return [(Z2Vec(form.dim, e), Z2Vec(form.dim, f)) for e, f in pairs]
 
 

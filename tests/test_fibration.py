@@ -147,6 +147,37 @@ def test_products_and_inverses_stay_symplectic():
         assert (f @ f.inverse()).entries == fib._identity(2 * h)
 
 
+def test_symplectic_check_matches_two_product_reference():
+    """The one-product check agrees with M^T J M = J by two products.
+
+    Tried on symplectic words and on each of them with one entry moved by
+    +-1, which is symplectic only when the row of J M it touches is a
+    multiple of e_k: most such changes must be rejected.
+    """
+    rng = SplitMix64(24)
+    rejected = tried = 0
+    for trial in range(12):
+        h = 1 + trial % 3
+        m = [list(r) for r in random_transvection_word(h, 6, rng).entries]
+        j = standard_j(h)
+        for i in range(2 * h):
+            for k in range(2 * h):
+                for step in (1, -1):
+                    bad = [r[:] for r in m]
+                    bad[i][k] += step
+                    reference = fib._mat_mul(fib._mat_mul(fib._transpose(bad), j), bad) == j
+                    assert is_symplectic(bad) == reference
+                    tried += 1
+                    if reference:
+                        SymplecticMatrix.from_matrix(bad)
+                        continue
+                    rejected += 1
+                    with pytest.raises(NotSymplectic):
+                        SymplecticMatrix.from_matrix(bad)
+        assert SymplecticMatrix.from_matrix(m).entries == tuple(map(tuple, m))
+    assert rejected > 0.9 * tried
+
+
 # ------------------------------------------------------------ wall_form_closed
 
 def test_wall_closed_printed_matrices():

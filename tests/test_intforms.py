@@ -545,3 +545,24 @@ def test_linking_gauss_mismatch_for_degenerate_pairing():
     degenerate = LinkingForm((2,), ((Fraction(0),),), (Fraction(0),))
     with pytest.raises(NoGaussMatch):
         bk_linking(degenerate)
+
+
+def test_one_determinant_per_report(monkeypatch):
+    """An intform or middle-form report computes the determinant once."""
+    import io
+
+    from sigmod8 import intforms
+    from sigmod8.cli import _report_intform, _report_symcomplex
+    from sigmod8.symcomplex import middle_form_complex
+
+    calls = []
+    det = intforms._det_bareiss
+    monkeypatch.setattr(intforms, "_det_bareiss", lambda m: calls.append(1) or det(m))
+    rng = SplitMix64(61)
+    for dim in (4, 8):
+        form = random_unimodular_form(dim, rng)
+        for report, obj in ((_report_intform, IntSymForm.from_matrix(form.matrix)),
+                            (_report_symcomplex, middle_form_complex(form.matrix))):
+            calls.clear()
+            assert report(obj, io.StringIO()) == 0
+            assert len(calls) == 1, report.__name__

@@ -2,8 +2,9 @@
 import pytest
 
 from sigmod8 import kernels
+from sigmod8.enhancements import Z4Quadratic, bk_classify, bk_gauss, p1, pm1, q00, q22
 from sigmod8.rng import SplitMix64
-from sigmod8.z2forms import Z2SymForm
+from sigmod8.z2forms import Z2SymForm, is_nonsingular
 
 
 def random_instance(dim, rng):
@@ -18,6 +19,41 @@ def random_instance(dim, rng):
     diag = form.diagonal_mask()
     qdiag = tuple(((diag >> i) & 1) + 2 * rng.randrange(2) for i in range(dim))
     return qdiag, form.rows
+
+
+def brute_force_counts(qdiag, rows):
+    """#{x : q(x) = c} for c in Z4, evaluating q at every x in pure Python."""
+    q = Z4Quadratic(Z2SymForm(len(rows), rows), qdiag)
+    counts = [0, 0, 0, 0]
+    for x in range(1 << q.dim):
+        counts[q.evaluate_mask(x)] += 1
+    return tuple(counts)
+
+
+def with_cross_block(qdiag, rows, bit):
+    """The instance with every entry of the low x high Gram block set to `bit`.
+
+    Low and high are the coordinates below and from dim // 2 on, the two
+    halves gauss_counts splits x into.
+    """
+    dim = len(rows)
+    a = dim // 2
+    low, high = (1 << a) - 1, ((1 << dim) - 1) ^ ((1 << a) - 1)
+    rows = [(r & low if i < a else r & high) for i, r in enumerate(rows)]
+    if bit:
+        rows = [r | (high if i < a else low) for i, r in enumerate(rows)]
+    return qdiag, tuple(rows)
+
+
+def test_counts_match_brute_force():
+    rng = SplitMix64(44)
+    for dim in range(0, 15):
+        for _ in range(2 if dim < 13 else 1):
+            qdiag, rows = random_instance(dim, rng)
+            for qdiag, rows in ((qdiag, rows), with_cross_block(qdiag, rows, 0),
+                                with_cross_block(qdiag, rows, 1)):
+                assert kernels.gauss_counts(dim, qdiag, rows) == brute_force_counts(
+                    qdiag, rows), (dim, qdiag, rows)
 
 
 def test_counts_sum_to_full_space():
@@ -56,3 +92,43 @@ def test_large_dim_additivity():
     a = nonsingular_instance(10)
     b = nonsingular_instance(8)
     assert bk_gauss(a.direct_sum(b)) == (bk_gauss(a) + bk_gauss(b)) % 8
+
+
+def conjugated_block_sum(pieces, rng):
+    """The orthogonal sum of `pieces` in a random basis, with its BK.
+
+    The basis f_i comes from the standard one by random elementary steps
+    f_i += f_j, so the result is the same enhancement written through a
+    random element of GL(n, F2); its BK is the sum of the pieces' values.
+    """
+    total = pieces[0]
+    for piece in pieces[1:]:
+        total = total.direct_sum(piece)
+    dim = total.dim
+    basis = [1 << i for i in range(dim)]
+    for _ in range(4 * dim * dim):
+        i, j = rng.randrange(dim), rng.randrange(dim)
+        if i != j:
+            basis[i] ^= basis[j]
+    form = total.form
+    rows = tuple(
+        sum(form.evaluate_masks(f, g) << k for k, g in enumerate(basis)) for f in basis
+    )
+    q = Z4Quadratic(Z2SymForm(dim, rows), tuple(total.evaluate_mask(f) for f in basis))
+    known = {(1,): 1, (3,): 7, (0, 0): 0, (2, 2): 4}
+    return q, sum(known[piece.values] for piece in pieces) % 8
+
+
+def test_bk_gauss_matches_classification_large_dims():
+    rng = SplitMix64(45)
+    standard = (p1(), pm1(), q00(), q22())
+    for dim in (18, 20, 22, 24):
+        for _ in range(3):
+            pieces = []
+            while sum(piece.dim for piece in pieces) < dim:
+                room = dim - sum(piece.dim for piece in pieces)
+                pieces.append(standard[rng.randrange(4 if room > 1 else 2)])
+            q, bk = conjugated_block_sum(pieces, rng)
+            assert q.dim == dim and is_nonsingular(q.form)
+            m, n, p_plus, p_minus = bk_classify(q)
+            assert bk_gauss(q) == (4 * n + p_plus - p_minus) % 8 == bk, (dim, q.values)

@@ -13,6 +13,7 @@ from sigmod8.z2forms import (
     enumerate_nonsingular_forms,
     is_nonsingular,
     rref_basis,
+    split_vectors,
     symplectic_split,
     witt_class_sym,
     wu_class,
@@ -236,6 +237,78 @@ def test_decompose_rebuild_isomorphic_dim6_random():
         p, k = decompose(form)
         assert p + 2 * k == 6
         assert isomorphic(form, rebuild(p, k))
+
+
+def restricted_gram(form, basis):
+    return [sum(form.evaluate_masks(b, c) << k for k, c in enumerate(basis)) for b in basis]
+
+
+def split_vectors_reference(form):
+    """split_vectors recomputing the restricted Gram after every split."""
+    basis = [1 << i for i in range(form.dim)]
+    aniso = []
+    while True:
+        gram = restricted_gram(form, basis)
+        idx = next((i for i in range(len(basis)) if (gram[i] >> i) & 1), None)
+        if idx is None:
+            break
+        v = basis[idx]
+        aniso.append(v)
+        basis = [b ^ v if (gram[j] >> idx) & 1 else b
+                 for j, b in enumerate(basis) if j != idx]
+    pairs = []
+    while basis:
+        gram = restricted_gram(form, basis)
+        mate = next(j for j in range(1, len(basis)) if (gram[0] >> j) & 1)
+        e, f = basis[0], basis[mate]
+        rest = []
+        for j in range(1, len(basis)):
+            if j != mate:
+                b = basis[j]
+                if (gram[j] >> mate) & 1:
+                    b ^= e
+                if gram[j] & 1:
+                    b ^= f
+                rest.append(b)
+        pairs.append((e, f))
+        basis = rest
+    return tuple(aniso), tuple(pairs)
+
+
+def random_symmetric(dim, rng, isotropic):
+    rows = [0] * dim
+    for i in range(dim):
+        for j in range(i + isotropic, dim):
+            if rng.randrange(2):
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return Z2SymForm(dim, tuple(rows))
+
+
+def test_split_vectors_matches_reference():
+    """The Gram updated in place gives the vectors of the recomputed Gram."""
+    for dim in range(0, 6):
+        for form in enumerate_nonsingular_forms(dim):
+            assert split_vectors(form) == split_vectors_reference(form), form.rows
+    rng = SplitMix64(12)
+    for dim in range(6, 25):
+        for isotropic in (0, 1) if dim % 2 == 0 else (0,):  # odd: no isotropic one
+            form = random_symmetric(dim, rng, isotropic)
+            while not is_nonsingular(form):
+                form = random_symmetric(dim, rng, isotropic)
+            aniso, pairs = split_vectors(form)
+            assert (aniso, pairs) == split_vectors_reference(form), form.rows
+            # in the split basis the Gram is the identity on the lines and H on each pair
+            p = len(aniso)
+            split = list(aniso) + [v for pair in pairs for v in pair]
+            assert len(rref_basis(split, dim)) == dim
+            for i, v in enumerate(split):
+                for k, w in enumerate(split):
+                    if i < p or k < p:
+                        expected = int(i == k)
+                    else:
+                        expected = int(i != k and (i - p) // 2 == (k - p) // 2)
+                    assert form.evaluate_masks(v, w) == expected
 
 
 # ---------------------------------------------------------- symplectic_split
