@@ -64,13 +64,12 @@ def _report_z2form(form: z2forms.Z2SymForm, out) -> int:
 
 
 def _report_subquotient(q: enh.Z4Quadratic, out) -> None:
+    v = z2forms.wu_class(q.form)
     try:
         sub = enh.isotropic_subquotient(q)
     except NotDivisibleBy4:
-        v = z2forms.wu_class(q.form)
         print(f"wu-sublagrangian: undefined (q(v)={q.evaluate(v)})", file=out)
         return
-    v = z2forms.wu_class(q.form)
     print(f"wu-sublagrangian: span of v = {_fmt_vec(v.bits)}", file=out)
     print(f"subquotient dim = {sub.dim}", file=out)
     print(f"Arf(subquotient) = {enh.arf(sub)}", file=out)

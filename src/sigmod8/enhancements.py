@@ -24,11 +24,10 @@ Walsh-Hadamard transform of i^q0 (kernels.gauss_sums), uses nothing but
 the definition of the Gauss sum (not the difference-vector identity), and
 every entry is matched exactly; larger forms are counted one enhancement
 at a time.  The representatives of L_perp/L and the Gram form of the
-subquotient are cached per form too, as are split_vectors,
-is_nonsingular and wu_class in z2forms.  Each cache is an lru_cache keyed
-by the frozen Z2SymForm, so equal forms share entries; the form-only
-caches keep forms of dim <= 6 alone (z2forms.small_form_cache), since
-larger forms rarely recur.
+subquotient are kept per form by z2forms.small_form_cache, like the one
+splitting that gives is_nonsingular, wu_class and split_vectors: equal
+forms of dim <= 6 share an lru_cache entry, and a larger form keeps its
+values on the instance.
 
 The classification route has per-form tables too, indexed the same way,
 for the selfcheck suites that compare the two routes over every

@@ -7,7 +7,7 @@ blank lines are ignored.
     z2q <dim>           form rows, then one row of dim values in {0,1}
     z4q <dim>           form rows, then one row of dim values in {0,1,2,3}
     intform <dim>       dim rows of dim integers
-    ratform <dim>       dim rows of dim rationals (p/q or integers)
+    ratform <dim>       dim rows of dim rationals (p/q, ints, decimals)
     symcomplex <n>      one row of n+1 ranks, each in 0..256
                         (symcomplex.RANK_LIMIT), then labeled blocks
                         `d <r>` / `phi0 <r>` / `phi1 <r>`, each followed by
@@ -38,6 +38,9 @@ __all__ = [
     "parse_monodromy",
     "KINDS",
 ]
+
+# Largest |exponent| in a ratform decimal such as 1.5e-3, as int's digit limit bounds p and q
+EXPONENT_LIMIT = 4300
 
 KINDS = ("z2form", "z2q", "z4q", "intform", "ratform", "symcomplex", "monodromy")
 
@@ -107,9 +110,9 @@ def parse_z2form(text: str, path: Optional[str] = None) -> Z2SymForm:
     (dim,) = _header(lines, "z2form", 1)
     rows = _matrix_rows(lines, dim, dim, "z2form matrix")
     lines.expect_done()
-    for lineno_row in rows:
-        if any(x not in (0, 1) for x in lineno_row):
-            raise ParseError("z2form entries must be 0 or 1", path)
+    for (lineno, _), row in zip(lines.items[1:], rows):
+        if any(x not in (0, 1) for x in row):
+            lines.fail(lineno, "z2form entries must be 0 or 1")
     try:
         return Z2SymForm.from_matrix(rows)
     except ValueError as exc:
@@ -167,7 +170,10 @@ def parse_ratform(text: str, path: Optional[str] = None) -> RatSymForm:
             lines.fail(lineno, f"expected {dim} entries, got {len(tokens)}")
         row = []
         for tok in tokens:
+            _, e, exponent = tok.lower().partition("e")
             try:
+                if e and abs(int(exponent)) > EXPONENT_LIMIT:  # Fraction computes 10**exponent
+                    raise ValueError(tok)
                 row.append(Fraction(tok))
             except (ValueError, ZeroDivisionError):
                 lines.fail(lineno, f"expected a rational p/q, got {tok!r}")

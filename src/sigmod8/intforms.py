@@ -1,11 +1,12 @@
 """Symmetric forms over Z and Q: exact signatures and mod-8 identities.
 
-The signature is computed by fraction-free symmetric elimination over Z
-(no eigenvalues); a rational form is scaled by the positive lcm of its
-denominators first.  For a unimodular integral form the
-characteristic (Wu) vector v satisfies phi(x,x) = phi(x,v) mod 2 and ties
-three quantities together mod 8: the signature, phi(v,v) (van der Blij),
-and the Brown-Kervaire invariant of the mod-4 reduction (Morita/Brown).
+The signature and the determinant come from one fraction-free symmetric
+(Bareiss) elimination over Z (no eigenvalues); a rational form is scaled
+by the positive lcm of its denominators first.  For a unimodular integral
+form the characteristic (Wu) vector v, the Wu class of the mod-2
+reduction, satisfies phi(x,x) = phi(x,v) mod 2 and ties three quantities
+together mod 8: the signature, phi(v,v) (van der Blij), and the
+Brown-Kervaire invariant of the mod-4 reduction (Morita/Brown).
 
 Nondegenerate even forms with 2-primary cokernel bound a quadratic linking
 form (T, b, q) on T = coker(phi), with b = phi^{-1} mod Z and q = phi^{-1}
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from typing import List, Sequence, Tuple
 
@@ -34,7 +35,7 @@ from .errors import (
     NotUnimodular,
     OddDiagonal,
 )
-from .z2forms import Z2SymForm, solve
+from .z2forms import Z2SymForm, wu_class
 
 __all__ = [
     "IntSymForm",
@@ -104,9 +105,8 @@ def _check_symmetric(matrix: Tuple[Tuple, ...]) -> None:
 class IntSymForm:
     """Symmetric bilinear form over Z (arbitrary-precision entries).
 
-    The determinant is computed once per instance, on first use, and kept
-    on it: one report asks for it through determinant, is_unimodular and
-    every function that needs a unimodular form.
+    Signature, determinant and mod-2 reduction are computed on first use
+    and kept on the instance, for every caller in one report.
     """
 
     dim: int
@@ -127,11 +127,15 @@ class IntSymForm:
         return cls(n, tuple(tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n)))
 
     @cached_property
-    def _det(self) -> int:
-        return _det_bareiss(self.matrix)
+    def _signature_det(self) -> Tuple[int, int]:
+        return _bareiss(self.matrix)
+
+    @cached_property
+    def _mod2(self) -> Z2SymForm:
+        return Z2SymForm.from_matrix([[x & 1 for x in row] for row in self.matrix])
 
     def determinant(self) -> int:
-        return self._det
+        return self._signature_det[1]
 
     def is_unimodular(self) -> bool:
         return abs(self.determinant()) == 1
@@ -171,49 +175,27 @@ class RatSymForm:
         return cls(len(matrix), tuple(tuple(Fraction(x) for x in r) for r in matrix))
 
 
-def _det_bareiss(matrix: Sequence[Sequence[int]]) -> int:
-    """Fraction-free determinant of an integer matrix."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [list(row) for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def _bareiss(matrix: Sequence[Sequence[int]]) -> Tuple[int, int]:
+    """(sigma, det) of a symmetric integer matrix, by one elimination.
 
-
-def signature_exact(form: IntSymForm | RatSymForm) -> int:
-    """p - n of an IntSymForm or RatSymForm; the radical counts 0.
-
-    Fraction-free symmetric elimination.  Entries are scaled by the positive
-    lcm of their denominators (1 for ints).  A nonzero pivot d with row v
-    splits off (d) and leaves M - v v^T / d; the block kept is
-    sign(d) (d M - v v^T), a positive multiple of it, divided by the gcd of
-    its entries, so every step keeps the signature and stays in Z.  A block
-    with zero diagonal but m_ij != 0 first gets row and column j added to i,
-    making m_ii = 2 m_ij.
+    Fraction-free symmetric (Bareiss) elimination: a nonzero pivot d with
+    row v splits off (d) and leaves (d M - v v^T) / prev, prev the previous
+    pivot (1 at first).  By Sylvester's identity the division is exact and
+    the block is d times the Schur complement, so the rational pivot d/prev
+    has the sign of d * prev and the last pivot is det.  A block with zero
+    diagonal but m_ij != 0 first gets row and column j added to i (a
+    congruence of det 1), making m_ii = 2 m_ij; a zero block left is the
+    radical, which counts 0 in sigma and makes det 0.
     """
-    scale = lcm(*[x.denominator for row in form.matrix for x in row])
-    m = [[x.numerator * (scale // x.denominator) for x in row] for row in form.matrix]
-    sig = 0
+    m = [list(row) for row in matrix]
+    sig, prev = 0, 1
     while m:
         n = len(m)
         piv = next((i for i in range(n) if m[i][i]), None)
         if piv is None:
             pair = next(((i, j) for i in range(n) for j in range(i + 1, n) if m[i][j]), None)
             if pair is None:
-                break  # the remaining block is the radical
+                return sig, 0
             piv, j = pair
             m[piv] = [a + b for a, b in zip(m[piv], m[j])]
             for row in m:
@@ -222,35 +204,37 @@ def signature_exact(form: IntSymForm | RatSymForm) -> int:
         d = v.pop(piv)
         for row in m:
             del row[piv]
-        sign = 1 if d > 0 else -1
-        sig += sign
-        m = [[sign * (d * x - a * y) for x, y in zip(row, v)] for row, a in zip(m, v)]
-        g = gcd(*[x for row in m for x in row])
-        if g > 1:
-            m = [[x // g for x in row] for row in m]
-    return sig
+        sig += 1 if (d > 0) == (prev > 0) else -1
+        m = [[(d * x - a * y) // prev for x, y in zip(row, v)] for row, a in zip(m, v)]
+        prev = d
+    return sig, prev
+
+
+def signature_exact(form: IntSymForm | RatSymForm) -> int:
+    """p - n of an IntSymForm or RatSymForm; the radical counts 0.
+
+    A rational form is scaled by the positive lcm of its denominators.
+    """
+    if isinstance(form, IntSymForm):
+        return form._signature_det[0]
+    scale = lcm(*[x.denominator for row in form.matrix for x in row])
+    m = [[x.numerator * (scale // x.denominator) for x in row] for row in form.matrix]
+    return _bareiss(m)[0]
 
 
 def characteristic_vector(form: IntSymForm) -> Tuple[int, ...]:
     """v with phi(x,x) = phi(x,v) mod 2, entries in {0,1}; needs det = +-1."""
     if not form.is_unimodular():
         raise NotUnimodular("characteristic vector needs a unimodular form")
-    rows = [
-        sum(((form.matrix[i][j] & 1) << j) for j in range(form.dim))
-        for i in range(form.dim)
-    ]
-    diag = sum(((form.matrix[i][i] & 1) << i) for i in range(form.dim))
-    v = solve(rows, form.dim, diag)
-    return tuple((v >> i) & 1 for i in range(form.dim))
+    return wu_class(form._mod2).bits
 
 
 def reduce_to_enhanced(form: IntSymForm) -> Z4Quadratic:
     """(E/2E, phi mod 2, x -> phi(x,x) mod 4); BK of it equals sigma mod 8."""
     if not form.is_unimodular():
         raise NotUnimodular("mod-4 reduction needs a unimodular form")
-    z2 = Z2SymForm.from_matrix([[x & 1 for x in row] for row in form.matrix])
     values = tuple(form.matrix[i][i] % 4 for i in range(form.dim))
-    return Z4Quadratic(z2, values)
+    return Z4Quadratic(form._mod2, values)
 
 
 def van_der_blij_residue(form: IntSymForm) -> int:

@@ -280,8 +280,7 @@ def _wu_and_signature(c: SymComplex) -> Tuple[Mod2CohomologyClass, int]:
     form = IntSymForm(c.rank(mid), c.p0(mid))
     if not form.is_unimodular():
         raise NotUnimodular("middle form must be unimodular")
-    v = characteristic_vector(form)
-    wu = Mod2CohomologyClass(mid, (), tuple(v))
+    wu = Mod2CohomologyClass(mid, (), characteristic_vector(form))
     sigma = signature_exact(form)
     p2 = pontryagin_square(c, wu)
     if sigma % 4 != p2:

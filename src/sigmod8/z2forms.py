@@ -7,12 +7,15 @@ nonsingular symmetric forms are
     P = (Z2, [1])        the anisotropic line, and
     H = [[0,1],[1,0]]    the hyperbolic plane,
 
-and every nonsingular form splits (non-uniquely) as p*P + k*H.
+and every nonsingular form splits (non-uniquely) as p*P + k*H.  One pass
+per form (_splitting) finds a splitting, decides nonsingularity and sums
+the P lines to the Wu class.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache, reduce, wraps
+from operator import xor
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -242,69 +245,42 @@ ENUMERATION_DIM_LIMIT = 6
 
 
 def small_form_cache(fn):
-    """lru_cache fn(form) for forms of dim <= ENUMERATION_DIM_LIMIT only.
+    """fn(form), computed once per form and kept.
 
-    Those are the forms that enumeration and selfcheck revisit; a larger
-    form rarely recurs, so it is computed directly and not kept.
+    Equal forms of dim <= ENUMERATION_DIM_LIMIT, which enumeration and
+    selfcheck revisit across requests, share an lru_cache entry.  A larger
+    form rarely recurs: its value is kept on the instance, for every caller
+    in the request, and freed with it.
     """
     cached = lru_cache(maxsize=1 << 16)(fn)
+    name = f"_{fn.__name__}_value"
 
     @wraps(fn)
     def call(form):
-        return cached(form) if form.dim <= ENUMERATION_DIM_LIMIT else fn(form)
+        if form.dim <= ENUMERATION_DIM_LIMIT:
+            return cached(form)
+        if name not in form.__dict__:
+            form.__dict__[name] = fn(form)
+        return form.__dict__[name]
 
     call.cache_info = cached.cache_info
     return call
 
 
 @small_form_cache
-def is_nonsingular(form: Z2SymForm) -> bool:
-    """True iff the Gram matrix is invertible over Z2 (dim 0 counts).
+def _splitting(form: Z2SymForm) -> Optional[tuple]:
+    """((aniso, pairs), wu) of a nonsingular form, read by is_nonsingular,
+    wu_class and split_vectors; None for a singular form.
 
-    Cached for small forms, since the result depends only on the form.
-    """
-    return len(eliminate({}, form.rows)) == form.dim
-
-
-@small_form_cache
-def wu_class(form: Z2SymForm) -> Z2Vec:
-    """The unique v with lambda(x, x) = lambda(x, v) for all x.
-
-    Raises SingularForm (from `solve`) for a singular form.  Cached for
-    small forms, since the result depends only on the form.
-    """
-    return Z2Vec(form.dim, solve(form.rows, form.dim, form.diagonal_mask()))
-
-
-def _restrict(rows: Sequence[int], basis: Sequence[int]) -> List[int]:
-    """Gram matrix of the form restricted to `basis`, again bit-packed."""
-    n = len(basis)
-    out = []
-    for i in range(n):
-        row = 0
-        mi = _apply(rows, basis[i])
-        for j in range(n):
-            row |= _parity(mi & basis[j]) << j
-        out.append(row)
-    return out
-
-
-@small_form_cache
-def split_vectors(form: Z2SymForm) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]:
-    """Split a nonsingular form into anisotropic lines and hyperbolic pairs.
-
-    Returns (aniso, pairs) of bit-mask vectors: len(aniso) lines on which
-    lambda(v, v) = 1, split off lowest-index-first, and hyperbolic pairs
-    spanning the isotropic remainder.  Deterministic, and cached for small
-    forms since the result depends only on the form.
-
-    The basis and its Gram rows keep their positions; `alive` lists, in
-    order, the positions not yet split off.  Replacing each b_j by
-    b_j + lambda(b_j, v) v makes it orthogonal to v, and since
-    lambda(v, v) = 1 the Gram entries change to
-    lambda_jk + lambda(b_j, v) lambda(b_k, v): row j gains the row of v
-    when lambda(b_j, v) = 1.  Bits at positions no longer alive go stale
-    and are never read.
+    Lines v with lambda(v, v) = 1 are split off lowest-index-first:
+    b_j + lambda(b_j, v) v is orthogonal to v, so the Gram entries become
+    lambda_jk + lambda(b_j, v) lambda(b_k, v) and row j gains the row of v
+    when lambda(b_j, v) = 1.  Basis and Gram rows keep their positions;
+    `alive` lists those not split off, and stale bits are never read.  The
+    isotropic rest splits into hyperbolic pairs unless a row finds no mate,
+    which makes the form singular.  The Wu class is the sum of the lines:
+    lambda(x, x) and lambda(x, sum) are linear in x and agree on every line
+    and pair.
     """
     gram = list(form.rows)
     basis = [1 << i for i in range(form.dim)]
@@ -322,15 +298,52 @@ def split_vectors(form: Z2SymForm) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, in
                 basis[j] ^= v
                 gram[j] ^= row_v
     pairs = _symplectic_pairs(basis, gram, alive)
-    return tuple(aniso), tuple(pairs)
+    if pairs is None:
+        return None
+    return (tuple(aniso), tuple(pairs)), Z2Vec(form.dim, reduce(xor, aniso, 0))
+
+
+def is_nonsingular(form: Z2SymForm) -> bool:
+    """True iff the Gram matrix is invertible over Z2 (dim 0 counts)."""
+    return _splitting(form) is not None
+
+
+def wu_class(form: Z2SymForm) -> Z2Vec:
+    """The unique v with lambda(x, x) = lambda(x, v) for all x; needs nonsingular."""
+    split = _splitting(form)
+    if split is None:
+        raise SingularForm("matrix is singular over Z2")
+    return split[1]
+
+
+def _restrict(rows: Sequence[int], basis: Sequence[int]) -> List[int]:
+    """Gram matrix of the form restricted to `basis`, again bit-packed."""
+    n = len(basis)
+    out = []
+    for i in range(n):
+        row = 0
+        mi = _apply(rows, basis[i])
+        for j in range(n):
+            row |= _parity(mi & basis[j]) << j
+        out.append(row)
+    return out
+
+
+def split_vectors(form: Z2SymForm) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]:
+    """(aniso, pairs): the lines and hyperbolic pairs of _splitting, as bit
+    masks; deterministic.  A singular form raises DegenerateRestriction.
+    """
+    split = _splitting(form)
+    if split is None:
+        raise DegenerateRestriction("restricted form is singular")
+    return split[0]
+
+
+split_vectors.cache_info = _splitting.cache_info  # hits of every reader of _splitting
 
 
 def decompose(form: Z2SymForm) -> Tuple[int, int]:
-    """Multiplicities (p, k) with form = p*P + k*H and p + 2k = dim.
-
-    Splits off the lowest-index anisotropic basis vector first (deterministic),
-    then symplectically splits the isotropic remainder.
-    """
+    """Multiplicities (p, k) with form = p*P + k*H and p + 2k = dim, from split_vectors."""
     if not is_nonsingular(form):
         raise SingularForm("decompose requires a nonsingular form")
     aniso, pairs = split_vectors(form)
@@ -339,8 +352,8 @@ def decompose(form: Z2SymForm) -> Tuple[int, int]:
 
 def _symplectic_pairs(
     basis: List[int], gram: List[int], alive: Sequence[int]
-) -> List[Tuple[int, int]]:
-    """Split an isotropic nonsingular restriction into hyperbolic pairs.
+) -> Optional[List[Tuple[int, int]]]:
+    """Split an isotropic restriction into hyperbolic pairs; None if singular.
 
     basis[i] is a vector and gram[i] its Gram row (bit k is
     lambda(basis[i], basis[k])) for each position i in `alive`, taken in
@@ -355,8 +368,8 @@ def _symplectic_pairs(
         first = alive[0]
         row_e = gram[first]
         mate = next((j for j in alive[1:] if (row_e >> j) & 1), None)
-        if mate is None:
-            raise DegenerateRestriction("restricted form is singular")
+        if mate is None:  # `first` is in the radical
+            return None
         row_f = gram[mate]
         e, f = basis[first], basis[mate]
         alive = [j for j in alive[1:] if j != mate]
@@ -384,9 +397,9 @@ def symplectic_split(form: Z2SymForm, restricted_to: Z2Subspace) -> List[Tuple[Z
     for i in range(len(basis)):
         if (gram[i] >> i) & 1:
             raise AnisotropicInput("form is anisotropic on the subspace")
-    if len(eliminate({}, gram)) != len(basis):
-        raise DegenerateRestriction("restricted form is singular")
     pairs = _symplectic_pairs(basis, gram, range(len(basis)))
+    if pairs is None:
+        raise DegenerateRestriction("restricted form is singular")
     return [(Z2Vec(form.dim, e), Z2Vec(form.dim, f)) for e, f in pairs]
 
 

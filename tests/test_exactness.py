@@ -1,4 +1,8 @@
-"""The library computes exactly: no floating-point module or conversion in src/sigmod8."""
+"""The library computes exactly and checks for real.
+
+No floating-point module or conversion in src/sigmod8, and no `assert`
+statement, which `python -O` strips: every check raises an exception.
+"""
 import ast
 import pathlib
 
@@ -46,3 +50,24 @@ def test_guard_sees_each_form():
         "import cmath", "from math import pi", "from cmath import isqrt", "import math",
         "float(...)",
     ]
+
+
+def _asserts(tree):
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert))
+
+
+def test_no_assert_in_library():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 5
+    found = [
+        f"{path.name}:{line}"
+        for path in modules
+        for line in _asserts(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []
+
+
+def test_assert_guard_sees_each_assert():
+    source = "def f(x):\n    if x:\n        assert x > 0, 'x'\n    return x\nassert f(1)\n"
+    assert _asserts(ast.parse(source)) == [3, 5]
+    assert _asserts(ast.parse("raise ValueError('checked')\n")) == []

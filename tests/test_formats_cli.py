@@ -5,6 +5,7 @@ import resource
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -95,6 +96,26 @@ def test_parse_error_bad_keyword():
     with pytest.raises(ParseError) as exc:
         formats.parse_z2form("intform 1\n1\n", path="y")
     assert "z2form" in str(exc.value)
+
+
+def test_parse_error_names_line_of_bad_z2form_entry():
+    with pytest.raises(ParseError) as exc:
+        formats.parse_z2form("z2form 2\n# comment\n0 1\n1 2\n", path="bad.z2form")
+    assert str(exc.value) == "bad.z2form:4: z2form entries must be 0 or 1"
+
+
+def test_ratform_exponents(tmp_path):
+    """Decimals and p/q parse; an exponent past +-4300 is a parse error with its
+    line, refused before Fraction computes 10**exponent (hours for 1e999999999)."""
+    f = formats.parse_ratform("ratform 2\n1.5e3 -3/4\n-0.75 2.5E-2\n")
+    assert f.matrix == ((1500, Fraction(-3, 4)), (Fraction(-3, 4), Fraction(1, 40)))
+    assert formats.parse_ratform("ratform 1\n1e4300\n").matrix == ((10**4300,),)
+    for tok in ("1e1000000", "-2.5e-4301", "1e999_999_999"):
+        path = tmp_path / "huge.ratform"
+        path.write_text(f"ratform 2\n1 0\n0 {tok}\n")
+        code, out = run_cli(["invariants", str(path), "--kind", "ratform"])
+        assert code == 2, out
+        assert f"huge.ratform:3: expected a rational p/q, got {tok!r}" in out
 
 
 def test_parse_monodromy_commutator_violation_is_not_parse_error():
@@ -448,6 +469,64 @@ def test_cli_ratform_report(tmp_path):
     code, out = run_cli(["invariants", str(path), "--kind", "ratform"])
     assert code == 0
     assert "sigma = 2" in out
+
+
+def _calls_during(codes, run):
+    """Run run() and list (code, form) for every call of a function in `codes`."""
+    calls = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls.append((frame.f_code, frame.f_locals.get("form")))
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def test_one_splitting_per_form_and_no_solve_per_report():
+    """z4q reports at dims 8 and 12 and intform reports at dim 8 split each
+    GF(2) form once, and read rank and Wu class off it: no solve."""
+    from sigmod8 import z2forms
+    from sigmod8.enhancements import Z4Quadratic
+    from sigmod8.intforms import random_unimodular_form
+    from sigmod8.rng import SplitMix64
+
+    splitting = z2forms._splitting.__wrapped__.__code__
+    codes = {splitting, z2forms.solve.__code__}
+    rng = SplitMix64(83)
+    reports = []
+    for dim, count in ((8, 6), (12, 6)):
+        for _ in range(count):
+            rows = None
+            while rows is None or len(z2forms.eliminate({}, rows)) < dim:
+                rows = [0] * dim
+                for i in range(dim):
+                    for j in range(i, dim):
+                        if rng.randrange(2):
+                            rows[i] |= 1 << j
+                            rows[j] |= 1 << i
+            values = tuple((rows[i] >> i & 1) + 2 * rng.randrange(2) for i in range(dim))
+            q = Z4Quadratic(z2forms.Z2SymForm(dim, tuple(rows)), values)
+            reports.append((cli._report_z4q, q))
+    reports += [(cli._report_intform, random_unimodular_form(8, rng)) for _ in range(6)]
+    subquotients = 0
+    for report, obj in reports:
+        out = io.StringIO()
+        exit_codes = []
+        calls = _calls_during(codes, lambda: exit_codes.append(report(obj, out)))
+        assert exit_codes == [0]
+        assert all(code is splitting for code, _ in calls), report.__name__  # no solve
+        forms = [form for _, form in calls]
+        assert len({id(form) for form in forms}) == len(forms), report.__name__
+        reported = obj.form if report is cli._report_z4q else obj._mod2
+        assert any(form is reported for form in forms)
+        subquotients += "subquotient dim" in out.getvalue()
+    assert subquotients >= 4
 
 
 def test_parse_symcomplex_zero_sided_block():

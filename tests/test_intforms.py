@@ -76,10 +76,7 @@ def test_signature_congruence_invariance():
                 [Fraction(rng.randint(-3, 3)) for _ in range(dim)]
                 for _ in range(dim)
             ]
-            from sigmod8.intforms import _det_bareiss
-
-            scaled = [[int(x * 6) for x in row] for row in p]
-            if _det_bareiss(scaled) != 0:
+            if _det_fraction(p) != 0:
                 break
         pmp = [
             [
@@ -91,6 +88,28 @@ def test_signature_congruence_invariance():
         assert signature_exact(RatSymForm.from_matrix(pmp)) == signature_exact(
             RatSymForm.from_matrix(m)
         )
+
+
+def _det_fraction(matrix):
+    """Determinant of any square matrix by Gaussian elimination over Fractions.
+
+    Shares nothing with the library's symmetric elimination, so it can check
+    it, and it takes the non-symmetric P, U and V of the tests too.
+    """
+    m = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for k in range(len(m)):
+        piv = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, len(m)):
+            c = m[i][k] / m[k][k]
+            m[i] = [x - c * y for x, y in zip(m[i], m[k])]
+    return int(det)
 
 
 def _charpoly(m):
@@ -178,6 +197,67 @@ def test_signature_matches_descartes_route():
         assert signature_exact(form) == expected, label
         negative += expected < 0
     assert negative > 50  # negative pivots are exercised, not just positive ones
+
+
+def _symmetric_int_matrices():
+    """(label, matrix): seeded symmetric integer matrices of dims 0-10.
+
+    Small entries, entries within 8 of +-2^64, a zero diagonal (the
+    congruence step), and rank-deficient sums of signed squares of vectors
+    with entries near 2^32 beside a zero-diagonal 2 x 2 block (a radical
+    reached after that step).
+    """
+    rng = SplitMix64(71)
+    big = 1 << 64
+
+    def symmetric(dim, entry):
+        m = [[0] * dim for _ in range(dim)]
+        for i in range(dim):
+            for j in range(i, dim):
+                m[i][j] = m[j][i] = entry(i, j)
+        return m
+
+    def near(k):
+        return rng.choice((-1, 1)) * (k - rng.randint(0, 8))
+
+    for dim in range(11):
+        for trial in range(3):
+            yield f"small-{dim}-{trial}", symmetric(dim, lambda i, j: rng.randint(-9, 9))
+            yield f"near-2^64-{dim}-{trial}", symmetric(
+                dim, lambda i, j: near(big) if rng.randrange(2) else rng.randint(-9, 9)
+            )
+            yield f"zero-diagonal-{dim}-{trial}", symmetric(
+                dim, lambda i, j: 0 if i == j else near(big) if rng.randrange(3) == 0
+                else rng.randint(-3, 3)
+            )
+            if dim < 2:
+                continue
+            r = rng.randint(0, dim - 3) if dim > 2 else 0
+            vecs = [[near(1 << 32) for _ in range(dim - 2)] for _ in range(r)]
+            signs = [rng.choice((-1, 1)) for _ in range(r)]
+            c = near(big)
+            yield f"radical-{dim}-{trial}", [
+                [sum(s * v[i] * v[j] for s, v in zip(signs, vecs)) for j in range(dim - 2)]
+                + [0, 0]
+                for i in range(dim - 2)
+            ] + [[0] * (dim - 2) + [0, c], [0] * (dim - 2) + [c, 0]]
+
+
+def test_signature_and_determinant_from_one_elimination():
+    """(sigma, det) of the one elimination against two elimination-free routes.
+
+    det against Gaussian elimination over Fractions; sigma against the
+    Descartes route on Berkowitz's characteristic polynomial.
+    """
+    det_signs = [0, 0, 0]
+    for label, matrix in _symmetric_int_matrices():
+        form = IntSymForm.from_matrix(matrix)
+        det = _det_fraction(matrix)
+        assert form.determinant() == det, label
+        assert signature_exact(form) == _signature_descartes(matrix), label
+        assert signature_exact(RatSymForm.from_matrix(matrix)) == signature_exact(form), label
+        det_signs[(det > 0) - (det < 0) + 1] += 1
+    assert min(det_signs) > 20, det_signs
 
 
 def test_signature_descartes_route_examples():
@@ -510,8 +590,6 @@ def test_defect_requires_mod4():
 
 def test_smith_normal_form_properties():
     rng = SplitMix64(17)
-    from sigmod8.intforms import _det_bareiss
-
     for _ in range(25):
         n = rng.randint(1, 4)
         m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
@@ -525,8 +603,8 @@ def test_smith_normal_form_properties():
             for i in range(n)
         ]
         assert prod == [list(row) for row in d]
-        assert abs(_det_bareiss(u)) == 1
-        assert abs(_det_bareiss(v)) == 1
+        assert abs(_det_fraction(u)) == 1
+        assert abs(_det_fraction(v)) == 1
         for i in range(n):
             for j in range(n):
                 if i != j:
@@ -548,7 +626,7 @@ def test_linking_gauss_mismatch_for_degenerate_pairing():
 
 
 def test_one_determinant_per_report(monkeypatch):
-    """An intform or middle-form report computes the determinant once."""
+    """An intform or middle-form report runs the one elimination once."""
     import io
 
     from sigmod8 import intforms
@@ -556,8 +634,8 @@ def test_one_determinant_per_report(monkeypatch):
     from sigmod8.symcomplex import middle_form_complex
 
     calls = []
-    det = intforms._det_bareiss
-    monkeypatch.setattr(intforms, "_det_bareiss", lambda m: calls.append(1) or det(m))
+    bareiss = intforms._bareiss
+    monkeypatch.setattr(intforms, "_bareiss", lambda m: calls.append(1) or bareiss(m))
     rng = SplitMix64(61)
     for dim in (4, 8):
         form = random_unimodular_form(dim, rng)

@@ -285,6 +285,35 @@ def random_symmetric(dim, rng, isotropic):
     return Z2SymForm(dim, tuple(rows))
 
 
+def test_large_form_keeps_its_values_on_its_instance():
+    """Above dim 6 the splitting is kept on the form: equal forms share nothing,
+    the shared cache is not touched, and the values go with the form."""
+    import gc
+    import weakref
+
+    rng = SplitMix64(29)
+    a = random_symmetric(8, rng, 0)
+    while not is_nonsingular(a):
+        a = random_symmetric(8, rng, 0)
+    b = Z2SymForm(8, a.rows)
+    singular = Z2SymForm(8, (0,) + tuple(r & ~1 for r in a.rows[1:]))  # e_0 in the radical
+    before = split_vectors.cache_info()
+    v = wu_class(a)
+    assert wu_class(a) is v and split_vectors(a) is split_vectors(a)
+    assert wu_class(b) == v and wu_class(b) is not v
+    assert split_vectors(b) == split_vectors(a) and split_vectors(b) is not split_vectors(a)
+    assert not is_nonsingular(singular)
+    with pytest.raises(SingularForm):
+        wu_class(singular)
+    assert split_vectors.cache_info() == before
+    for x in range(1 << 8):  # the Wu class read off the splitting
+        assert a.evaluate_masks(x, x) == a.evaluate_masks(x, v.mask)
+    kept = weakref.ref(a)
+    del a
+    gc.collect()
+    assert kept() is None
+
+
 def test_split_vectors_matches_reference():
     """The Gram updated in place gives the vectors of the recomputed Gram."""
     for dim in range(0, 6):
