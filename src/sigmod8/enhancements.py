@@ -35,8 +35,9 @@ enhancement: _bk_classify_table (4n + p_plus - p_minus of each
 enhancement) and _arf_table (Arf of each Z2 enhancement of an isotropic
 form).  Enhancement d differs from enhancement 0 by 2*(d . x), so both
 evaluate enhancement 0 once on each split vector and flip the values by
-the parity of d . s; they read nothing from the Gauss route.  They are
-rebuilt on every call, never cached, so every selfcheck run computes the
+the parity of d . s; they read nothing from the Gauss route.  Neither
+function caches: the bk-4arf suite keeps each subquotient form's Arf
+table for one run only, so every selfcheck run computes the
 classification route afresh.  Enumeration validates the form once and
 builds its enhancements without re-running the constructors' checks;
 enhancements built directly are always validated.
@@ -271,19 +272,24 @@ def arf(h: Z2Quadratic) -> int:
     return total
 
 
-def _match_gauss(dim: int, re: int, im: int) -> int:
-    """The unique k in Z8 with re + im*i = sqrt(2)^dim e^(2 pi i k/8)."""
+def _eighth_roots(dim: int) -> Dict[Tuple[int, int], int]:
+    """{(re, im): k} for the eight values sqrt(2)^dim e^(2 pi i k/8)."""
     if dim % 2 == 0:
         mag = 1 << (dim // 2)
-        table = {(mag, 0): 0, (0, mag): 2, (-mag, 0): 4, (0, -mag): 6}
-    else:
-        mag = 1 << ((dim - 1) // 2)
-        table = {(mag, mag): 1, (-mag, mag): 3, (-mag, -mag): 5, (mag, -mag): 7}
-    k = table.get((re, im))
+        return {(mag, 0): 0, (0, mag): 2, (-mag, 0): 4, (0, -mag): 6}
+    mag = 1 << ((dim - 1) // 2)
+    return {(mag, mag): 1, (-mag, mag): 3, (-mag, -mag): 5, (mag, -mag): 7}
+
+
+def _no_gauss_match(dim: int, re: int, im: int) -> NoGaussMatch:
+    return NoGaussMatch(f"Gauss sum {re}{im:+d}i does not match any eighth root at dim {dim}")
+
+
+def _match_gauss(dim: int, re: int, im: int) -> int:
+    """The unique k in Z8 with re + im*i = sqrt(2)^dim e^(2 pi i k/8)."""
+    k = _eighth_roots(dim).get((re, im))
     if k is None:
-        raise NoGaussMatch(
-            f"Gauss sum {re}{im:+d}i does not match any eighth root at dim {dim}"
-        )
+        raise _no_gauss_match(dim, re, im)
     return k
 
 
@@ -311,7 +317,11 @@ def _bk_gauss_table(form: Z2SymForm) -> bytes:
     diag = form.diagonal_mask()
     q0 = [(diag >> i) & 1 for i in range(form.dim)]
     re, im = kernels.gauss_sums(form.dim, q0, form.rows)
-    return bytes(_match_gauss(form.dim, r, i) for r, i in zip(re.tolist(), im.tolist()))
+    roots = _eighth_roots(form.dim)
+    try:
+        return bytes(map(roots.__getitem__, zip(re.tolist(), im.tolist())))
+    except KeyError as exc:
+        raise _no_gauss_match(form.dim, *exc.args[0]) from None
 
 
 def bk_classify(q: Z4Quadratic) -> Tuple[int, int, int, int]:

@@ -4,8 +4,8 @@ Every format starts with a keyword line; `#` begins a comment anywhere and
 blank lines are ignored.
 
     z2form <dim>        dim rows of dim 0/1 entries
-    z2q <dim>           form rows, then one row of dim values in {0,1}
-    z4q <dim>           form rows, then one row of dim values in {0,1,2,3}
+    z2q <dim>           z2form rows, then one row of dim values in {0,1}
+    z4q <dim>           z2form rows, then one row of dim values in {0,1,2,3}
     intform <dim>       dim rows of dim integers
     ratform <dim>       dim rows of dim rationals (p/q, ints, decimals)
     symcomplex <n>      one row of n+1 ranks, each in 0..256
@@ -18,6 +18,7 @@ blank lines are ignored.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 from .enhancements import Z2Quadratic, Z4Quadratic
@@ -41,6 +42,8 @@ __all__ = [
 
 # Largest |exponent| in a ratform decimal such as 1.5e-3, as int's digit limit bounds p and q
 EXPONENT_LIMIT = 4300
+
+_BITS = frozenset((0, 1))
 
 KINDS = ("z2form", "z2q", "z4q", "intform", "ratform", "symcomplex", "monodromy")
 
@@ -105,14 +108,22 @@ def _matrix_rows(lines: _Lines, nrows: int, ncols: int, what: str) -> List[List[
     return rows
 
 
+def _z2_rows(lines: _Lines, dim: int, label: str) -> List[List[int]]:
+    """The dim rows of a Z2 Gram matrix; an entry other than 0 or 1 is refused
+    at its line, never read mod 2."""
+    first = lines.pos  # each row is one line, so row k is lines.items[first + k]
+    rows = _matrix_rows(lines, dim, dim, f"{label} matrix")
+    if not _BITS.issuperset(chain.from_iterable(rows)):
+        bad = next(k for k, row in enumerate(rows) if not _BITS.issuperset(row))
+        lines.fail(lines.items[first + bad][0], f"{label} entries must be 0 or 1")
+    return rows
+
+
 def parse_z2form(text: str, path: Optional[str] = None) -> Z2SymForm:
     lines = _Lines(text, path)
     (dim,) = _header(lines, "z2form", 1)
-    rows = _matrix_rows(lines, dim, dim, "z2form matrix")
+    rows = _z2_rows(lines, dim, "z2form")
     lines.expect_done()
-    for (lineno, _), row in zip(lines.items[1:], rows):
-        if any(x not in (0, 1) for x in row):
-            lines.fail(lineno, "z2form entries must be 0 or 1")
     try:
         return Z2SymForm.from_matrix(rows)
     except ValueError as exc:
@@ -122,7 +133,7 @@ def parse_z2form(text: str, path: Optional[str] = None) -> Z2SymForm:
 def parse_z2q(text: str, path: Optional[str] = None) -> Z2Quadratic:
     lines = _Lines(text, path)
     (dim,) = _header(lines, "z2q", 1)
-    rows = _matrix_rows(lines, dim, dim, "z2q form matrix")
+    rows = _z2_rows(lines, dim, "z2q form")
     lineno, tokens = lines.take("row of z2q values")
     values = _ints(lines, lineno, tokens, dim, "z2q values")
     lines.expect_done()
@@ -137,7 +148,7 @@ def parse_z2q(text: str, path: Optional[str] = None) -> Z2Quadratic:
 def parse_z4q(text: str, path: Optional[str] = None) -> Z4Quadratic:
     lines = _Lines(text, path)
     (dim,) = _header(lines, "z4q", 1)
-    rows = _matrix_rows(lines, dim, dim, "z4q form matrix")
+    rows = _z2_rows(lines, dim, "z4q form")
     lineno, tokens = lines.take("row of z4q values")
     values = _ints(lines, lineno, tokens, dim, "z4q values")
     lines.expect_done()

@@ -7,7 +7,8 @@ van der Blij residues and mod-4 reductions, and the closed Wall form
 against the kernel pairing.  The two exhaustive suites compare two
 per-form tables over every enhancement of the form: the Gauss table of
 bk_gauss against the classification or Arf table, which is rebuilt from
-the splitting on every call.  The check counts and counterexamples are
+the splitting in every run (an Arf table once per distinct subquotient
+form W in the run).  The check counts and counterexamples are
 per enhancement, as if each had been checked on its own.  All randomness
 comes from the caller's SplitMix64 state, so failures reproduce from the
 seed alone.
@@ -106,13 +107,18 @@ def suite_bk_4arf(max_dim: int) -> SuiteResult:
                     f"{_values(enumerate_z2_enhancements(form), b)}",
                 )
             checked += len(gauss)
-    # BK(q) = 4 Arf(W) on the Wu subquotient, for every q with q(v) = 0
+    # BK(q) = 4 Arf(W) on the Wu subquotient, for every q with q(v) = 0.
+    # Many forms share a W: build each W's table once in this run, and
+    # never keep it for the next
+    arf_tables = {}
     for dim in range(0, max_dim + 1):
         for form in enumerate_nonsingular_forms(dim):
             w_form, indices = _subquotient_indices(form)
             if w_form is None:
                 continue
-            gauss, arf_w = _bk_gauss_table(form), _arf_table(w_form)
+            if w_form not in arf_tables:
+                arf_tables[w_form] = _arf_table(w_form)
+            gauss, arf_w = _bk_gauss_table(form), arf_tables[w_form]
             for d, index in enumerate(indices):
                 if index is None:
                     continue

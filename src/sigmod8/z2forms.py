@@ -9,18 +9,22 @@ nonsingular symmetric forms are
 
 and every nonsingular form splits (non-uniquely) as p*P + k*H.  One pass
 per form (_splitting) finds a splitting, decides nonsingularity and sums
-the P lines to the Wu class.
+the P lines to the Wu class.  enumerate_nonsingular_forms lists every
+nonsingular form of a small dim by bordering: one elimination per
+(dim - 1)-block gives its determinant and adjugate diagonal, from which
+each first row's determinant is one popcount.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce, wraps
 from operator import xor
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     AnisotropicInput,
     DegenerateRestriction,
+    DimTooLarge,
     SingularForm,
 )
 
@@ -96,6 +100,18 @@ class Z2SymForm:
             for j in range(i + 1, self.dim):
                 if (self.rows[i] >> j) & 1 != (self.rows[j] >> i) & 1:
                     raise ValueError("matrix is not symmetric")
+
+    @classmethod
+    def _trusted(cls, dim: int, rows: Tuple[int, ...]) -> "Z2SymForm":
+        """A form whose rows the caller built symmetric and within the dim.
+
+        Skips __post_init__; for enumeration, which builds its rows
+        symmetric.  Forms built directly are always validated.
+        """
+        form = object.__new__(cls)
+        object.__setattr__(form, "dim", dim)
+        object.__setattr__(form, "rows", rows)
+        return form
 
     @classmethod
     def from_matrix(cls, matrix: Sequence[Sequence[int]]) -> "Z2SymForm":
@@ -410,24 +426,81 @@ def witt_class_sym(form: Z2SymForm) -> int:
 
 
 
-def enumerate_nonsingular_forms(dim: int, isotropic_only: bool = False):
-    """Yield every nonsingular symmetric form of the given dimension.
+def _det_adjugate_diagonal(rows: Sequence[int], dim: int) -> Tuple[int, int]:
+    """(det A, the diagonal of adj A as a mask) of a symmetric matrix A over Z2.
 
-    There are 2^(dim(dim+1)/2) symmetric matrices to filter, so this is
-    meant for dim <= ENUMERATION_DIM_LIMIT.  With isotropic_only, restrict
-    to zero diagonal.
+    One elimination of [A | I], with the identity as tags.  At full rank
+    the row with pivot e_i carries row i of A^-1 = adj A in its tags.  At
+    corank 1, adj A has rank 1, its columns lie in ker A = <u> and it is
+    symmetric, so adj A = u u^T and its diagonal is u: the free column f
+    plus each pivot whose row holds f.  At corank 2 or more, adj A = 0.
     """
-    n_entries = dim * (dim + 1) // 2
-    positions = [(i, j) for i in range(dim) for j in range(i, dim)]
-    if isotropic_only:
-        positions = [(i, j) for (i, j) in positions if i != j]
-        n_entries = len(positions)
-    for bits in range(1 << n_entries):
-        rows = [0] * dim
-        for idx, (i, j) in enumerate(positions):
-            if (bits >> idx) & 1:
-                rows[i] |= 1 << j
-                if i != j:
-                    rows[j] |= 1 << i
-        if len(eliminate({}, rows)) == dim:
-            yield Z2SymForm(dim, tuple(rows))
+    echelon: Dict[int, int] = {}
+    eliminate(echelon, [r | 1 << (dim + i) for i, r in enumerate(rows)], dim)
+    corank = dim - len(echelon)
+    if corank == 0:
+        return 1, sum((row >> dim) & pivot for pivot, row in echelon.items())
+    if corank == 1:
+        free = ((1 << dim) - 1) & ~sum(echelon)
+        return 0, free | sum(pivot for pivot, row in echelon.items() if row & free)
+    return 0, 0
+
+
+def _border(first: int, block: Sequence[int]) -> Tuple[int, ...]:
+    """The rows of [[c, b^T], [b, A]] for the first row `first` = (c, b) and
+    the rows of A."""
+    return (first, *[(r << 1) | ((first >> i) & 1) for i, r in enumerate(block, 1)])
+
+
+def _symmetric_rows(dim: int, isotropic_only: bool) -> Iterator[Tuple[int, ...]]:
+    """Every symmetric matrix of the dim (zero diagonal with isotropic_only).
+
+    Candidate k has the upper-triangle entries (i, j), i <= j, row by row,
+    at its bits, the diagonal left out with isotropic_only.  Row 0's entries
+    come first, so k is the (dim - 1)-block's index above row 0's bits:
+    blocks outside, first rows inside, k in increasing order.
+    """
+    if dim == 0:
+        yield ()
+        return
+    firsts = range(0, 1 << dim, 2 if isotropic_only else 1)
+    for block in _symmetric_rows(dim - 1, isotropic_only):
+        for first in firsts:
+            yield _border(first, block)
+
+
+def enumerate_nonsingular_forms(dim: int, isotropic_only: bool = False) -> Iterator[Z2SymForm]:
+    """Every nonsingular symmetric form of the dim, as a generator.
+
+    With isotropic_only, only forms with zero diagonal.  The forms come in
+    the order of their candidate index (see _symmetric_rows).  A candidate
+    is M = [[c, b^T], [b, A]], bordered by row and column 0; over Z2,
+    det M = c det A + b^T adj(A) b = c det A + sum_i adj(A)_ii b_i, since
+    adj A is symmetric.  So each block A costs one elimination
+    (_det_adjugate_diagonal), and each first row (c, b) one AND and one
+    popcount.  There are 2^(dim(dim+1)/2) candidates: dim must lie in
+    0..ENUMERATION_DIM_LIMIT, or DimTooLarge is raised at the call.
+    """
+    if not 0 <= dim <= ENUMERATION_DIM_LIMIT:
+        raise DimTooLarge(
+            f"enumeration of forms needs dim in 0..{ENUMERATION_DIM_LIMIT}, got {dim}"
+        )
+    return _bordered_forms(dim, isotropic_only)
+
+
+def _bordered_forms(dim: int, isotropic_only: bool) -> Iterator[Z2SymForm]:
+    """The generator behind enumerate_nonsingular_forms, for a dim in range."""
+    if dim == 0:
+        yield Z2SymForm._trusted(0, ())
+        return
+    candidates = range(0, 1 << dim, 2 if isotropic_only else 1)
+    firsts: Dict[int, List[int]] = {}  # key -> the first rows r with r . key = 1
+    for block in _symmetric_rows(dim - 1, isotropic_only):
+        det, adj = _det_adjugate_diagonal(block, dim - 1)
+        key = det | adj << 1
+        if not key:
+            continue
+        if key not in firsts:
+            firsts[key] = [r for r in candidates if _parity(r & key)]
+        for first in firsts[key]:
+            yield Z2SymForm._trusted(dim, _border(first, block))

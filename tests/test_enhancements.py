@@ -303,6 +303,22 @@ def test_gauss_match_rejects_impossible_sums():
         _match_gauss(3, 2, 0)
 
 
+@pytest.mark.parametrize("dim", [5, 6])
+def test_gauss_table_rejects_one_off_root_sum(monkeypatch, dim):
+    """One transform entry off the eighth roots fails the whole table."""
+    real = kernels.gauss_sums
+
+    def off_root(dim, qdiag, rows):
+        re, im = real(dim, qdiag, rows)
+        re[3] += 1
+        return re, im
+
+    monkeypatch.setattr(kernels, "gauss_sums", off_root)
+    form = Z2SymForm(dim, tuple(1 << i for i in range(dim)))
+    with pytest.raises(NoGaussMatch, match=f"does not match any eighth root at dim {dim}"):
+        _bk_gauss_table.__wrapped__(form)  # past the cache, which may hold the true table
+
+
 def test_witt_relations_via_gauss():
     assert bk_gauss(sum_forms(q00(), q00())) == bk_gauss(sum_forms(q22(), q22()))
     assert bk_gauss(sum_forms(q22(), p1())) == bk_gauss(n_copies(pm1(), 3))

@@ -104,6 +104,25 @@ def test_parse_error_names_line_of_bad_z2form_entry():
     assert str(exc.value) == "bad.z2form:4: z2form entries must be 0 or 1"
 
 
+@pytest.mark.parametrize(
+    "kind, text, lineno",
+    [
+        ("z2q", "z2q 2\n0 3\n3 0\n1 1\n", 2),
+        ("z4q", "z4q 1\n5\n1\n", 2),
+        ("z2form", "z2form 2\n0 1\n1 -1\n", 3),
+        ("z4q", "z4q 2\n0 1\n-1 0\n0 0\n", 3),
+    ],
+)
+def test_cli_refuses_z2_entries_outside_0_1(tmp_path, kind, text, lineno):
+    """Form entries are refused at their line, never read mod 2."""
+    path = tmp_path / f"bad.{kind}"
+    path.write_text(text)
+    code, out = run_cli(["invariants", str(path), "--kind", kind])
+    assert code == 2, out
+    label = kind if kind == "z2form" else f"{kind} form"
+    assert f"bad.{kind}:{lineno}: {label} entries must be 0 or 1" in out
+
+
 def test_ratform_exponents(tmp_path):
     """Decimals and p/q parse; an exponent past +-4300 is a parse error with its
     line, refused before Fraction computes 10**exponent (hours for 1e999999999)."""
@@ -404,6 +423,31 @@ def test_bk_4arf_detects_wrong_arf_table_subquotient_half(monkeypatch):
     assert not result.passed
     assert result.checked == sum(1 << f.dim for f in isotropic)
     assert result.counterexample == "form rows (), values ()"
+
+
+def test_bk_4arf_builds_each_subquotient_table_once_per_run(monkeypatch):
+    """The doubled half builds one table per isotropic form, the subquotient
+    half one per distinct W; a second run builds them all again."""
+    from sigmod8 import selfcheck as sc
+    from sigmod8.enhancements import _subquotient_indices
+    from sigmod8.z2forms import enumerate_nonsingular_forms
+
+    real = sc._arf_table
+    calls = []
+    monkeypatch.setattr(sc, "_arf_table", lambda form: calls.append(form) or real(form))
+    isotropic = [f for dim in (0, 2, 4)
+                 for f in enumerate_nonsingular_forms(dim, isotropic_only=True)]
+    w_forms = {_subquotient_indices(f)[0] for dim in range(5)
+               for f in enumerate_nonsingular_forms(dim)} - {None}
+    assert len(w_forms) == 30
+    assert sc.suite_bk_4arf(4).passed
+    first = list(calls)
+    assert first[:len(isotropic)] == isotropic
+    subquotient = first[len(isotropic):]
+    assert len(subquotient) == len(set(subquotient)) == 30
+    assert set(subquotient) == w_forms
+    assert sc.suite_bk_4arf(4).passed
+    assert calls[len(first):] == first
 
 
 def _brute_selfcheck_counts(max_dim):

@@ -1,9 +1,12 @@
 """Structure theory of Z2 symmetric forms: oracles first, then invariants."""
+from itertools import permutations
+
 import pytest
 
-from sigmod8.errors import AnisotropicInput, DegenerateRestriction, SingularForm
+from sigmod8.errors import AnisotropicInput, DegenerateRestriction, DimTooLarge, SingularForm
 from sigmod8.rng import SplitMix64
 from sigmod8.z2forms import (
+    ENUMERATION_DIM_LIMIT,
     H_FORM,
     P_FORM,
     Z2SymForm,
@@ -426,8 +429,9 @@ def _brute_span(vectors):
     return span
 
 
-def _all_symmetric(dim):
-    positions = [(i, j) for i in range(dim) for j in range(i, dim)]
+def _all_symmetric(dim, isotropic_only=False):
+    """Every symmetric matrix, in the order of its upper-triangle bits."""
+    positions = [(i, j) for i in range(dim) for j in range(i + isotropic_only, dim)]
     for bits in range(1 << len(positions)):
         rows = [0] * dim
         for idx, (i, j) in enumerate(positions):
@@ -488,3 +492,55 @@ def test_rref_basis_canonical_against_brute_force():
         sub = Z2Subspace(dim, basis)
         for x in range(1 << dim):
             assert sub.contains(Z2Vec(dim, x)) == (x in span)
+
+
+# ------------------------------------------------ bordered enumeration, brute force
+
+def _radical_is_zero(rows):
+    """No x != 0 with M x = 0, found by trying every x: images[x] is M x."""
+    images = [0]
+    for r in rows:
+        images += [m ^ r for m in images]
+    return images.count(0) == 1
+
+
+@pytest.mark.parametrize(
+    "dim, isotropic_only",
+    [(d, False) for d in range(6)] + [(d, True) for d in (0, 2, 4)],
+)
+def test_enumeration_is_the_brute_force_filter_in_order(dim, isotropic_only):
+    """The same forms as filtering every candidate, in the same order."""
+    expected = [tuple(rows) for rows in _all_symmetric(dim, isotropic_only)
+                if _radical_is_zero(rows)]
+    got = [f.rows for f in enumerate_nonsingular_forms(dim, isotropic_only)]
+    assert got == expected
+
+
+def _det_brute(matrix):
+    """The determinant over Z2: the parity of the permutations whose entries are all 1."""
+    n = len(matrix)
+    return sum(all(matrix[i][p[i]] for i in range(n)) for p in permutations(range(n))) & 1
+
+
+def test_det_adjugate_diagonal_against_cofactors():
+    """(det A, diagonal of adj A) for every symmetric A of dim <= 4: coranks 0, 1 and >= 2."""
+    from sigmod8.z2forms import _det_adjugate_diagonal
+
+    seen = set()
+    for dim in range(5):
+        for rows in _all_symmetric(dim):
+            matrix = Z2SymForm(dim, tuple(rows)).matrix
+            det = _det_brute(matrix)
+            adj = sum(_det_brute([[matrix[r][c] for c in range(dim) if c != i]
+                                  for r in range(dim) if r != i]) << i
+                      for i in range(dim))
+            assert _det_adjugate_diagonal(rows, dim) == (det, adj), rows
+            seen.add((det, bool(adj)))
+    assert seen == {(1, True), (1, False), (0, True), (0, False)}
+
+
+@pytest.mark.parametrize("dim", [ENUMERATION_DIM_LIMIT + 1, -1])
+def test_enumeration_refuses_dims_outside_the_limit_at_the_call(dim):
+    """Raised by the call itself, before any candidate is built."""
+    with pytest.raises(DimTooLarge, match=r"dim in 0\.\.6"):
+        enumerate_nonsingular_forms(dim)
