@@ -34,7 +34,8 @@ for the selfcheck suites that compare the two routes over every
 enhancement: _bk_classify_table (4n + p_plus - p_minus of each
 enhancement) and _arf_table (Arf of each Z2 enhancement of an isotropic
 form).  Enhancement d differs from enhancement 0 by 2*(d . x), so both
-evaluate enhancement 0 once on each split vector and flip the values by
+build enhancement 0 directly (_q0: q0(e_i) = lambda(e_i, e_i); h = 0
+over Z2), evaluate it once on each split vector and flip the values by
 the parity of d . s; they read nothing from the Gauss route.  Neither
 function caches: the bk-4arf suite keeps each subquotient form's Arf
 table for one run only, so every selfcheck run computes the
@@ -314,9 +315,7 @@ def _bk_gauss_table(form: Z2SymForm) -> bytes:
     Entry d belongs to the enhancement with values diag_i + 2*d_i, whose
     Gauss sum is entry d of the transform of i^q0, q0 having values diag_i.
     """
-    diag = form.diagonal_mask()
-    q0 = [(diag >> i) & 1 for i in range(form.dim)]
-    re, im = kernels.gauss_sums(form.dim, q0, form.rows)
+    re, im = kernels.gauss_sums(form.dim, _q0(form).values, form.rows)
     roots = _eighth_roots(form.dim)
     try:
         return bytes(map(roots.__getitem__, zip(re.tolist(), im.tolist())))
@@ -439,13 +438,18 @@ def _subquotient_basis(form: Z2SymForm) -> Tuple[Tuple[int, ...], Z2SymForm]:
     return tuple(reps), Z2SymForm(len(reps), tuple(gram))
 
 
+def _q0(form: Z2SymForm) -> Z4Quadratic:
+    """Enhancement 0 of enumerate_z4_enhancements: q0(e_i) = lambda(e_i, e_i)."""
+    diag = form.diagonal_mask()
+    return Z4Quadratic._trusted(form, tuple([(diag >> i) & 1 for i in range(form.dim)]))
+
+
 def enumerate_z4_enhancements(form: Z2SymForm) -> Iterator[Z4Quadratic]:
     """All 2^dim quadratic enhancements q with jq = diagonal of the form.
 
     Enhancement d has values diag_i + 2*d_i, valid by construction.
     """
-    diag = form.diagonal_mask()
-    base = [((diag >> i) & 1) for i in range(form.dim)]
+    base = _q0(form).values
     for bits in range(1 << form.dim):
         vals = tuple(base[i] + 2 * ((bits >> i) & 1) for i in range(form.dim))
         yield Z4Quadratic._trusted(form, vals)
@@ -464,7 +468,10 @@ def _flip_coordinates(dim: int, vectors: Sequence[int]) -> List[int]:
     """For every d in Z2^dim, the mask whose bit k is d . vectors[k]."""
     coords = [0]
     for i in range(dim):
-        col = sum(((s >> i) & 1) << k for k, s in enumerate(vectors))
+        col = 0  # bit k is coordinate i of vectors[k]
+        for k, s in enumerate(vectors):
+            if (s >> i) & 1:
+                col |= 1 << k
         coords += [c ^ col for c in coords]
     return coords
 
@@ -480,12 +487,13 @@ def _split_table(q0: _Enhancement, pair_weight: int, modulus: int) -> bytes:
     patterns t (bit k for split vector k) and then read at t(d).
     """
     aniso, pairs = split_vectors(q0.form)
+    value, cross = q0.evaluate_mask, q0.CROSS
     table = [0]
     for s in aniso:  # lines exist over Z4 only, where q0(s) is 1 or 3
-        sign = 1 - 2 * (q0.evaluate_mask(s) // q0.CROSS)
+        sign = 1 - 2 * (value(s) // cross)
         table = [x + sign for x in table] + [x - sign for x in table]
     for e, f in pairs:
-        be, bf = q0.evaluate_mask(e) // q0.CROSS, q0.evaluate_mask(f) // q0.CROSS
+        be, bf = value(e) // cross, value(f) // cross
         weights = [pair_weight * ((be ^ te) & (bf ^ tf)) for tf in (0, 1) for te in (0, 1)]
         table = [x + w for w in weights for x in table]
     split = list(aniso) + [s for pair in pairs for s in pair]
@@ -498,15 +506,18 @@ def _bk_classify_table(form: Z2SymForm) -> bytes:
     The residue bk_classify reads off split_vectors, indexed like
     enumerate_z4_enhancements and _bk_gauss_table.  Not cached.
     """
-    return _split_table(next(enumerate_z4_enhancements(form)), 4, 8)
+    return _split_table(_q0(form), 4, 8)
 
 
 def _arf_table(form: Z2SymForm) -> bytes:
     """Arf invariant of every Z2 enhancement of an isotropic nonsingular form.
 
-    Indexed like enumerate_z2_enhancements.  Not cached.
+    Indexed like enumerate_z2_enhancements, whose enhancement 0 is h = 0.
+    Not cached.
     """
-    return _split_table(next(enumerate_z2_enhancements(form)), 1, 2)
+    if not form.is_isotropic():
+        raise AnisotropicInput("Z2 enhancements require an isotropic form")
+    return _split_table(Z2Quadratic._trusted(form, (0,) * form.dim), 1, 2)
 
 
 def _subquotient_indices(
@@ -520,7 +531,7 @@ def _subquotient_indices(
     when no enhancement has q_d(v) = 0.  Not cached.
     """
     v = wu_class(form).mask
-    q0 = next(enumerate_z4_enhancements(form))
+    q0 = _q0(form)
     qv = q0.evaluate_mask(v)
     if qv & 1:  # q_d(v) = q0(v) + 2(d . v) is odd for every d
         return None, [None] * (1 << form.dim)

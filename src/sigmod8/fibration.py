@@ -126,7 +126,8 @@ class SymplecticMatrix:
     def _trusted(cls, h: int, entries: Matrix) -> "SymplecticMatrix":
         """A matrix symplectic by construction: no M^T J M check.
 
-        Only for products and inverses of matrices that were checked.
+        Only for products and inverses of matrices that were checked, and
+        for products of transvections (random_transvection_word).
         """
         m = object.__new__(cls)
         object.__setattr__(m, "h", h)
@@ -461,7 +462,7 @@ def random_transvection_word(h: int, max_len: int, rng, doubled: bool = False) -
     the level-4 congruence subgroup (each factor is I mod 4).
     """
     n = 2 * h
-    word = SymplecticMatrix(h, _identity(n))
+    rows = [list(row) for row in _identity(n)]
     length = rng.randint(1, max_len)
     for _ in range(length):
         c = [rng.randint(-1, 1) for _ in range(n)]
@@ -469,8 +470,14 @@ def random_transvection_word(h: int, max_len: int, rng, doubled: bool = False) -
             c[rng.randrange(n)] = 1
         if doubled:
             c = [2 * x for x in c]
-        word = word @ transvection(c)
-    return word
+        jc = c[h:] + [-x for x in c[:h]]  # J c, as in _j_times
+        # W T = W (I + (J c) c^T) = W + (W J c) c^T: a rank-one update
+        for k, row in enumerate(rows):
+            u = sum(map(mul, row, jc))
+            if u:
+                rows[k] = [x + u * y for x, y in zip(row, c)]
+    # each factor is symplectic since c^T J c = 0, so the word is too
+    return SymplecticMatrix._trusted(h, tuple([tuple(row) for row in rows]))
 
 
 def random_monodromy(h: int, rng, max_len: int = 6, doubled: bool = False) -> MonodromyData:

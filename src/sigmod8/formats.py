@@ -84,13 +84,15 @@ class _Lines:
 def _ints(lines: _Lines, lineno: int, tokens: Sequence[str], count: int, what: str) -> List[int]:
     if len(tokens) != count:
         lines.fail(lineno, f"expected {count} entries for {what}, got {len(tokens)}")
-    out = []
-    for tok in tokens:
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        pass
+    for tok in tokens:  # name the first token int() refuses
         try:
-            out.append(int(tok))
+            int(tok)
         except ValueError:
             lines.fail(lineno, f"expected an integer for {what}, got {tok!r}")
-    return out
 
 
 def _header(lines: _Lines, keyword: str, argc: int) -> List[int]:

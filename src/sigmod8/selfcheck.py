@@ -8,10 +8,13 @@ against the kernel pairing.  The two exhaustive suites compare two
 per-form tables over every enhancement of the form: the Gauss table of
 bk_gauss against the classification or Arf table, which is rebuilt from
 the splitting in every run (an Arf table once per distinct subquotient
-form W in the run).  The check counts and counterexamples are
-per enhancement, as if each had been checked on its own.  All randomness
-comes from the caller's SplitMix64 state, so failures reproduce from the
-seed alone.
+form W in the run).  On the Wu subquotient half, each form gets one
+expected table, 4 Arf(W) where q(v) = 0 and the Gauss entry elsewhere,
+compared with the Gauss table in one step.  The check counts and
+counterexamples are per enhancement, as if each had been checked on its
+own.  The Wall suite's random symplectic words are built by rank-one
+updates (fibration.random_transvection_word).  All randomness comes from
+the caller's SplitMix64 state, so failures reproduce from the seed alone.
 """
 from __future__ import annotations
 
@@ -68,6 +71,11 @@ def _first_mismatch(expected: bytes, got: bytes) -> Optional[int]:
     return next(diffs, min(len(expected), len(got)))
 
 
+def _four_arf(form) -> bytes:
+    """4 Arf mod 8 of every Z2 enhancement of an isotropic form."""
+    return bytes([4 * a % 8 for a in _arf_table(form)])
+
+
 def _values(enhancements, index: int):
     """Values of the enhancement at `index` of an enumeration."""
     return next(islice(enhancements, index, None)).values
@@ -97,7 +105,7 @@ def suite_bk_4arf(max_dim: int) -> SuiteResult:
     for dim in range(0, max_dim + 1, 2):
         for form in enumerate_nonsingular_forms(dim, isotropic_only=True):
             gauss = _bk_gauss_table(form)
-            b = _first_mismatch(gauss, bytes([4 * a % 8 for a in _arf_table(form)]))
+            b = _first_mismatch(gauss, _four_arf(form))
             if b is not None:
                 return SuiteResult(
                     "bk-4arf",
@@ -109,28 +117,30 @@ def suite_bk_4arf(max_dim: int) -> SuiteResult:
             checked += len(gauss)
     # BK(q) = 4 Arf(W) on the Wu subquotient, for every q with q(v) = 0.
     # Many forms share a W: build each W's table once in this run, and
-    # never keep it for the next
-    arf_tables = {}
+    # never keep it for the next.  The expected table holds 4 Arf(W) at the
+    # indexed entries and copies the Gauss entry elsewhere
+    four_arf_tables = {}
     for dim in range(0, max_dim + 1):
         for form in enumerate_nonsingular_forms(dim):
             w_form, indices = _subquotient_indices(form)
             if w_form is None:
                 continue
-            if w_form not in arf_tables:
-                arf_tables[w_form] = _arf_table(w_form)
-            gauss, arf_w = _bk_gauss_table(form), arf_tables[w_form]
-            for d, index in enumerate(indices):
-                if index is None:
-                    continue
-                if gauss[d] != 4 * arf_w[index] % 8:
-                    return SuiteResult(
-                        "bk-4arf",
-                        False,
-                        checked,
-                        f"form rows {form.rows}, values "
-                        f"{_values(enumerate_z4_enhancements(form), d)}",
-                    )
-                checked += 1
+            if w_form not in four_arf_tables:
+                four_arf_tables[w_form] = _four_arf(w_form)
+            gauss, four_arf = _bk_gauss_table(form), four_arf_tables[w_form]
+            expected = bytes(
+                [g if index is None else four_arf[index] for g, index in zip(gauss, indices)]
+            )
+            d = _first_mismatch(expected, gauss)
+            if d is not None:
+                return SuiteResult(
+                    "bk-4arf",
+                    False,
+                    checked + d - indices[:d].count(None),
+                    f"form rows {form.rows}, values "
+                    f"{_values(enumerate_z4_enhancements(form), d)}",
+                )
+            checked += len(indices) - indices.count(None)
     return SuiteResult("bk-4arf", True, checked)
 
 

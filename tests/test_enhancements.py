@@ -10,6 +10,7 @@ from sigmod8.enhancements import (
     _arf_table,
     _bk_classify_table,
     _bk_gauss_table,
+    _flip_coordinates,
     _match_gauss,
     _subquotient_basis,
     _subquotient_indices,
@@ -357,6 +358,21 @@ def test_classify_table_matches_bk_classify():
     assert not hasattr(_bk_classify_table, "cache_info")
     assert not hasattr(_arf_table, "cache_info")
     assert _bk_classify_table(forms[-1]) is not _bk_classify_table(forms[-1])
+
+
+def test_flip_coordinates_brute_force():
+    """Bit k of coords[d] is the parity of d & vectors[k], for any number of
+    vectors (more than dim too)."""
+    rng = SplitMix64(47)
+    for dim in range(7):
+        for count in (0, 1, dim, dim + 1, dim + 3, 2 * dim + 5):
+            for _ in range(3):
+                vectors = [rng.randrange(1 << dim) for _ in range(count)]
+                coords = _flip_coordinates(dim, vectors)
+                assert len(coords) == 1 << dim
+                for d, mask in enumerate(coords):
+                    assert mask == sum((d & s).bit_count() % 2 << k
+                                       for k, s in enumerate(vectors)), (dim, vectors, d)
 
 
 def test_arf_table_matches_arf():

@@ -110,6 +110,33 @@ def test_transvection_zero_vector():
         transvection([1, 0, 0])
 
 
+def _reference_word(h, max_len, rng, doubled):
+    """random_transvection_word by the validated transvection(c) and @,
+    drawing from the SplitMix64 state in the same order."""
+    n = 2 * h
+    word = SymplecticMatrix(h, fib._identity(n))
+    for _ in range(rng.randint(1, max_len)):
+        c = [rng.randint(-1, 1) for _ in range(n)]
+        if not any(c):
+            c[rng.randrange(n)] = 1
+        if doubled:
+            c = [2 * x for x in c]
+        word = word @ transvection(c)
+    return word
+
+
+@pytest.mark.parametrize("doubled", [False, True], ids=["plain", "doubled"])
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_transvection_word_matches_validated_products(h, doubled):
+    """The rank-one updates give the product of the checked transvections."""
+    for seed in range(50):
+        word = random_transvection_word(h, 6, SplitMix64(seed), doubled)
+        reference = _reference_word(h, 6, SplitMix64(seed), doubled)
+        assert word.entries == reference.entries, (h, doubled, seed)
+        assert is_symplectic(word.entries)
+        assert not doubled or word.is_identity_mod(4)
+
+
 # --------------------------------------------------------------- is_symplectic
 
 def test_is_symplectic_examples():

@@ -123,6 +123,78 @@ def test_cli_refuses_z2_entries_outside_0_1(tmp_path, kind, text, lineno):
     assert f"bad.{kind}:{lineno}: {label} entries must be 0 or 1" in out
 
 
+@pytest.mark.parametrize(
+    "text, lineno, what, token",
+    [
+        ("z4q 2\n0 1\n1 0x\n0 2\n", 3, "z4q form matrix", "0x"),
+        ("z4q 2\n0 1\n1 0\n0 2.0\n", 4, "z4q values", "2.0"),
+        ("z4q 2\n0 1\n1 0\ny 1e3\n", 4, "z4q values", "y"),
+        ("z4q x\n", 1, "z4q header arguments", "x"),
+    ],
+)
+def test_cli_names_first_token_that_is_not_an_integer(tmp_path, text, lineno, what, token):
+    path = tmp_path / "bad.z4q"
+    path.write_text(text)
+    code, out = run_cli(["invariants", str(path), "--kind", "z4q"])
+    assert code == 2
+    assert out == f"parse error: {path}:{lineno}: expected an integer for {what}, got {token!r}\n"
+
+
+SAMPLES = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "samples")
+FUZZ_TOKENS = ("-1", "2", "x", "1/0", "3/2", str(10**12))
+
+
+def _mutate(text, rng):
+    """One seeded mutation: a token replaced or appended, a line dropped or
+    duplicated, the text truncated, or a NUL, tab or `#` inserted."""
+    lines = text.splitlines()
+    i = rng.randrange(len(lines))
+    op = rng.randrange(6)
+    if op == 0:
+        tokens = lines[i].split() or [""]
+        tokens[rng.randrange(len(tokens))] = rng.choice(FUZZ_TOKENS)
+        lines[i] = " ".join(tokens)
+    elif op == 1:
+        del lines[i]
+    elif op == 2:
+        lines.insert(i, lines[i])
+    elif op == 3:
+        lines[i] += " " + rng.choice(FUZZ_TOKENS)
+    body = "\n".join(lines) + "\n"
+    pos = rng.randrange(len(body) + 1)
+    if op == 4:
+        return body[:pos]
+    if op == 5:
+        return body[:pos] + rng.choice(("\0", "\t", "#")) + body[pos:]
+    return body
+
+
+def test_fuzzed_samples_exit_0_2_or_3(tmp_path):
+    """Mutated sample files, and a ratform (no sample has that kind), exit
+    0, 2 or 3, never with a traceback."""
+    from sigmod8.rng import SplitMix64
+
+    sources = []
+    for name in sorted(os.listdir(SAMPLES)):
+        with open(os.path.join(SAMPLES, name), encoding="utf-8") as fh:
+            sources.append((name, fh.read()))
+    sources.append(("fuzz.ratform", "ratform 3\n1/2 0 1\n0 -3/4 2.5\n1 2.5 1e2\n"))
+    assert {name.rsplit(".", 1)[1] for name, _ in sources} == set(formats.KINDS)
+    rng = SplitMix64(2024)
+    codes = []
+    for name, text in sources:
+        kind = name.rsplit(".", 1)[1]
+        path = tmp_path / name
+        argv = ["bundle", str(path)] if kind == "monodromy" else [
+            "invariants", str(path), "--kind", kind]
+        for _ in range(120):
+            path.write_text(_mutate(text, rng), encoding="utf-8")
+            code, out = run_cli(argv)
+            assert code in (0, 2, 3), (name, path.read_text(encoding="utf-8"), out)
+            codes.append(code)
+    assert {0, 2, 3} <= set(codes)
+
+
 def test_ratform_exponents(tmp_path):
     """Decimals and p/q parse; an exponent past +-4300 is a parse error with its
     line, refused before Fraction computes 10**exponent (hours for 1e999999999)."""
@@ -423,6 +495,43 @@ def test_bk_4arf_detects_wrong_arf_table_subquotient_half(monkeypatch):
     assert not result.passed
     assert result.checked == sum(1 << f.dim for f in isotropic)
     assert result.counterexample == "form rows (), values ()"
+
+
+def test_bk_4arf_subquotient_failure_counts_indexed_entries(monkeypatch):
+    """A wrong Gauss entry at d > 0 of a dim-4 form: `checked` counts only
+    the enhancements with q(v) = 0 before it, not d."""
+    from sigmod8 import selfcheck as sc
+    from sigmod8.enhancements import _subquotient_indices, enumerate_z4_enhancements
+    from sigmod8.z2forms import enumerate_nonsingular_forms
+
+    forms = [f for dim in range(5) for f in enumerate_nonsingular_forms(dim)]
+    for at, target in enumerate(forms):  # an indexed entry d right after an unindexed one
+        indices = _subquotient_indices(target)[1]
+        after_none = [d for d in range(1, len(indices))
+                      if indices[d] is not None and indices[d - 1] is None]
+        if target.dim == 4 and after_none:
+            break
+    d = after_none[0]
+    real = sc._bk_gauss_table
+
+    def wrong(form):
+        table = bytearray(real(form))
+        if form == target:
+            table[d] = (table[d] + 4) % 8
+        return bytes(table)
+
+    monkeypatch.setattr(sc, "_bk_gauss_table", wrong)
+    doubled = sum(1 << f.dim for dim in (0, 2, 4)
+                  for f in enumerate_nonsingular_forms(dim, isotropic_only=True))
+    before = sum(len(ix) - ix.count(None)
+                 for ix in (_subquotient_indices(f)[1] for f in forms[:at]))
+    result = sc.suite_bk_4arf(4)
+    assert not result.passed
+    indexed_before_d = sum(index is not None for index in indices[:d])
+    assert 0 < indexed_before_d < d - 1
+    assert result.checked == doubled + before + indexed_before_d
+    values = list(enumerate_z4_enhancements(target))[d].values
+    assert result.counterexample == f"form rows {target.rows}, values {values}"
 
 
 def test_bk_4arf_builds_each_subquotient_table_once_per_run(monkeypatch):
