@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument(
         "--kind",
         required=True,
-        choices=["z2form", "z4q", "z2q", "intform", "ratform", "symcomplex"],
+        choices=list(_REPORTS),
     )
 
     p_bun = sub.add_parser("bundle", help="signature report for monodromy data")

@@ -14,7 +14,8 @@ the Z8-valued Brown-Kervaire invariant, computed here two independent ways:
 
 The bridge between the two theories is the Wu sublagrangian L = <v>: when
 q(v) = 0 in Z4 the subquotient (L_perp/L, [lambda], [q]/2) carries a
-Z2-enhancement whose Arf invariant satisfies BK = 4*Arf.
+Z2-enhancement whose Arf invariant satisfies BK = 4*Arf.  wu_sublagrangian
+and isotropic_subquotient share the check that q(v) = 0.
 
 Work that depends only on the form is done once per form.  For dim <= 6
 (ENUMERATION_DIM_LIMIT, the range enumerate_nonsingular_forms is meant
@@ -70,7 +71,6 @@ from .z2forms import (
     _restrict,
     eliminate,
     is_nonsingular,
-    rref_basis,
     small_form_cache,
     solve,
     split_vectors,
@@ -84,7 +84,6 @@ __all__ = [
     "arf",
     "bk_gauss",
     "bk_classify",
-    "witt_class_z4",
     "double",
     "difference_vector",
     "wu_sublagrangian",
@@ -144,6 +143,10 @@ class _Enhancement:
             raise ValueError("dimension mismatch")
         return self.evaluate_mask(x.mask)
 
+    def direct_sum(self, other):
+        """The enhancement of the same type on the orthogonal sum of the forms."""
+        return type(self)(self.form.direct_sum(other.form), self.values + other.values)
+
 
 @dataclass(frozen=True)
 class Z2Quadratic(_Enhancement):
@@ -162,9 +165,6 @@ class Z2Quadratic(_Enhancement):
             raise ValueError("values must lie in Z2")
         if not self.form.is_isotropic():
             raise AnisotropicInput("Z2 enhancements require an isotropic form")
-
-    def direct_sum(self, other: "Z2Quadratic") -> "Z2Quadratic":
-        return Z2Quadratic(self.form.direct_sum(other.form), self.values + other.values)
 
 
 @dataclass(frozen=True)
@@ -212,9 +212,6 @@ class Z4Quadratic(_Enhancement):
                     f"table is not quadratic over the form at x = {x:#b}"
                 )
         return q
-
-    def direct_sum(self, other: "Z4Quadratic") -> "Z4Quadratic":
-        return Z4Quadratic(self.form.direct_sum(other.form), self.values + other.values)
 
     def negate(self) -> "Z4Quadratic":
         """-q, an enhancement of the same form (over Z2, -lambda = lambda)."""
@@ -341,11 +338,6 @@ def bk_classify(q: Z4Quadratic) -> Tuple[int, int, int, int]:
     return m, n, p_plus, p_minus
 
 
-def witt_class_z4(q: Z4Quadratic) -> WittClassZ8:
-    m, n, p_plus, p_minus = bk_classify(q)
-    return WittClassZ8((4 * n + p_plus - p_minus) % 8)
-
-
 def double(h: Z2Quadratic) -> Z4Quadratic:
     """q = 2h; satisfies BK(2h) = 4*Arf(h) in Z8."""
     # h's form is isotropic, so the even values 2h(e_i) have the right parity
@@ -374,14 +366,18 @@ def difference_vector(q: Z4Quadratic, qprime: Z4Quadratic) -> Tuple[Z2Vec, int]:
     return Z2Vec(form.dim, t), delta
 
 
-def wu_sublagrangian(q: Z4Quadratic) -> Z2Subspace:
-    """L = <v> for the Wu class v; defined iff q(v) = 0 in Z4."""
-    form = q.form
-    v = wu_class(form)
+def _isotropic_wu_class(q: Z4Quadratic) -> Z2Vec:
+    """The Wu class v of q's form; NotDivisibleBy4 unless q(v) = 0 in Z4."""
+    v = wu_class(q.form)
     qv = q.evaluate(v)
     if qv != 0:
         raise NotDivisibleBy4(f"q(v) = {qv} in Z4; BK is not divisible by 4")
-    return Z2Subspace(form.dim, rref_basis([v.mask], form.dim))
+    return v
+
+
+def wu_sublagrangian(q: Z4Quadratic) -> Z2Subspace:
+    """L = <v> for the Wu class v; defined iff q(v) = 0 in Z4."""
+    return Z2Subspace(q.dim, (_isotropic_wu_class(q).mask,))
 
 
 def isotropic_subquotient(q: Z4Quadratic) -> Z2Quadratic:
@@ -389,12 +385,8 @@ def isotropic_subquotient(q: Z4Quadratic) -> Z2Quadratic:
 
     Requires q(v) = 0 in Z4; then BK(q) = 4*Arf of the result.
     """
-    form = q.form
-    v = wu_class(form)
-    qv = q.evaluate(v)
-    if qv != 0:
-        raise NotDivisibleBy4(f"q(v) = {qv} in Z4; BK is not divisible by 4")
-    reps, w_form = _subquotient_basis(form)
+    _isotropic_wu_class(q)
+    reps, w_form = _subquotient_basis(q.form)
     values = []
     for b in reps:
         qb = q.evaluate_mask(b)

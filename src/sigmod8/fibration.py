@@ -12,9 +12,10 @@ identity.  Two computations are provided:
 
 * the signature of the local coefficient system itself, computed from the
   twisted cohomology of the base surface group: the cup-product pairing on
-  H^1(pi_1(B); Z^{2h}) composed with the symplectic form of the fibre.
-  This is the invariant the multiplicativity theorems constrain: it is
-  divisible by 4 (Meyer) and by 8 when the action is trivial mod 4.
+  H^1(pi_1(B); Z^{2h}) composed with the symplectic form of the fibre
+  (local_system_signature).  This is the invariant the multiplicativity
+  theorems constrain: it is divisible by 4 (Meyer) and by 8 when the
+  action is trivial mod 4.
 
 Both pairings are evaluated as integer Gram matrices on a primitive
 integral basis of a kernel (the cocycle space, or ker[(1-f) | (1-g)]).
@@ -58,7 +59,6 @@ __all__ = [
     "wall_form_closed",
     "wall_form_general",
     "handle_signatures",
-    "bundle_signature",
     "local_system_signature",
     "z4_trivial_check",
     "z2_trivial_check",
@@ -334,14 +334,9 @@ def _int_form_signature(gram: Sequence[Sequence[int]], asymmetric: str) -> Tuple
     return form, signature_exact(form)
 
 
-def _handle_wall_form(f: SymplecticMatrix, g: SymplecticMatrix) -> Tuple[IntSymForm, int]:
-    """Wall form and signature of one handle: (f, g f^{-1} g^{-1})."""
-    return wall_form_general(f, g @ f.inverse() @ g.inverse())
-
-
 def handle_signatures(m: MonodromyData) -> List[int]:
     """sigma of the Wall form of (f_i, g_i f_i^{-1} g_i^{-1}) per handle."""
-    return [_handle_wall_form(f, g)[1] for f, g in m.pairs]
+    return [wall_form_general(f, g @ f.inverse() @ g.inverse())[1] for f, g in m.pairs]
 
 
 def _cup_gram(m: MonodromyData) -> Tuple[List[Tuple[int, ...]], List[List[int]]]:
@@ -406,16 +401,6 @@ def local_system_signature(m: MonodromyData) -> int:
     return _int_form_signature(gram, "cup pairing is not symmetric on cocycles")[1]
 
 
-def bundle_signature(m: MonodromyData) -> int:
-    """Signature of the total space of the local coefficient system.
-
-    Computed from the twisted cohomology of the base surface group; the
-    result is divisible by 4 for every valid monodromy and by 8 whenever
-    the action is trivial mod 4.
-    """
-    return local_system_signature(m)
-
-
 def z4_trivial_check(m: MonodromyData) -> bool:
     """True iff every f_i, g_i is congruent to the identity mod 4."""
     return all(
@@ -432,9 +417,8 @@ def z2_trivial_check(m: MonodromyData) -> bool:
 
 @dataclass(frozen=True)
 class BundleReport:
-    """Per-handle Wall data plus the local-system signature."""
+    """Per-handle Wall signatures plus the local-system signature."""
 
-    handle_forms: Tuple[IntSymForm, ...]
     handle_signatures: Tuple[int, ...]
     handle_sum: int
     total: int
@@ -443,10 +427,8 @@ class BundleReport:
 
 
 def bundle_report(m: MonodromyData) -> BundleReport:
-    handles = [_handle_wall_form(f, g) for f, g in m.pairs]
-    sigs = tuple([sig for _, sig in handles])
+    sigs = tuple(handle_signatures(m))
     return BundleReport(
-        handle_forms=tuple([form for form, _ in handles]),
         handle_signatures=sigs,
         handle_sum=sum(sigs),
         total=local_system_signature(m),

@@ -1,7 +1,10 @@
 """Line-oriented text formats for forms, enhancements, complexes, monodromy.
 
-Every format starts with a keyword line; `#` begins a comment anywhere and
-blank lines are ignored.
+Every format starts with a keyword line whose sizes must be >= 0; `#`
+begins a comment anywhere and blank lines are ignored.  `load` reads any
+kind through one parser table, whose keys are KINDS; z2q and z4q share
+one parser.  A constructor's ValueError becomes a ParseError naming the
+file.
 
     z2form <dim>        dim rows of dim 0/1 entries
     z2q <dim>           z2form rows, then one row of dim values in {0,1}
@@ -44,8 +47,6 @@ __all__ = [
 EXPONENT_LIMIT = 4300
 
 _BITS = frozenset((0, 1))
-
-KINDS = ("z2form", "z2q", "z4q", "intform", "ratform", "symcomplex", "monodromy")
 
 
 class _Lines:
@@ -99,7 +100,10 @@ def _header(lines: _Lines, keyword: str, argc: int) -> List[int]:
     lineno, tokens = lines.take(f"`{keyword}` header")
     if tokens[0] != keyword:
         lines.fail(lineno, f"expected keyword {keyword!r}, got {tokens[0]!r}")
-    return _ints(lines, lineno, tokens[1:], argc, f"{keyword} header arguments")
+    args = _ints(lines, lineno, tokens[1:], argc, f"{keyword} header arguments")
+    if min(args) < 0:
+        lines.fail(lineno, f"{keyword} header arguments must be >= 0")
+    return args
 
 
 def _matrix_rows(lines: _Lines, nrows: int, ncols: int, what: str) -> List[List[int]]:
@@ -121,45 +125,42 @@ def _z2_rows(lines: _Lines, dim: int, label: str) -> List[List[int]]:
     return rows
 
 
+def _build(path: Optional[str], make):
+    """make(), with the ValueError of a constructor's check raised as ParseError."""
+    try:
+        return make()
+    except ValueError as exc:
+        raise ParseError(str(exc), path) from exc
+
+
 def parse_z2form(text: str, path: Optional[str] = None) -> Z2SymForm:
     lines = _Lines(text, path)
     (dim,) = _header(lines, "z2form", 1)
     rows = _z2_rows(lines, dim, "z2form")
     lines.expect_done()
-    try:
-        return Z2SymForm.from_matrix(rows)
-    except ValueError as exc:
-        raise ParseError(str(exc), path) from exc
+    return _build(path, lambda: Z2SymForm.from_matrix(rows))
+
+
+def _parse_enhancement(text: str, path: Optional[str], kind: str, cls, modulus: int):
+    """A z2q or z4q file: the form's rows, then its values in 0..modulus-1."""
+    lines = _Lines(text, path)
+    (dim,) = _header(lines, kind, 1)
+    rows = _z2_rows(lines, dim, f"{kind} form")
+    lineno, tokens = lines.take(f"row of {kind} values")
+    values = _ints(lines, lineno, tokens, dim, f"{kind} values")
+    lines.expect_done()
+    if any(not 0 <= v < modulus for v in values):
+        allowed = ",".join(map(str, range(modulus)))
+        lines.fail(lineno, f"{kind} values must lie in {{{allowed}}}")
+    return _build(path, lambda: cls(Z2SymForm.from_matrix(rows), tuple(values)))
 
 
 def parse_z2q(text: str, path: Optional[str] = None) -> Z2Quadratic:
-    lines = _Lines(text, path)
-    (dim,) = _header(lines, "z2q", 1)
-    rows = _z2_rows(lines, dim, "z2q form")
-    lineno, tokens = lines.take("row of z2q values")
-    values = _ints(lines, lineno, tokens, dim, "z2q values")
-    lines.expect_done()
-    if any(v not in (0, 1) for v in values):
-        raise ParseError("z2q values must lie in {0,1}", path, lineno)
-    try:
-        return Z2Quadratic(Z2SymForm.from_matrix(rows), tuple(values))
-    except ValueError as exc:
-        raise ParseError(str(exc), path) from exc
+    return _parse_enhancement(text, path, "z2q", Z2Quadratic, 2)
 
 
 def parse_z4q(text: str, path: Optional[str] = None) -> Z4Quadratic:
-    lines = _Lines(text, path)
-    (dim,) = _header(lines, "z4q", 1)
-    rows = _z2_rows(lines, dim, "z4q form")
-    lineno, tokens = lines.take("row of z4q values")
-    values = _ints(lines, lineno, tokens, dim, "z4q values")
-    lines.expect_done()
-    if any(v not in (0, 1, 2, 3) for v in values):
-        raise ParseError("z4q values must lie in {0,1,2,3}", path, lineno)
-    try:
-        return Z4Quadratic(Z2SymForm.from_matrix(rows), tuple(values))
-    except ValueError as exc:
-        raise ParseError(str(exc), path) from exc
+    return _parse_enhancement(text, path, "z4q", Z4Quadratic, 4)
 
 
 def parse_intform(text: str, path: Optional[str] = None) -> IntSymForm:
@@ -167,10 +168,7 @@ def parse_intform(text: str, path: Optional[str] = None) -> IntSymForm:
     (dim,) = _header(lines, "intform", 1)
     rows = _matrix_rows(lines, dim, dim, "intform matrix")
     lines.expect_done()
-    try:
-        return IntSymForm.from_matrix(rows)
-    except ValueError as exc:
-        raise ParseError(str(exc), path) from exc
+    return _build(path, lambda: IntSymForm.from_matrix(rows))
 
 
 def parse_ratform(text: str, path: Optional[str] = None) -> RatSymForm:
@@ -192,10 +190,7 @@ def parse_ratform(text: str, path: Optional[str] = None) -> RatSymForm:
                 lines.fail(lineno, f"expected a rational p/q, got {tok!r}")
         rows.append(row)
     lines.expect_done()
-    try:
-        return RatSymForm.from_matrix(rows)
-    except ValueError as exc:
-        raise ParseError(str(exc), path) from exc
+    return _build(path, lambda: RatSymForm.from_matrix(rows))
 
 
 def parse_symcomplex(text: str, path: Optional[str] = None) -> SymComplex:
@@ -232,10 +227,7 @@ def parse_symcomplex(text: str, path: Optional[str] = None) -> SymComplex:
         if shape[0] == 0 or shape[1] == 0:
             continue  # a block with a zero side is the zero map; no rows follow
         target[r] = _matrix_rows(lines, shape[0], shape[1], f"{tokens[0]} {r} block")
-    try:
-        return SymComplex(ranks=tuple(ranks), diffs=diffs, phi0=phi0, phi1=phi1)
-    except ValueError as exc:
-        raise ParseError(str(exc), path) from exc
+    return _build(path, lambda: SymComplex(ranks=tuple(ranks), diffs=diffs, phi0=phi0, phi1=phi1))
 
 
 def parse_monodromy(text: str, path: Optional[str] = None) -> MonodromyData:
@@ -250,17 +242,21 @@ def parse_monodromy(text: str, path: Optional[str] = None) -> MonodromyData:
     return MonodromyData.from_matrices(h, matrices)
 
 
+_PARSERS = {
+    "z2form": parse_z2form,
+    "z2q": parse_z2q,
+    "z4q": parse_z4q,
+    "intform": parse_intform,
+    "ratform": parse_ratform,
+    "symcomplex": parse_symcomplex,
+    "monodromy": parse_monodromy,
+}
+
+KINDS = tuple(_PARSERS)
+
+
 def load(text: str, kind: str, path: Optional[str] = None):
     """Parse `text` as the given kind; raises ParseError on malformed input."""
-    parsers = {
-        "z2form": parse_z2form,
-        "z2q": parse_z2q,
-        "z4q": parse_z4q,
-        "intform": parse_intform,
-        "ratform": parse_ratform,
-        "symcomplex": parse_symcomplex,
-        "monodromy": parse_monodromy,
-    }
-    if kind not in parsers:
+    if kind not in _PARSERS:
         raise ParseError(f"unknown kind {kind!r}; expected one of {KINDS}", path)
-    return parsers[kind](text, path)
+    return _PARSERS[kind](text, path)

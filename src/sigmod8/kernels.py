@@ -46,7 +46,7 @@ from typing import Dict, Sequence
 
 from .errors import NoGaussMatch
 
-__all__ = ["gauss_counts", "gauss_sums", "linking_numerators", "linking_bk", "backend"]
+__all__ = ["gauss_counts", "gauss_sums", "linking_numerators", "linking_bk"]
 
 # numpy is imported inside the kernels, on first use, so that importing the
 # package, and every request that needs no Gauss sum, does without it.
@@ -190,8 +190,3 @@ def linking_bk(orders: Sequence[int], qnum: Sequence[int],
         f"Gauss sum {actual} (powers of e^(pi i/{denom})) is not sqrt({size}) "
         "times an eighth root of unity"
     )
-
-
-def backend() -> str:
-    """Name of the Gauss-sum implementation."""
-    return "python"

@@ -4,11 +4,13 @@ Each suite re-derives one of the library's core identities two independent
 ways and compares: the Gauss sum against the splitting classification, the
 Arf invariant against Brown-Kervaire values, integral signatures against
 van der Blij residues and mod-4 reductions, and the closed Wall form
-against the kernel pairing.  The two exhaustive suites compare two
-per-form tables over every enhancement of the form: the Gauss table of
-bk_gauss against the classification or Arf table, which is rebuilt from
-the splitting in every run (an Arf table once per distinct subquotient
-form W in the run).  On the Wu subquotient half, each form gets one
+against the kernel pairing.  The Morita and van der Blij suites run one
+loop (_unimodular_suite) over random unimodular forms, each suite drawing
+its own forms and comparing its own residue with sigma mod 8.  The two
+exhaustive suites compare two per-form tables over every enhancement of
+the form: the Gauss table of bk_gauss against the classification or Arf
+table, which is rebuilt from the splitting in every run (an Arf table
+once per distinct subquotient form W in the run).  On the Wu subquotient half, each form gets one
 expected table, 4 Arf(W) where q(v) = 0 and the Gauss entry elsewhere,
 compared with the Gauss table in one step.  The check counts and
 counterexamples are per enhancement, as if each had been checked on its
@@ -144,28 +146,25 @@ def suite_bk_4arf(max_dim: int) -> SuiteResult:
     return SuiteResult("bk-4arf", True, checked)
 
 
-def suite_morita(trials: int, rng) -> SuiteResult:
+def _unimodular_suite(name: str, trials: int, rng, residue) -> SuiteResult:
+    """residue(form) = sigma mod 8 on random unimodular forms of dim 1..8."""
     checked = 0
     for _ in range(trials):
         dim = rng.randint(1, 8)
         form = random_unimodular_form(dim, rng)
         sigma = signature_exact(form)
-        if bk_gauss(reduce_to_enhanced(form)) != sigma % 8:
-            return SuiteResult("morita", False, checked, f"matrix {form.matrix}")
+        if residue(form) != sigma % 8:
+            return SuiteResult(name, False, checked, f"matrix {form.matrix}")
         checked += 1
-    return SuiteResult("morita", True, checked)
+    return SuiteResult(name, True, checked)
+
+
+def suite_morita(trials: int, rng) -> SuiteResult:
+    return _unimodular_suite("morita", trials, rng, lambda form: bk_gauss(reduce_to_enhanced(form)))
 
 
 def suite_van_der_blij(trials: int, rng) -> SuiteResult:
-    checked = 0
-    for _ in range(trials):
-        dim = rng.randint(1, 8)
-        form = random_unimodular_form(dim, rng)
-        sigma = signature_exact(form)
-        if van_der_blij_residue(form) != sigma % 8:
-            return SuiteResult("van-der-blij", False, checked, f"matrix {form.matrix}")
-        checked += 1
-    return SuiteResult("van-der-blij", True, checked)
+    return _unimodular_suite("van-der-blij", trials, rng, van_der_blij_residue)
 
 
 def suite_wall(trials: int, rng) -> SuiteResult:

@@ -234,14 +234,6 @@ class Z2Subspace:
             object.__setattr__(self, "basis", canon)
 
     @classmethod
-    def spanned_by(cls, vectors: Iterable[Z2Vec]) -> "Z2Subspace":
-        vecs = list(vectors)
-        if not vecs:
-            raise ValueError("need at least one vector (possibly zero) to fix ambient dim")
-        dim = vecs[0].dim
-        return cls(dim, rref_basis((v.mask for v in vecs), dim))
-
-    @classmethod
     def full(cls, dim: int) -> "Z2Subspace":
         return cls(dim, tuple(1 << i for i in range(dim)))
 

@@ -28,7 +28,7 @@ from sigmod8.fibration import (
     MonodromyData,
     SymplecticMatrix,
     bundle_report,
-    bundle_signature,
+    local_system_signature,
     random_monodromy,
     random_transvection_word,
     wall_form_closed,
@@ -121,7 +121,7 @@ def test_criterion_1_genus2_example_1(capsys):
 def test_criterion_2_genus2_example_2(capsys):
     t0 = time.perf_counter()
     m = MonodromyData(1, 2, ((F1, G1), (F2B, G2B)))
-    total = bundle_signature(m)
+    total = local_system_signature(m)
     elapsed = time.perf_counter() - t0
     # Fibre genus 1: Meyer's signature class of Sp(2, Z) is torsion, so the
     # local-system signature over the closed genus-2 base is 0.
@@ -259,7 +259,7 @@ def test_criterion_9_meyer_mod4_and_mod8(capsys):
     for _ in range(50):
         h = rng.randint(1, 3)
         m = random_monodromy(h, rng)
-        if bundle_signature(m) % 4 != 0:
+        if local_system_signature(m) % 4 != 0:
             ok4 = False
     ok8 = True
     rng8 = SplitMix64(1)
@@ -268,7 +268,7 @@ def test_criterion_9_meyer_mod4_and_mod8(capsys):
         m = random_monodromy(h, rng8, doubled=True)
         if not z4_trivial_check(m):
             ok8 = False
-        if bundle_signature(m) % 8 != 0:
+        if local_system_signature(m) % 8 != 0:
             ok8 = False
     report(capsys, 9, ok4 and ok8, "50 mod-4 + 50 mod-8 monodromies")
     assert ok4

@@ -16,7 +16,6 @@ from sigmod8.fibration import (
     MonodromyData,
     SymplecticMatrix,
     bundle_report,
-    bundle_signature,
     handle_signatures,
     is_symplectic,
     local_system_signature,
@@ -317,7 +316,7 @@ def test_bundle_signature_identity_any_genus():
     eye = SymplecticMatrix.from_matrix([[1, 0], [0, 1]])
     for g in (1, 2, 3):
         m = MonodromyData(1, g, tuple((eye, eye) for _ in range(g)))
-        assert bundle_signature(m) == 0
+        assert local_system_signature(m) == 0
 
 
 def test_meyer_mod4_random_monodromies():
@@ -325,7 +324,7 @@ def test_meyer_mod4_random_monodromies():
     for _ in range(12):
         h = rng.randint(1, 2)
         m = random_monodromy(h, rng)
-        assert bundle_signature(m) % 4 == 0
+        assert local_system_signature(m) % 4 == 0
 
 
 def test_local_system_signature_conjugation_invariance():
@@ -360,7 +359,7 @@ def test_z4_trivial_family_mod8():
         h = rng.randint(1, 2)
         m = random_monodromy(h, rng, doubled=True)
         assert z4_trivial_check(m)
-        assert bundle_signature(m) % 8 == 0
+        assert local_system_signature(m) % 8 == 0
 
 
 def test_cup_form_nondegenerate_on_h1():

@@ -1,6 +1,9 @@
 """Text formats and the command-line front end."""
+import argparse
+import importlib
 import io
 import os
+import pkgutil
 import resource
 import subprocess
 import sys
@@ -138,6 +141,49 @@ def test_cli_names_first_token_that_is_not_an_integer(tmp_path, text, lineno, wh
     code, out = run_cli(["invariants", str(path), "--kind", "z4q"])
     assert code == 2
     assert out == f"parse error: {path}:{lineno}: expected an integer for {what}, got {token!r}\n"
+
+
+@pytest.mark.parametrize(
+    "kind, header",
+    [(kind, f"{kind} -1") for kind in formats.KINDS if kind != "monodromy"]
+    + [("monodromy", "monodromy -1 1"), ("monodromy", "monodromy 1 -1")],
+)
+def test_cli_refuses_negative_header_sizes(tmp_path, kind, header):
+    """A negative size is refused at the header, never read as dim 0."""
+    path = tmp_path / f"neg.{kind}"
+    path.write_text(header + "\n")
+    argv = ["invariants", str(path), "--kind", kind]
+    code, out = run_cli(["bundle", str(path)] if kind == "monodromy" else argv)
+    assert code == 2
+    assert out == f"parse error: {path}:1: {kind} header arguments must be >= 0\n"
+
+
+@pytest.mark.parametrize(
+    "kind, text, lineno, allowed",
+    [
+        ("z2q", "z2q 2\n0 1\n1 0\n# values\n1 2\n", 5, "{0,1}"),
+        ("z4q", "z4q 2\n1 0\n0 0\n5 -2\n", 4, "{0,1,2,3}"),
+    ],
+)
+def test_cli_refuses_enhancement_values_out_of_range(tmp_path, kind, text, lineno, allowed):
+    path = tmp_path / f"bad.{kind}"
+    path.write_text(text)
+    code, out = run_cli(["invariants", str(path), "--kind", kind])
+    assert code == 2
+    assert out == f"parse error: {path}:{lineno}: {kind} values must lie in {allowed}\n"
+
+
+def test_public_names_resolve_and_kinds_agree():
+    """Every name in a module's __all__ exists, and the CLI offers every
+    parsed kind that has a report."""
+    for info in pkgutil.iter_modules(sigmod8.__path__):
+        module = importlib.import_module(f"sigmod8.{info.name}")
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, f"sigmod8.{info.name}.__all__ lists {missing}"
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    kind = next(a for a in sub.choices["invariants"]._actions if a.dest == "kind")
+    assert list(kind.choices) == list(cli._REPORTS)
+    assert set(kind.choices) == set(formats.KINDS) - {"monodromy"}
 
 
 SAMPLES = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "samples")

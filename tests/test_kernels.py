@@ -71,10 +71,6 @@ def test_dim_bound():
         kernels.gauss_sums(31, (), ())
 
 
-def test_backend_reports_name():
-    assert kernels.backend() == "python"
-
-
 def test_large_dim_additivity():
     """Gauss sums at dim 18 via direct-sum additivity of the invariant."""
     from sigmod8.enhancements import Z4Quadratic, bk_gauss
