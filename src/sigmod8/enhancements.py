@@ -80,7 +80,6 @@ from .z2forms import (
 __all__ = [
     "Z2Quadratic",
     "Z4Quadratic",
-    "WittClassZ8",
     "arf",
     "bk_gauss",
     "bk_classify",
@@ -216,20 +215,6 @@ class Z4Quadratic(_Enhancement):
     def negate(self) -> "Z4Quadratic":
         """-q, an enhancement of the same form (over Z2, -lambda = lambda)."""
         return Z4Quadratic(self.form, tuple((-v) % 4 for v in self.values))
-
-
-@dataclass(frozen=True)
-class WittClassZ8:
-    """Witt class of a Z4-enhanced form: its Brown-Kervaire invariant in Z8."""
-
-    value: int
-
-    def __post_init__(self):
-        if not 0 <= self.value < 8:
-            raise ValueError("value must lie in Z8")
-
-    def __add__(self, other: "WittClassZ8") -> "WittClassZ8":
-        return WittClassZ8((self.value + other.value) % 8)
 
 
 def p1() -> Z4Quadratic:

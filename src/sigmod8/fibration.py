@@ -18,7 +18,10 @@ identity.  Two computations are provided:
   action is trivial mod 4.
 
 Both pairings are evaluated as integer Gram matrices on a primitive
-integral basis of a kernel (the cocycle space, or ker[(1-f) | (1-g)]).
+integral basis of a kernel: for the cup pairing, the cocycles that vanish
+on the pivot coordinates of the coboundary map, a complement of the
+coboundaries (which pair to zero) in the cocycle space, so the Gram is
+the size of H^1; for the Wall pairing, ker[(1-f) | (1-g)].
 Each basis vector is a positive integer multiple of the vector a rational
 row reduction would give, so the two Gram matrices are congruent by a
 positive diagonal matrix D (D G D), and by Sylvester's law of inertia
@@ -196,14 +199,15 @@ class MonodromyData:
         for f, gg in self.pairs:
             if f.h != self.h or gg.h != self.h:
                 raise ValueError("fibre genus mismatch")
-        n = 2 * self.h
-        product = SymplecticMatrix(self.h, _identity(n))
-        for f, gg in self.pairs:
-            product = product @ _commutator(f, gg)
-        if product.entries != _identity(n):
+        eye = _identity(2 * self.h)
+        product = eye
+        for k, (f, gg) in enumerate(self.pairs):
+            c = _commutator(f, gg).entries
+            product = _mat_mul(product, c) if k else c
+        if product != eye:
             raise CommutatorRelationViolated(
                 "commutators do not multiply to the identity",
-                product=product.entries,
+                product=product,
             )
 
     @classmethod
@@ -288,13 +292,15 @@ def _primitive(vec: Sequence[int]) -> Tuple[int, ...]:
     return tuple([x // d for x in vec]) if d > 1 else tuple(vec)
 
 
-def _integral_kernel(rows: Sequence[Sequence[int]], ncols: int) -> List[Tuple[int, ...]]:
-    """Primitive integer vectors spanning the rational kernel of an integer matrix.
+def _eliminate(
+    rows: Sequence[Sequence[int]], ncols: int
+) -> Tuple[List[Tuple[int, ...]], List[int]]:
+    """Fraction-free Gauss-Jordan form of an integer matrix, and its pivot columns.
 
-    Fraction-free Gauss-Jordan: a row is cleared by pv * row - a * pivot_row
-    and divided by its gcd, so every entry stays an int.  The vector of a
-    free column fc has a positive entry at fc and 0 at the other free
-    columns: it is a positive multiple of the rational RREF kernel vector.
+    A row is cleared by pv * row - a * pivot_row and divided by its gcd, so
+    every entry stays an int.  Row r of the result has its pivot at
+    pivots[r] and 0 in the other pivot columns; the rows past the pivots
+    are 0.  The pivots are the leftmost columns that are independent.
     """
     work = [tuple(row) for row in rows]
     pivots: List[int] = []
@@ -314,6 +320,17 @@ def _integral_kernel(rows: Sequence[Sequence[int]], ncols: int) -> List[Tuple[in
                 work[k] = _primitive([pv * x - a * y for x, y in zip(row, prow)])
         pivots.append(col)
         r += 1
+    return work, pivots
+
+
+def _integral_kernel(rows: Sequence[Sequence[int]], ncols: int) -> List[Tuple[int, ...]]:
+    """Primitive integer vectors spanning the rational kernel of an integer matrix.
+
+    Back-substitution in the `_eliminate` form: the vector of a free column
+    fc has a positive entry at fc and 0 at the other free columns, so it is
+    a positive multiple of the rational RREF kernel vector.
+    """
+    work, pivots = _eliminate(rows, ncols)
     out = []
     for fc in (c for c in range(ncols) if c not in pivots):
         scale = lcm(*[abs(work[rr][pc]) for rr, pc in enumerate(pivots) if work[rr][fc]])
@@ -340,7 +357,7 @@ def handle_signatures(m: MonodromyData) -> List[int]:
 
 
 def _cup_gram(m: MonodromyData) -> Tuple[List[Tuple[int, ...]], List[List[int]]]:
-    """Primitive integral cocycle basis C and the cup Gram C G C^T on it.
+    """Primitive integral cocycles C spanning a complement of B^1, and the cup Gram on them.
 
     A 1-cocycle u is its values u_x on the 2g generators; on an inverse
     letter u(x^{-1}) = -x^{-1} u_x.  With prefix products P_k of the relator
@@ -348,7 +365,16 @@ def _cup_gram(m: MonodromyData) -> Tuple[List[Tuple[int, ...]], List[List[int]]]
     map) in the columns of its generator, the cocycle condition is
     sum_k B_k u = 0, and the cup pairing paired through phi is
     c(u, v) = sum_{k >= 1} phi(U_{k-1} u, B_k v) + sum_i phi(u_i, v_i),
-    where U_{k-1} = sum_{t < k} B_t.  G is the big x big matrix of c.
+    where U_{k-1} = sum_{t < k} B_t.
+
+    The coboundary of w is u_x = (x - 1) w: B^1 is the image of D, whose
+    row (i, a) is row a of x_i - 1.  The pivot columns S of D^T index rows
+    of D that span its row space, so u -> u_S maps B^1 onto Q^S one to one
+    and Z^1 = {u in Z^1 : u_S = 0} (+) B^1.  Coboundaries pair to zero with
+    every cocycle, so the Gram on the cocycles that vanish on S has the
+    signature of the form on H^1.  G, U and the relator kernel are built on
+    the kept coordinates only; C is returned in all 2g * 2h coordinates,
+    with 0 on S.
     """
     n = 2 * m.h
     j = standard_j(m.h)
@@ -358,34 +384,48 @@ def _cup_gram(m: MonodromyData) -> Tuple[List[Tuple[int, ...]], List[List[int]]]
     for i in range(m.g):
         letters += [(2 * i, 1), (2 * i + 1, 1), (2 * i, -1), (2 * i + 1, -1)]
     big = n * len(mats)
+    coboundary_t = [[mm[a][b] - (a == b) for mm in mats for a in range(n)] for b in range(n)]
+    dropped = set(_eliminate(coboundary_t, big)[1])
+    keep = [c for c in range(big) if c not in dropped]
+    # per generator: (position in keep, row of the generator's block)
+    slots = [
+        [(k, c - gi * n) for k, c in enumerate(keep) if c // n == gi] for gi in range(len(mats))
+    ]
 
-    accum = [[0] * big for _ in range(n)]  # U_{k-1}; the relator at the end
-    gram_big = [[0] * big for _ in range(big)]
+    accum = [[0] * len(keep) for _ in range(n)]  # U_{k-1}; the relator at the end
+    gram = [[0] * len(keep) for _ in keep]
     prefix = _identity(n)
     for gi, sign in letters:
         if sign == 1:
-            blk, step = prefix, mats[gi]
+            blk = prefix
+            prefix = _mat_mul(prefix, mats[gi])
         else:
             blk = _negate(_mat_mul(prefix, invs[gi]))
-            step = invs[gi]
-        jb = _j_times(blk)
-        lo = gi * n
-        for r, row in enumerate(gram_big):  # G += U_{k-1}^T J B_k
-            acol = [accum[t][r] for t in range(n)]
+            prefix = _negate(blk)  # P x^{-1} = -B_k
+        jbt = _transpose(_j_times(blk))
+        cols = [(k, jbt[a]) for k, a in slots[gi]]
+        for row, acol in zip(gram, zip(*accum)):  # G += U_{k-1}^T J B_k
             if any(acol):
-                for c, jbc in enumerate(zip(*jb), lo):
-                    row[c] += sum(map(mul, acol, jbc))
+                for k, jbc in cols:
+                    row[k] += sum(map(mul, acol, jbc))
         for t in range(n):
-            accum[t][lo : lo + n] = map(add, accum[t][lo : lo + n], blk[t])
-        prefix = _mat_mul(prefix, step)
-    for gi in range(len(mats)):  # phi(u_i, v_i) for each generator
-        for a in range(n):
-            for b in range(n):
-                gram_big[gi * n + a][gi * n + b] += j[a][b]
+            arow, brow = accum[t], blk[t]
+            for k, a in slots[gi]:
+                arow[k] += brow[a]
+    for block in slots:  # phi(u_i, v_i) for each generator
+        for k, a in block:
+            for k2, b in block:
+                gram[k][k2] += j[a][b]
 
-    cocycles = _integral_kernel(accum, big)
-    gct = [[sum(map(mul, row, c)) for row in gram_big] for c in cocycles]  # (G C^T)^T
-    return cocycles, [[sum(map(mul, c, w)) for w in gct] for c in cocycles]
+    cocycles = _integral_kernel(accum, len(keep))
+    gct = [[sum(map(mul, row, c)) for row in gram] for c in cocycles]  # (G C^T)^T
+    full = []
+    for c in cocycles:
+        vec = [0] * big
+        for col, x in zip(keep, c):
+            vec[col] = x
+        full.append(tuple(vec))
+    return full, [[sum(map(mul, c, w)) for w in gct] for c in cocycles]
 
 
 def local_system_signature(m: MonodromyData) -> int:
@@ -394,8 +434,9 @@ def local_system_signature(m: MonodromyData) -> int:
     The cup product of two cocycles paired through the fibre's symplectic
     form descends to a symmetric bilinear form on H^1, and its signature is
     the signature of the local coefficient system.  Coboundaries pair to
-    zero, so the form is evaluated on the full cocycle space, as the
-    integer Gram matrix of `_cup_gram` on a primitive integral basis.
+    zero, so the form is evaluated on the cocycles that vanish on the
+    coboundary pivots S, a complement of B^1 in Z^1, as the integer Gram
+    matrix of `_cup_gram` on a primitive integral basis.
     """
     _, gram = _cup_gram(m)
     return _int_form_signature(gram, "cup pairing is not symmetric on cocycles")[1]

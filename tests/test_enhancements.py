@@ -6,7 +6,6 @@ from sigmod8.enhancements import (
     GAUSS_DIM_LIMIT,
     Z2Quadratic,
     Z4Quadratic,
-    WittClassZ8,
     _arf_table,
     _bk_classify_table,
     _bk_gauss_table,
@@ -402,13 +401,6 @@ def test_subquotient_indices_match_isotropic_subquotient():
             assert w.form == w_form
             assert indices[d] == sum(bit << j for j, bit in enumerate(w.values))
             assert _arf_table(w_form)[indices[d]] == arf(w)
-
-
-def test_witt_class_type():
-    w = WittClassZ8(3)
-    assert (w + WittClassZ8(7)).value == 2
-    with pytest.raises(ValueError):
-        WittClassZ8(8)
 
 
 # -------------------------------------------------------------------- double

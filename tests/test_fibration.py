@@ -363,7 +363,7 @@ def test_z4_trivial_family_mod8():
 
 
 def test_cup_form_nondegenerate_on_h1():
-    """Twisted duality: the cup pairing's radical is exactly the coboundaries."""
+    """Twisted duality on H^1: the Gram on a complement of B^1 is nondegenerate."""
 
     captured = {}
     orig = fib.signature_exact
@@ -377,18 +377,13 @@ def test_cup_form_nondegenerate_on_h1():
         fib.signature_exact = spy
         for _ in range(5):
             m = random_monodromy(rng.randint(1, 2), rng)
-            n = 2 * m.h
             fib.local_system_signature(m)
             gram = captured["m"]
-            rows = []
-            for pair in m.pairs:
-                for mat in pair:
-                    for i in range(n):
-                        rows.append(
-                            [mat.entries[i][j] - int(i == j) for j in range(n)]
-                        )
-            dim_b1 = _rank_q(rows)
-            assert _rank_q(gram) == len(gram) - dim_b1
+            relator, _ = _relator_and_cup_oracle(m)
+            dim_z1 = len(relator[0]) - _rank_q(relator)
+            dim_b1 = _rank_q(_coboundary_matrix(m))
+            assert len(gram) == dim_z1 - dim_b1
+            assert _rank_q(gram) == len(gram)
     finally:
         fib.signature_exact = orig
 
@@ -405,6 +400,72 @@ def _apply(mat, v):
 
 def _phi(x, y):
     return _dot(x, _apply(standard_j(len(x) // 2), y))
+
+
+def _coboundary_matrix(m):
+    """D with D w = ((x_i - 1) w)_i: row (i, a) is row a of x_i - 1."""
+    n = 2 * m.h
+    return [
+        [mat.entries[a][b] - int(a == b) for b in range(n)]
+        for pair in m.pairs
+        for mat in pair
+        for a in range(n)
+    ]
+
+
+def _rref_q(rows, ncols):
+    """Rational reduced row echelon form (Fractions) and its pivot columns."""
+    work = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for col in range(ncols):
+        piv = next((k for k in range(len(pivots), len(work)) if work[k][col]), None)
+        if piv is None:
+            continue
+        r = len(pivots)
+        work[r], work[piv] = work[piv], work[r]
+        work[r] = [x / work[r][col] for x in work[r]]
+        for k in range(len(work)):
+            if k != r and work[k][col]:
+                work[k] = [a - work[k][col] * b for a, b in zip(work[k], work[r])]
+        pivots.append(col)
+    return work, pivots
+
+
+def _charpoly(m):
+    """det(x I - m), highest coefficient first, by Berkowitz's recursion (no division)."""
+    n = len(m)
+    if n == 0:
+        return [1]
+    row, col = m[0][1:], [r[0] for r in m[1:]]
+    sub = [r[1:] for r in m[1:]]
+    toeplitz = [1, -m[0][0]]
+    for _ in range(n - 1):
+        toeplitz.append(-_dot(row, col))
+        col = _apply(sub, col)
+    inner = _charpoly(sub)
+    return [
+        sum(toeplitz[i - j] * inner[j] for j in range(min(i, n - 1) + 1))
+        for i in range(n + 1)
+    ]
+
+
+def _inertia(matrix):
+    """(p, q) of a symmetric integer matrix by Descartes' rule on its charpoly.
+
+    The charpoly of a symmetric matrix is real-rooted, so the sign changes of
+    p(x) and of p(-x), with the factor x^k of the radical removed, count the
+    positive and the negative eigenvalues exactly.
+    """
+    p = _charpoly(matrix)
+    while p[-1] == 0:
+        p.pop()
+    deg = len(p) - 1
+
+    def changes(coeffs):
+        signs = [c > 0 for c in coeffs if c]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return changes(p), changes([c * (-1) ** (deg - i) for i, c in enumerate(p)])
 
 
 def _assert_primitive_kernel(basis, rows, ncols):
@@ -507,7 +568,15 @@ def test_cup_gram_equals_fraction_triple_sum(case):
     relator, cup = _relator_and_cup_oracle(m)
     big = len(cup)
     cocycles, gram = fib._cup_gram(m)
-    _assert_primitive_kernel(cocycles, relator, big)
+    d = _coboundary_matrix(m)
+    dropped = _rref_q([list(col) for col in zip(*d)], big)[1]  # pivots of D^T
+    assert len(cocycles) == big - _rank_q(relator) - _rank_q(d)
+    assert _rank_q(cocycles) == len(cocycles)
+    for v in cocycles:
+        assert len(v) == big and all(type(x) is int for x in v)
+        assert math.gcd(*v) == 1
+        assert all(_dot(row, v) == 0 for row in relator)
+        assert not any(v[c] for c in dropped)
     assert len(gram) == len(cocycles)
     for p, cp in enumerate(cocycles):
         for q, cq in enumerate(cocycles):
@@ -518,6 +587,50 @@ def test_cup_gram_equals_fraction_triple_sum(case):
                 if cup[r][c]
             )
             assert gram[p][q] == expected, (p, q)
+
+
+def _inertia_cases():
+    """Monodromies with H^0 != 0 (single twists), doubled words, S empty, g = 1."""
+    rng = SplitMix64(42)
+    eye2, eye4 = (
+        SymplecticMatrix.from_matrix([[int(i == k) for k in range(n)] for i in range(n)])
+        for n in (2, 4)
+    )
+    cases = [
+        EXAMPLE1,
+        MonodromyData(1, 1, ((eye2, eye2),)),
+        MonodromyData(2, 2, ((eye4, eye4), (eye4, eye4))),
+    ]
+    for h in (1, 2, 3):
+        cases.append(random_monodromy(h, rng, max_len=1))
+        cases.append(random_monodromy(h, rng, max_len=3, doubled=True))
+    f = random_transvection_word(2, 3, rng)
+    cases.append(MonodromyData(2, 1, ((f, f @ f),)))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(10))
+def test_cup_inertia_on_h1_equals_inertia_on_z1(case):
+    """(p, q) of the reduced Gram equal (p, q) of the full Z^1 Gram of the oracle.
+
+    Every (f, g, g, f) total is 0, so equal signatures alone would prove
+    little: the inertia compares the positive and negative parts.
+    """
+    m = _inertia_cases()[case]
+    relator, cup = _relator_and_cup_oracle(m)
+    big = len(cup)
+    work, pivots = _rref_q(relator, big)
+    z1 = []  # rational RREF kernel basis, scaled to integers
+    for fc in (c for c in range(big) if c not in pivots):
+        vec = [Fraction(int(c == fc)) for c in range(big)]
+        for r, pc in enumerate(pivots):
+            vec[pc] = -work[r][fc]
+        scale = math.lcm(*[x.denominator for x in vec])
+        z1.append([int(x * scale) for x in vec])
+    full = [[_dot(u, _apply(cup, v)) for v in z1] for u in z1]
+    _, gram = fib._cup_gram(m)
+    assert len(full) - len(gram) == _rank_q(_coboundary_matrix(m))
+    assert _inertia(gram) == _inertia(full)
 
 
 @pytest.mark.parametrize("case", range(8))
