@@ -30,25 +30,37 @@ splitting that gives is_nonsingular, wu_class and split_vectors: equal
 forms of dim <= 6 share an lru_cache entry, and a larger form keeps its
 values on the instance.
 
-The classification route has per-form tables too, indexed the same way,
-for the selfcheck suites that compare the two routes over every
-enhancement: _bk_classify_table (4n + p_plus - p_minus of each
-enhancement) and _arf_table (Arf of each Z2 enhancement of an isotropic
-form).  Enhancement d differs from enhancement 0 by 2*(d . x), so both
-build enhancement 0 directly (_q0: q0(e_i) = lambda(e_i, e_i); h = 0
-over Z2), evaluate it once on each split vector and flip the values by
-the parity of d . s; they read nothing from the Gauss route.  Neither
-function caches: the bk-4arf suite keeps each subquotient form's Arf
-table for one run only, so every selfcheck run computes the
-classification route afresh.  Enumeration validates the form once and
-builds its enhancements without re-running the constructors' checks;
-enhancements built directly are always validated.
+The selfcheck suites compare the two routes over every enhancement of
+many forms at once, so both routes also come as batched tables over a
+stack of forms of one dim, one (forms, 2^dim) uint8 array each, row f
+indexed like enumerate_z4_enhancements of form f:
+
+* _bk_gauss_tables: one stack of q0 tables, one transform along its rows
+  (kernels.gauss_sums on a stack) and one exact match against the eighth
+  roots; _bk_gauss_table is its one-form case, cached for bk_gauss.
+* _bk_classify_tables (4n + p_plus - p_minus of each enhancement) and
+  _arf_tables (Arf of each Z2 enhancement of an isotropic form).
+  Enhancement d differs from enhancement 0 by 2*(d . x), so both evaluate
+  enhancement 0 (q0(e_i) = lambda(e_i, e_i)) once on each split vector s
+  and flip bit 1 of the value by the parity of d . s; the flips of all
+  split vectors, packed into one mask per d, are built by doubling
+  (_flip_coordinates).  They start from _split_arrays, the split vectors
+  of each form from one _splitting lookup, and read nothing from the
+  Gauss route.
+* _subquotient_indices: for each enhancement with q(v) = 0, the index of
+  its subquotient values in the Arf table of W = L_perp/L, and W's Gram
+  rows, from the closed-form representatives of _subquotient_basis.
+
+The batched tables are not cached: every selfcheck run computes both
+routes afresh.  Enumeration validates the form once and builds its
+enhancements without re-running the constructors' checks; enhancements
+built directly are always validated.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from . import kernels
 from .errors import (
@@ -62,14 +74,16 @@ from .errors import (
 )
 from .z2forms import (
     ENUMERATION_DIM_LIMIT,
+    FORM_CACHE_SIZE,
     H_FORM,
     P_FORM,
     Z2SymForm,
     Z2Subspace,
     Z2Vec,
     _apply,
+    _parity,
     _restrict,
-    eliminate,
+    _splitting,
     is_nonsingular,
     small_form_cache,
     solve,
@@ -290,19 +304,46 @@ def bk_gauss(q: Z4Quadratic) -> int:
     return _match_gauss(form.dim, c0 - c2, c1 - c3)
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=FORM_CACHE_SIZE)
 def _bk_gauss_table(form: Z2SymForm) -> bytes:
     """BK of every enhancement of the form, indexed like enumerate_z4_enhancements.
 
     Entry d belongs to the enhancement with values diag_i + 2*d_i, whose
     Gauss sum is entry d of the transform of i^q0, q0 having values diag_i.
+    The one-form case of _bk_gauss_tables.
     """
-    re, im = kernels.gauss_sums(form.dim, _q0(form).values, form.rows)
-    roots = _eighth_roots(form.dim)
-    try:
-        return bytes(map(roots.__getitem__, zip(re.tolist(), im.tolist())))
-    except KeyError as exc:
-        raise _no_gauss_match(form.dim, *exc.args[0]) from None
+    sums = kernels.gauss_sums(form.dim, _q0(form).values, form.rows)
+    return _bk_of_sums(form.dim, *sums).tobytes()
+
+
+def _bk_of_sums(dim: int, re, im):
+    """The k in Z8 of each Gauss sum re + im*i = sqrt(2)^dim e^(2 pi i k/8).
+
+    An exact match of integer arrays of any shape against the four roots
+    the dim allows, by one lookup: a sum of 2^dim units has |re|, |im| <=
+    2^dim, and the table over that square holds k at the roots and 8
+    elsewhere.  Returns uint8 of the same shape; NoGaussMatch names the
+    first sum that is no root.
+    """
+    import numpy as np
+    side = 2 * (1 << dim) + 1
+    lookup = np.full(side * side, 8, dtype=np.uint8)
+    for (r, i), k in _eighth_roots(dim).items():
+        lookup[(r + (1 << dim)) * side + i + (1 << dim)] = k
+    bk = lookup[(re + (1 << dim)) * side + im + (1 << dim)]
+    bad = bk.tobytes().find(8)
+    if bad >= 0:
+        raise _no_gauss_match(dim, int(re.flat[bad]), int(im.flat[bad]))
+    return bk
+
+
+def _bk_gauss_tables(rows):
+    """_bk_gauss_table of each form of a stack, given by its Gram rows (forms, dim).
+
+    One stack of q0 tables, one transform along its rows and one exact
+    match: a (forms, 2^dim) uint8 array.
+    """
+    return _bk_of_sums(rows.shape[1], *kernels.gauss_sums(rows.shape[1], _diagonal(rows), rows))
 
 
 def bk_classify(q: Z4Quadratic) -> Tuple[int, int, int, int]:
@@ -385,34 +426,22 @@ def isotropic_subquotient(q: Z4Quadratic) -> Z2Quadratic:
 def _subquotient_basis(form: Z2SymForm) -> Tuple[Tuple[int, ...], Z2SymForm]:
     """Representatives of L_perp/L for L = <v>, and the Gram form of L_perp/L.
 
-    Raises SingularForm when lambda(v, v) = 1, so callers check q(v) first.
+    With phi = lambda(., v) nonzero and e_h its highest set bit, the
+    vectors e_i + phi_i e_h (i != h) are the reduced echelon basis of
+    L_perp = ker phi, pivots at their lowest set bits.  v is the sum of the
+    rows at its bits, so dropping the row at its lowest bit leaves
+    representatives of L_perp/L.  When v = 0 every e_i is one.  Raises
+    SingularForm when lambda(v, v) = 1, so callers check q(v) first.
     """
-    v = wu_class(form)
-    dim = form.dim
-    phi_v = _apply(form.rows, v.mask)  # functional x -> lambda(x, v)
-    if phi_v == 0:
-        reps = [1 << i for i in range(dim)]
-    else:
-        pivot = (phi_v & -phi_v).bit_length() - 1
-        kernel = []
-        for i in range(dim):
-            if i == pivot:
-                continue
-            b = 1 << i
-            if (phi_v >> i) & 1:
-                b |= 1 << pivot
-            kernel.append(b)
-        # quotient by <v>: v is the sum of the RREF rows of L_perp at the
-        # pivots it holds, the lowest of which is its lowest set bit; drop
-        # that row
-        rows: Dict[int, int] = {}
-        eliminate(rows, kernel)
-        if eliminate(dict(rows), [v.mask]):
-            raise SingularForm("Wu class does not lie in its own perpendicular")
-        drop = v.mask & -v.mask
-        reps = [rows[p] for p in sorted(rows) if p != drop]
-    gram = _restrict(form.rows, reps)
-    return tuple(reps), Z2SymForm(len(reps), tuple(gram))
+    v = wu_class(form).mask
+    phi = _apply(form.rows, v)
+    if _parity(phi & v):
+        raise SingularForm("Wu class does not lie in its own perpendicular")
+    reps = [1 << i for i in range(form.dim)]
+    if phi:
+        top = 1 << (phi.bit_length() - 1)
+        reps = [b | (top if phi & b else 0) for b in reps if b != top and b != v & -v]
+    return tuple(reps), Z2SymForm(len(reps), tuple(_restrict(form.rows, reps)))
 
 
 def _q0(form: Z2SymForm) -> Z4Quadratic:
@@ -441,88 +470,198 @@ def enumerate_z2_enhancements(form: Z2SymForm) -> Iterator[Z2Quadratic]:
         yield Z2Quadratic._trusted(form, vals)
 
 
-def _flip_coordinates(dim: int, vectors: Sequence[int]) -> List[int]:
-    """For every d in Z2^dim, the mask whose bit k is d . vectors[k]."""
-    coords = [0]
+def _diagonal(rows):
+    """lambda(e_i, e_i) of each form of a stack of Gram rows (forms, dim)."""
+    import numpy as np
+    return (rows >> np.arange(rows.shape[1], dtype=np.uint32)) & 1
+
+
+def _apply_rows(rows, vectors):
+    """lambda(., s) as a mask, for each vector s on the form of its row.
+
+    rows is (forms, dim), vectors (forms, k) of bit masks, as in _apply.
+    """
+    out = vectors & 0
+    for i in range(rows.shape[1]):
+        out ^= ((vectors >> i) & 1) * rows[:, i, None]
+    return out
+
+
+def _q0_at(rows, vectors):
+    """q0(s) = s^T lambda s mod 4 at each vector s, on the form of its row.
+
+    rows is (forms, dim), vectors (forms, k) of bit masks.  Enhancement 0
+    has q0(e_i) = lambda(e_i, e_i), so q0(s) is the integer sum of lambda_ij
+    over i, j in s (the diagonal once, each pair i < j twice): the sum over
+    i in s of the popcount of row_i & s.
+    """
+    import numpy as np
+    total = vectors & 0
+    for i in range(rows.shape[1]):
+        total += ((vectors >> i) & 1) * np.bitwise_count(vectors & rows[:, i, None])
+    return total & 3
+
+
+def _pack(bits):
+    """The masks whose bit k is bits[..., k] (0 or 1), as uint32."""
+    import numpy as np
+    return bits.astype(np.uint32) @ (np.uint32(1) << np.arange(bits.shape[-1], dtype=np.uint32))
+
+
+def _flip_coordinates(dim: int, vectors):
+    """For every d in Z2^dim, the mask whose bit k is d . vectors[k], per form.
+
+    vectors is (forms, k), k <= 32; the result is (forms, 2^dim) uint32.
+    Built by doubling over the coordinates of d: the coset +e_i flips the
+    bits of the vectors whose coordinate i is 1.
+    """
+    import numpy as np
+    coords = np.zeros((len(vectors), 1 << dim), dtype=np.uint32)
     for i in range(dim):
-        col = 0  # bit k is coordinate i of vectors[k]
-        for k, s in enumerate(vectors):
-            if (s >> i) & 1:
-                col |= 1 << k
-        coords += [c ^ col for c in coords]
+        column = _pack((vectors >> i) & 1)  # bit k: coordinate i of vectors[k]
+        np.bitwise_xor(coords[:, :1 << i], column[:, None], out=coords[:, 1 << i:2 << i])
     return coords
 
 
-def _split_table(q0: _Enhancement, pair_weight: int, modulus: int) -> bytes:
-    """A splitting invariant of each enhancement q_d = q0 + CROSS*(d . x).
+def _high_bits(rows, vectors):
+    """For every enhancement d, the mask whose bit k is bit 1 of q_d(vectors[k]).
 
-    Over split_vectors of the form, entry d adds +1 for each anisotropic
-    line s with q_d(s) = 1 and -1 where q_d(s) = 3, and pair_weight for
-    each hyperbolic pair (e, f) with q_d(e) = q_d(f) = CROSS, all modulo
-    `modulus`.  q0 is evaluated once per split vector: q_d(s) is q0(s) with
-    its CROSS bit flipped when d . s = 1.  The sums are built over the flip
-    patterns t (bit k for split vector k) and then read at t(d).
+    q_d(s) = q0(s) + 2 (d . s), and adding 2 in Z4 flips bit 1, so it is
+    bit 1 of q0(s) flipped by d . s: q0 is evaluated once per vector.
     """
-    aniso, pairs = split_vectors(q0.form)
-    value, cross = q0.evaluate_mask, q0.CROSS
-    table = [0]
-    for s in aniso:  # lines exist over Z4 only, where q0(s) is 1 or 3
-        sign = 1 - 2 * (value(s) // cross)
-        table = [x + sign for x in table] + [x - sign for x in table]
-    for e, f in pairs:
-        be, bf = value(e) // cross, value(f) // cross
-        weights = [pair_weight * ((be ^ te) & (bf ^ tf)) for tf in (0, 1) for te in (0, 1)]
-        table = [x + w for w in weights for x in table]
-    split = list(aniso) + [s for pair in pairs for s in pair]
-    return bytes([table[t] % modulus for t in _flip_coordinates(q0.form.dim, split)])
+    start = _pack(_q0_at(rows, vectors) >> 1)
+    return _flip_coordinates(rows.shape[1], vectors) ^ start[:, None]
 
 
-def _bk_classify_table(form: Z2SymForm) -> bytes:
-    """4n + p_plus - p_minus mod 8 of every enhancement of a nonsingular form.
+def _pair_counts(high, at: int):
+    """Per entry of `high`, the pairs of bits (at + 2i, at + 2i + 1) that are both set."""
+    import numpy as np
+    return np.bitwise_count((high >> at) & (high >> (at + 1)) & 0x55555555)
 
-    The residue bk_classify reads off split_vectors, indexed like
-    enumerate_z4_enhancements and _bk_gauss_table.  Not cached.
+
+class _SplitArrays(NamedTuple):
+    """The splittings of a stack of forms of one dim, as uint32 arrays.
+
+    A zero vector has q_d = 0 for every d, so the zero padding adds nothing
+    to the counts of the tables.
     """
-    return _split_table(_q0(form), 4, 8)
+
+    rows: Any  # (forms, dim) Gram rows
+    lines: Any  # (forms, dim) the anisotropic lines, then zeros
+    pairs: Any  # (forms, dim) the hyperbolic pairs as e_1, f_1, e_2, f_2, ..., then zeros
+    counts: Any  # (forms,) the number of lines
+    wu: Any  # (forms, 1) the Wu class, the sum of the lines
 
 
-def _arf_table(form: Z2SymForm) -> bytes:
-    """Arf invariant of every Z2 enhancement of an isotropic nonsingular form.
+def _split_arrays(dim: int, forms: Sequence[Z2SymForm]) -> _SplitArrays:
+    """The rows, split vectors and Wu class of each form, from one _splitting lookup.
 
-    Indexed like enumerate_z2_enhancements, whose enhancement 0 is h = 0.
+    Only for the dims enumeration covers, where a table of every
+    enhancement is meant.
+    """
+    import numpy as np
+    if dim > ENUMERATION_DIM_LIMIT:
+        raise DimTooLarge(f"enhancement tables need dim <= {ENUMERATION_DIM_LIMIT}")
+    rows: List[int] = []
+    lines: List[int] = []
+    pairs: List[int] = []
+    counts: List[int] = []
+    wu: List[int] = []
+    zeros = (0,) * dim
+    for form in forms:
+        split = _splitting(form)
+        if split is None:
+            raise SingularForm("the tables require nonsingular forms")
+        (aniso, hyperbolic), v = split
+        p = len(aniso)
+        rows += form.rows
+        counts.append(p)
+        wu.append(v.mask)
+        lines += aniso
+        lines += zeros[p:]
+        for pair in hyperbolic:
+            pairs += pair
+        pairs += zeros[dim - p:]
+    shape = (len(forms), dim)
+    return _SplitArrays(
+        *[np.array(a, dtype=np.uint32).reshape(shape) for a in (rows, lines, pairs)],
+        np.array(counts, dtype=np.uint8),
+        np.array(wu, dtype=np.uint32).reshape(len(forms), 1),
+    )
+
+
+def _bk_classify_tables(split: _SplitArrays):
+    """4n + p_plus - p_minus mod 8 of every enhancement of each form of a stack.
+
+    The residue bk_classify reads off split_vectors, one (forms, 2^dim)
+    uint8 array indexed like _bk_gauss_tables.  A line s counts in p_minus
+    when q_d(s) = 3, its bit 1 set, and p_plus = p - p_minus; a pair counts
+    in n when q_d(e) = q_d(f) = 2.  Not cached.
+    """
+    import numpy as np
+    dim = split.rows.shape[1]
+    high = _high_bits(split.rows, np.concatenate([split.lines, split.pairs], axis=1))
+    minus = np.bitwise_count(high & ((1 << dim) - 1))
+    return (4 * _pair_counts(high, dim) + split.counts[:, None] - 2 * minus) & 7
+
+
+def _arf_tables(dim: int, forms: Sequence[Z2SymForm]):
+    """Arf invariant of every Z2 enhancement of isotropic nonsingular forms of one dim.
+
+    Row b is indexed like enumerate_z2_enhancements, whose enhancement 0 is
+    h = 0.  On an isotropic form q0 = 2 h0 (q0(s) = 2 * #{i < j in s :
+    lambda_ij = 1}), so h_b(s) = bit 1 of q_b(s), and the Arf invariant,
+    the sum of h_b(e) h_b(f) over the pairs, is the pair count mod 2.
     Not cached.
     """
-    if not form.is_isotropic():
+    split = _split_arrays(dim, forms)
+    if _diagonal(split.rows).any():
         raise AnisotropicInput("Z2 enhancements require an isotropic form")
-    return _split_table(Z2Quadratic._trusted(form, (0,) * form.dim), 1, 2)
+    return _pair_counts(_high_bits(split.rows, split.pairs), 0) & 1
 
 
-def _subquotient_indices(
-    form: Z2SymForm,
-) -> Tuple[Optional[Z2SymForm], List[Optional[int]]]:
-    """Where isotropic_subquotient puts each enhancement, for _arf_table lookups.
+def _subquotient_indices(split: _SplitArrays):
+    """Where isotropic_subquotient puts each enhancement, for _arf_tables lookups.
 
-    Returns the Gram form W of L_perp/L and, for each enhancement d
-    (indexed like enumerate_z4_enhancements), the index of its subquotient
-    values q_d(b_j)/2 in _arf_table(W), or None when q_d(v) != 0.  W is None
-    when no enhancement has q_d(v) = 0.  Not cached.
+    Returns three arrays over the forms of the stack: the dim of W = L_perp/L
+    (-1 when no enhancement has q_d(v) = 0), the Gram rows of W (zero
+    padded to dim), and, for each enhancement d, the index of the
+    subquotient values q_d(b_j)/2 in the Arf table of W, or -1 when
+    q_d(v) != 0.  The representatives b_j are those of _subquotient_basis,
+    zero padded: a zero vector adds no bit to an index.  Not cached.
     """
-    v = wu_class(form).mask
-    q0 = _q0(form)
-    qv = q0.evaluate_mask(v)
-    if qv & 1:  # q_d(v) = q0(v) + 2(d . v) is odd for every d
-        return None, [None] * (1 << form.dim)
-    reps, w_form = _subquotient_basis(form)
-    h0 = 0
-    for j, b in enumerate(reps):
-        qb = q0.evaluate_mask(b)
-        if qb & 1:
-            raise SingularForm("representative is not isotropic")
-        h0 |= (qb >> 1) << j
-    # bit j of t flips q(b_j) by 2 and the top bit flips q(v) by 2
-    top = 1 << len(reps)
-    want = (qv >> 1) * top
-    return w_form, [
-        h0 ^ t ^ want if t & top == want else None
-        for t in _flip_coordinates(form.dim, reps + (v,))
-    ]
+    import numpy as np
+    rows, wu = split.rows, split.wu
+    count, dim = rows.shape
+    at = np.arange(dim, dtype=np.uint32)
+    qv = _q0_at(rows, wu)
+    phi = _apply_rows(rows, wu)
+    smear = phi | phi >> 1  # every bit below the highest of phi (dim <= 6 bits)
+    smear |= smear >> 2
+    smear |= smear >> 4
+    top = np.bitwise_count(smear) - 1  # the highest set bit of phi
+    low = np.bitwise_count((wu & -wu) - 1)  # the lowest set bit of v
+    # the reduced echelon basis of L_perp, less the rows at top and low; when
+    # v = 0, every e_i (nothing is dropped)
+    reps = (1 << at) | ((phi >> at) & 1) << top
+    first = np.where(phi == 0, dim, np.minimum(top, low))
+    second = np.where(phi == 0, dim, np.maximum(top, low))
+    shifted = np.concatenate([reps, np.zeros((count, 2), dtype=np.uint32)], axis=1)
+    reps = np.where(
+        at < first,
+        reps,
+        np.where(at + 1 < second, shifted[:, 1:dim + 1], shifted[:, 2:dim + 2]),
+    )
+    odd = (qv & 1)[:, 0] == 1  # then q_d(v) = q0(v) + 2(d . v) is odd for every d
+    reps = np.where(odd[:, None], 0, reps)
+    w_dims = np.where(odd, -1, np.where(phi[:, 0] == 0, dim, dim - 2))
+    w_rows = _pack(np.bitwise_count(reps[:, :, None] & _apply_rows(rows, reps)[:, None, :]) & 1)
+    q_reps = _q0_at(rows, reps)
+    if (q_reps & 1).any():
+        raise SingularForm("representative is not isotropic")
+    h0 = _pack(q_reps >> 1)  # the values of q0 on W, as a mask
+    # bit j flips q_d(b_j) by 2, bit dim flips q_d(v) by 2
+    flips = _flip_coordinates(dim, np.concatenate([reps, wu], axis=1))
+    isotropic = (flips >> dim == qv >> 1) & ~odd[:, None]
+    index = (flips & ((1 << dim) - 1)) ^ h0[:, None]
+    return w_dims, w_rows, np.where(isotropic, index.astype(np.int64), -1)

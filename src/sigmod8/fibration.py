@@ -36,7 +36,7 @@ which reproduces the standard Dehn-twist matrices in this basis.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -181,10 +181,6 @@ def transvection(c: Sequence[int]) -> SymplecticMatrix:
     return SymplecticMatrix(n // 2, entries)
 
 
-def _commutator(f: SymplecticMatrix, g: SymplecticMatrix) -> SymplecticMatrix:
-    return f @ g @ f.inverse() @ g.inverse()
-
-
 @dataclass(frozen=True)
 class MonodromyData:
     """g pairs (f_i, g_i) in Sp(2h, Z) with prod [f_i, g_i] = I."""
@@ -192,6 +188,11 @@ class MonodromyData:
     h: int
     g: int
     pairs: Tuple[Tuple[SymplecticMatrix, SymplecticMatrix], ...]
+    # g_i f_i^{-1} g_i^{-1} per handle, formed once for the commutators and
+    # kept for handle_signatures; derived from `pairs`, so never compared
+    _conjugates: Tuple[SymplecticMatrix, ...] = field(
+        default=(), init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if len(self.pairs) != self.g:
@@ -199,10 +200,12 @@ class MonodromyData:
         for f, gg in self.pairs:
             if f.h != self.h or gg.h != self.h:
                 raise ValueError("fibre genus mismatch")
+        conjugates = tuple([gg @ f.inverse() @ gg.inverse() for f, gg in self.pairs])
+        object.__setattr__(self, "_conjugates", conjugates)
         eye = _identity(2 * self.h)
         product = eye
-        for k, (f, gg) in enumerate(self.pairs):
-            c = _commutator(f, gg).entries
+        for k, ((f, _), conj) in enumerate(zip(self.pairs, conjugates)):
+            c = (f @ conj).entries  # the commutator [f_k, g_k]
             product = _mat_mul(product, c) if k else c
         if product != eye:
             raise CommutatorRelationViolated(
@@ -353,7 +356,7 @@ def _int_form_signature(gram: Sequence[Sequence[int]], asymmetric: str) -> Tuple
 
 def handle_signatures(m: MonodromyData) -> List[int]:
     """sigma of the Wall form of (f_i, g_i f_i^{-1} g_i^{-1}) per handle."""
-    return [wall_form_general(f, g @ f.inverse() @ g.inverse())[1] for f, g in m.pairs]
+    return [wall_form_general(f, conj)[1] for (f, _), conj in zip(m.pairs, m._conjugates)]
 
 
 def _cup_gram(m: MonodromyData) -> Tuple[List[Tuple[int, ...]], List[List[int]]]:

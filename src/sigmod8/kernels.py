@@ -9,7 +9,8 @@ of x.  Only the lower triangle of the Gram rows is read.
 * gauss_sums: the Gauss sums of all 2^dim enhancements q + 2(x.d) of the
   same form at once.  Since i^(q(x) + 2(x.d)) = i^q(x) (-1)^(x.d), they are
   one Walsh-Hadamard transform of i^q, done by butterflies in int64; every
-  partial sum is bounded by 2^dim, so nothing can wrap.
+  partial sum is bounded by 2^dim, so nothing can wrap.  A stack of forms
+  of one dim is one (forms, 2^dim) table and one transform along its rows.
 * gauss_counts: the four counts #{x : q(x) = c}, c in Z4, of one
   enhancement, from which S = (c0 - c2) + (c1 - c3) i is exact.  It meets
   in the middle: with x = x_L + x_H, x_L in the low a = floor(dim/2)
@@ -55,38 +56,44 @@ __all__ = ["gauss_counts", "gauss_sums", "linking_numerators", "linking_bk"]
 def _q_values(dim: int, qdiag, rows):
     """q(x) in Z4 for every x in Z2^dim, indexed by the bit mask of x (uint8).
 
-    The coset +e_j adds q(e_j) + 2 popcount(x & row_j) to q(x) for every
-    x < 2^j.  Those increments are computed for all j at once, a
-    dim x 2^(dim-1) table, so each doubling step is a single addition.
-    The uint8 sums wrap mod 256, a multiple of 4, and are reduced mod 4
-    once at the end.
+    qdiag and rows may hold a stack of forms, shape (..., dim); the table
+    then has shape (..., 2^dim), one row per form.  The coset +e_j adds
+    q(e_j) + 2 popcount(x & row_j) to q(x) for every x < 2^j.  Those
+    increments are computed for all j at once, a dim x 2^(dim-1) table per
+    form, so each doubling step is a single addition.  The uint8 sums wrap
+    mod 256, a multiple of 4, and are reduced mod 4 once at the end.
     """
     import numpy as np
     if dim < 0 or dim > 30:
         raise ValueError("dim out of range for the enumeration kernel")
+    qdiag = np.asarray(qdiag, dtype=np.uint8)
     x = np.arange(1 << max(dim - 1, 0), dtype=np.uint32)
-    step = np.bitwise_count(x & np.array(rows, dtype=np.uint32)[:, None])
+    step = np.bitwise_count(x & np.asarray(rows, dtype=np.uint32)[..., None])
     step <<= 1
-    step += np.array(qdiag, dtype=np.uint8)[:, None]
-    q = np.zeros(1 << dim, dtype=np.uint8)
+    step += qdiag[..., None]
+    q = np.zeros(qdiag.shape[:-1] + (1 << dim,), dtype=np.uint8)
     for j in range(dim):
         half = 1 << j
-        np.add(q[:half], step[j, :half], out=q[half:2 * half])
+        np.add(q[..., :half], step[..., j, :half], out=q[..., half:2 * half])
     q &= 3
     return q
 
 
 def _transform(q):
-    """Re and im of sum_x i^q(x) (-1)^(x.d) for every d, an int64 (2, 2^dim) array."""
+    """Re and im of sum_x i^q(x) (-1)^(x.d) for every d: int64, shape (2,) + q.shape.
+
+    The butterflies run along the last axis, so a stack of tables is one
+    transform per row.
+    """
     import numpy as np
     s = np.array([[1, 0, -1, 0], [0, 1, 0, -1]], dtype=np.int64)[:, q]
     butterfly = np.array([[1, 1], [1, -1]], dtype=np.int64)
     h = 1
-    while h < q.size:
+    while h < q.shape[-1]:
         # axis 1 is bit log2(h) of the index: (u, v) -> (u + v, u - v)
         s = butterfly @ s.reshape(-1, 2, h)
         h *= 2
-    return s.reshape(2, -1)
+    return s.reshape((2,) + q.shape)
 
 
 def gauss_counts(dim: int, qdiag, rows):
@@ -122,8 +129,9 @@ def gauss_counts(dim: int, qdiag, rows):
 def gauss_sums(dim: int, qdiag, rows):
     """Exact Gauss sums of q_d(x) = q(x) + 2(x.d) for every d in Z2^dim.
 
-    Takes the same arguments as gauss_counts and returns two int64 arrays
-    (re, im) of length 2^dim, indexed by the bit mask of d.
+    Takes the same arguments as gauss_counts, or a stack of them, shape
+    (..., dim), and returns two int64 arrays (re, im) of shape (..., 2^dim),
+    indexed by the bit mask of d.
     """
     s = _transform(_q_values(dim, qdiag, rows))
     return s[0], s[1]

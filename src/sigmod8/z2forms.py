@@ -81,6 +81,22 @@ class Z2Vec:
         return self.mask == 0
 
 
+# byte b -> the character "0" or "1" of its parity
+_PARITY_CHARS = bytes([48 | (b & 1) for b in range(256)])
+
+
+def _pack_bits(entries: Sequence[int]) -> int:
+    """The mask with bit j = entries[j] mod 2, read as one binary numeral.
+
+    Entries outside 0..255 (or not ints) are reduced with int(x) & 1 first.
+    """
+    try:
+        raw = bytes([*reversed(entries)])
+    except (TypeError, ValueError):
+        raw = bytes([int(x) & 1 for x in reversed(entries)])
+    return int(raw.translate(_PARITY_CHARS), 2)
+
+
 @dataclass(frozen=True)
 class Z2SymForm:
     """Symmetric bilinear form on Z2^dim; rows[i] packs lambda(e_i, e_j)."""
@@ -96,10 +112,12 @@ class Z2SymForm:
         for i, r in enumerate(self.rows):
             if r < 0 or r >> self.dim:
                 raise ValueError(f"row {i} does not fit in dim {self.dim}")
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if (self.rows[i] >> j) & 1 != (self.rows[j] >> i) & 1:
-                    raise ValueError("matrix is not symmetric")
+        # bits[i][j] = lambda(e_i, e_j); column j of the joined rows is every
+        # dim-th character from j, and a symmetric matrix has columns = rows
+        bits = [format(r, f"0{self.dim}b")[::-1] for r in self.rows]
+        joined = "".join(bits)
+        if [joined[j::self.dim] for j in range(self.dim)] != bits:
+            raise ValueError("matrix is not symmetric")
 
     @classmethod
     def _trusted(cls, dim: int, rows: Tuple[int, ...]) -> "Z2SymForm":
@@ -115,12 +133,13 @@ class Z2SymForm:
 
     @classmethod
     def from_matrix(cls, matrix: Sequence[Sequence[int]]) -> "Z2SymForm":
+        """The form of an integer matrix, each entry read mod 2."""
         dim = len(matrix)
         rows = []
         for r in matrix:
             if len(r) != dim:
                 raise ValueError("matrix is not square")
-            rows.append(sum((int(x) & 1) << j for j, x in enumerate(r)))
+            rows.append(_pack_bits(r))
         return cls(dim, tuple(rows))
 
     @property
@@ -251,16 +270,23 @@ class Z2Subspace:
 # Largest dim for which exhaustive enumeration of forms is meant.
 ENUMERATION_DIM_LIMIT = 6
 
+# Entries of each per-form lru_cache.  The exhaustive selfcheck suites read
+# each form once per run, so the cache need not hold a whole dim (888,832
+# forms at dim 6), only what requests revisit: the 482 forms up to dim 4,
+# and the forms a request builds over and over.  The bound keeps the
+# randomized suites' forms, new in every request, from growing it for good.
+FORM_CACHE_SIZE = 1 << 10
+
 
 def small_form_cache(fn):
     """fn(form), computed once per form and kept.
 
     Equal forms of dim <= ENUMERATION_DIM_LIMIT, which enumeration and
-    selfcheck revisit across requests, share an lru_cache entry.  A larger
-    form rarely recurs: its value is kept on the instance, for every caller
-    in the request, and freed with it.
+    selfcheck revisit across requests, share an lru_cache entry of
+    FORM_CACHE_SIZE.  A larger form rarely recurs: its value is kept on
+    the instance, for every caller in the request, and freed with it.
     """
-    cached = lru_cache(maxsize=1 << 16)(fn)
+    cached = lru_cache(maxsize=FORM_CACHE_SIZE)(fn)
     name = f"_{fn.__name__}_value"
 
     @wraps(fn)

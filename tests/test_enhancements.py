@@ -6,11 +6,13 @@ from sigmod8.enhancements import (
     GAUSS_DIM_LIMIT,
     Z2Quadratic,
     Z4Quadratic,
-    _arf_table,
-    _bk_classify_table,
+    _arf_tables,
+    _bk_classify_tables,
     _bk_gauss_table,
+    _bk_gauss_tables,
     _flip_coordinates,
     _match_gauss,
+    _split_arrays,
     _subquotient_basis,
     _subquotient_indices,
     arf,
@@ -342,65 +344,104 @@ def test_bk_classify_matches_gauss_exhaustive_dim4():
                 assert (4 * n + pp - pm_) % 8 == bk_gauss(q)
 
 
-def test_classify_table_matches_bk_classify():
-    """Entry d of the table is 4n + p_plus - p_minus of enhancement d."""
+def _table_forms(seed):
+    """Every nonsingular form of dim 0..4, and seeded samples at dims 5 and 6."""
+    rng = SplitMix64(seed)
     forms = [f for dim in range(0, 5) for f in enumerate_nonsingular_forms(dim)]
-    rng = SplitMix64(44)
-    forms += random_nonsingular_forms(5, 12, rng) + random_nonsingular_forms(6, 12, rng)
+    return forms + random_nonsingular_forms(5, 12, rng) + random_nonsingular_forms(6, 12, rng)
+
+
+def _by_dim(forms):
+    """The forms grouped by dim, as the batched tables take them."""
+    groups = {}
     for form in forms:
-        table = _bk_classify_table(form)
-        assert len(table) == 1 << form.dim
-        for d, q in enumerate(enumerate_z4_enhancements(form)):
-            m, n, pp, pm_ = bk_classify(q)
-            assert table[d] == (4 * n + pp - pm_) % 8, (form.rows, q.values)
+        groups.setdefault(form.dim, []).append(form)
+    return groups.items()
+
+
+def test_bk_gauss_tables_match_counting():
+    """Row f, entry d of the batched Gauss tables is BK of enhancement d of
+    form f, counted on its own by gauss_counts."""
+    for dim, forms in _by_dim(_table_forms(48)):
+        tables = _bk_gauss_tables(_split_arrays(dim, forms).rows)
+        assert tables.shape == (len(forms), 1 << dim)
+        for form, table in zip(forms, tables.tolist()):
+            assert table == [bk_by_counting(q) for q in enumerate_z4_enhancements(form)], form.rows
+            assert bytes(table) == _bk_gauss_table(form)  # the one-form case
+
+
+def test_classify_table_matches_bk_classify():
+    """Entry d of a form's row is 4n + p_plus - p_minus of enhancement d."""
+    for dim, forms in _by_dim(_table_forms(44)):
+        tables = _bk_classify_tables(_split_arrays(dim, forms))
+        assert tables.shape == (len(forms), 1 << dim)
+        for form, table in zip(forms, tables.tolist()):
+            for d, q in enumerate(enumerate_z4_enhancements(form)):
+                m, n, pp, pm_ = bk_classify(q)
+                assert table[d] == (4 * n + pp - pm_) % 8, (form.rows, q.values)
     # rebuilt on every call: the classification route is never a cache hit
-    assert not hasattr(_bk_classify_table, "cache_info")
-    assert not hasattr(_arf_table, "cache_info")
-    assert _bk_classify_table(forms[-1]) is not _bk_classify_table(forms[-1])
+    assert not hasattr(_bk_classify_tables, "cache_info")
+    assert not hasattr(_arf_tables, "cache_info")
 
 
 def test_flip_coordinates_brute_force():
-    """Bit k of coords[d] is the parity of d & vectors[k], for any number of
-    vectors (more than dim too)."""
+    """Bit k of coords[f, d] is the parity of d & vectors[f, k], for any
+    number of vectors (more than dim too)."""
+    import numpy as np
+
     rng = SplitMix64(47)
     for dim in range(7):
         for count in (0, 1, dim, dim + 1, dim + 3, 2 * dim + 5):
-            for _ in range(3):
-                vectors = [rng.randrange(1 << dim) for _ in range(count)]
-                coords = _flip_coordinates(dim, vectors)
-                assert len(coords) == 1 << dim
-                for d, mask in enumerate(coords):
+            vectors = [[rng.randrange(1 << dim) for _ in range(count)] for _ in range(3)]
+            coords = _flip_coordinates(dim, np.array(vectors, dtype=np.uint8).reshape(3, count))
+            assert coords.shape == (3, 1 << dim)
+            for row, masks in zip(vectors, coords.tolist()):
+                for d, mask in enumerate(masks):
                     assert mask == sum((d & s).bit_count() % 2 << k
-                                       for k, s in enumerate(vectors)), (dim, vectors, d)
+                                       for k, s in enumerate(row)), (dim, row, d)
 
 
 def test_arf_table_matches_arf():
     forms = [f for dim in (0, 2, 4) for f in enumerate_nonsingular_forms(dim, isotropic_only=True)]
     rng = SplitMix64(45)
     forms += [random_isotropic_enhanced(3, rng).form for _ in range(12)]
-    for form in forms:
-        table = _arf_table(form)
-        assert len(table) == 1 << form.dim
-        for b, h in enumerate(enumerate_z2_enhancements(form)):
-            assert table[b] == arf(h), (form.rows, h.values)
+    for dim, group in _by_dim(forms):
+        tables = _arf_tables(dim, group)
+        assert tables.shape == (len(group), 1 << dim)
+        for form, table in zip(group, tables.tolist()):
+            for b, h in enumerate(enumerate_z2_enhancements(form)):
+                assert table[b] == arf(h), (form.rows, h.values)
+    with pytest.raises(AnisotropicInput):
+        _arf_tables(1, [P_FORM])
 
 
 def test_subquotient_indices_match_isotropic_subquotient():
-    """The index the bk-4arf suite reads is the subquotient's value mask."""
-    forms = [f for dim in range(0, 5) for f in enumerate_nonsingular_forms(dim)]
-    forms += random_nonsingular_forms(6, 12, SplitMix64(46))
-    for form in forms:
-        v = wu_class(form)
-        w_form, indices = _subquotient_indices(form)
-        assert len(indices) == 1 << form.dim
-        for d, q in enumerate(enumerate_z4_enhancements(form)):
-            if q.evaluate(v) != 0:
-                assert indices[d] is None
-                continue
-            w = isotropic_subquotient(q)
-            assert w.form == w_form
-            assert indices[d] == sum(bit << j for j, bit in enumerate(w.values))
-            assert _arf_table(w_form)[indices[d]] == arf(w)
+    """The index the bk-4arf suite reads is the subquotient's value mask, and
+    the W it names is the subquotient's form."""
+    for dim, forms in _by_dim(_table_forms(46)):
+        w_dims, w_rows, indices = _subquotient_indices(_split_arrays(dim, forms))
+        assert indices.shape == (len(forms), 1 << dim)
+        for form, w_dim, rows, row in zip(forms, w_dims.tolist(), w_rows.tolist(), indices.tolist()):
+            v = wu_class(form)
+            w_form = Z2SymForm(w_dim, tuple(rows[:w_dim])) if w_dim >= 0 else None
+            assert w_dim < 0 or rows[w_dim:] == [0] * (dim - w_dim)
+            for d, q in enumerate(enumerate_z4_enhancements(form)):
+                if q.evaluate(v) != 0:
+                    assert row[d] == -1
+                    continue
+                w = isotropic_subquotient(q)
+                assert w.form == w_form == _subquotient_basis(form)[1]
+                assert row[d] == sum(bit << j for j, bit in enumerate(w.values))
+                assert _arf_tables(w_dim, [w_form])[0, row[d]] == arf(w)
+            if w_form is None:  # then no enhancement has q(v) = 0
+                assert all(q.evaluate(v) for q in enumerate_z4_enhancements(form))
+
+
+def test_tables_refuse_large_or_singular_forms():
+    with pytest.raises(DimTooLarge):
+        _split_arrays(7, [])
+    with pytest.raises(SingularForm):
+        _split_arrays(1, [Z2SymForm(1, (0,))])
 
 
 # -------------------------------------------------------------------- double

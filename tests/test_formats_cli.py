@@ -487,42 +487,50 @@ def test_cli_selfcheck_detects_mutation(monkeypatch, tmp_path):
 def test_gauss_vs_classify_detects_wrong_classify_table(monkeypatch):
     from sigmod8 import selfcheck as sc
 
-    real = sc._bk_classify_table
+    real = sc._bk_classify_tables
 
-    def shifted(form):
-        table = bytearray(real(form))
-        table[-1] = (table[-1] + 1) % 8
-        return bytes(table)
+    def shifted(split):
+        tables = real(split)
+        tables[:, -1] = (tables[:, -1] + 1) % 8
+        return tables
 
-    monkeypatch.setattr(sc, "_bk_classify_table", shifted)
-    result = sc.suite_gauss_vs_classify(3)
+    monkeypatch.setattr(sc, "_bk_classify_tables", shifted)
+    result = sc._exhaustive_suites(3)[0]
     assert not result.passed
     assert result.checked == 0  # the dim-0 form's only entry
     assert result.counterexample == "form rows (), values ()"
 
 
 def _flip_arf_entry(monkeypatch, skip):
-    """Flip entry 0 of every _arf_table the suites build after the first `skip`."""
+    """Flip entry 0 of every Arf table the suites build for a form after the
+    first `skip` tables of that form in the run.
+
+    The doubled half builds the first table of each isotropic form, in its
+    own block; the subquotient half builds the second, when the form first
+    appears as a W, which is in the same block (an isotropic form is its
+    own W).
+    """
     from sigmod8 import selfcheck as sc
 
-    real = sc._arf_table
-    calls = []
+    real = sc._arf_tables
+    built = []
 
-    def flipped(form):
-        table = bytearray(real(form))
-        calls.append(form)
-        if len(calls) > skip:
-            table[0] ^= 1
-        return bytes(table)
+    def flipped(dim, forms):
+        tables = real(dim, forms)
+        for row, form in enumerate(forms):
+            if built.count(form) >= skip:
+                tables[row, 0] ^= 1
+            built.append(form)
+        return tables
 
-    monkeypatch.setattr(sc, "_arf_table", flipped)
+    monkeypatch.setattr(sc, "_arf_tables", flipped)
 
 
 def test_bk_4arf_detects_wrong_arf_table_doubled_half(monkeypatch):
     from sigmod8 import selfcheck as sc
 
     _flip_arf_entry(monkeypatch, 0)
-    result = sc.suite_bk_4arf(4)
+    result = sc._exhaustive_suites(4)[1]
     assert not result.passed
     assert result.checked == 0
     assert result.counterexample == "isotropic form rows (), h values ()"
@@ -532,48 +540,61 @@ def test_bk_4arf_detects_wrong_arf_table_subquotient_half(monkeypatch):
     from sigmod8 import selfcheck as sc
     from sigmod8.z2forms import enumerate_nonsingular_forms
 
-    # the doubled half builds one table per isotropic form of dim 0, 2, 4,
-    # checking all 2^dim entries of each; leave those tables alone
+    # the doubled half checks all 2^dim entries of each isotropic form of
+    # dim 0, 2, 4, and its tables are left alone
     isotropic = [f for dim in (0, 2, 4)
                  for f in enumerate_nonsingular_forms(dim, isotropic_only=True)]
-    _flip_arf_entry(monkeypatch, len(isotropic))
-    result = sc.suite_bk_4arf(4)
+    _flip_arf_entry(monkeypatch, 1)
+    result = sc._exhaustive_suites(4)[1]
     assert not result.passed
     assert result.checked == sum(1 << f.dim for f in isotropic)
     assert result.counterexample == "form rows (), values ()"
 
 
+def _indices_by_form(max_dim):
+    """(form, its row of _subquotient_indices) for every form up to max_dim."""
+    from sigmod8.enhancements import _split_arrays, _subquotient_indices
+    from sigmod8.z2forms import enumerate_nonsingular_forms
+
+    out = []
+    for dim in range(max_dim + 1):
+        forms = list(enumerate_nonsingular_forms(dim))
+        out += zip(forms, _subquotient_indices(_split_arrays(dim, forms))[2].tolist())
+    return out
+
+
 def test_bk_4arf_subquotient_failure_counts_indexed_entries(monkeypatch):
     """A wrong Gauss entry at d > 0 of a dim-4 form: `checked` counts only
     the enhancements with q(v) = 0 before it, not d."""
+    import numpy as np
+
     from sigmod8 import selfcheck as sc
-    from sigmod8.enhancements import _subquotient_indices, enumerate_z4_enhancements
+    from sigmod8.enhancements import enumerate_z4_enhancements
     from sigmod8.z2forms import enumerate_nonsingular_forms
 
-    forms = [f for dim in range(5) for f in enumerate_nonsingular_forms(dim)]
-    for at, target in enumerate(forms):  # an indexed entry d right after an unindexed one
-        indices = _subquotient_indices(target)[1]
+    forms = _indices_by_form(4)
+    for at, (target, indices) in enumerate(forms):  # an indexed entry d right after an unindexed one
         after_none = [d for d in range(1, len(indices))
-                      if indices[d] is not None and indices[d - 1] is None]
+                      if indices[d] >= 0 and indices[d - 1] < 0]
         if target.dim == 4 and after_none:
             break
     d = after_none[0]
-    real = sc._bk_gauss_table
+    real = sc._bk_gauss_tables
 
-    def wrong(form):
-        table = bytearray(real(form))
-        if form == target:
-            table[d] = (table[d] + 4) % 8
-        return bytes(table)
+    def wrong(rows):
+        tables = real(rows)
+        if rows.shape[1] == target.dim:
+            hit = (rows == np.array(target.rows)).all(axis=1)
+            tables[hit, d] = (tables[hit, d] + 4) % 8
+        return tables
 
-    monkeypatch.setattr(sc, "_bk_gauss_table", wrong)
+    monkeypatch.setattr(sc, "_bk_gauss_tables", wrong)
     doubled = sum(1 << f.dim for dim in (0, 2, 4)
                   for f in enumerate_nonsingular_forms(dim, isotropic_only=True))
-    before = sum(len(ix) - ix.count(None)
-                 for ix in (_subquotient_indices(f)[1] for f in forms[:at]))
-    result = sc.suite_bk_4arf(4)
+    before = sum(index >= 0 for _, ix in forms[:at] for index in ix)
+    result = sc._exhaustive_suites(4)[1]
     assert not result.passed
-    indexed_before_d = sum(index is not None for index in indices[:d])
+    indexed_before_d = sum(index >= 0 for index in indices[:d])
     assert 0 < indexed_before_d < d - 1
     assert result.checked == doubled + before + indexed_before_d
     values = list(enumerate_z4_enhancements(target))[d].values
@@ -583,26 +604,61 @@ def test_bk_4arf_subquotient_failure_counts_indexed_entries(monkeypatch):
 def test_bk_4arf_builds_each_subquotient_table_once_per_run(monkeypatch):
     """The doubled half builds one table per isotropic form, the subquotient
     half one per distinct W; a second run builds them all again."""
-    from sigmod8 import selfcheck as sc
-    from sigmod8.enhancements import _subquotient_indices
-    from sigmod8.z2forms import enumerate_nonsingular_forms
+    from collections import Counter
 
-    real = sc._arf_table
+    from sigmod8 import selfcheck as sc
+    from sigmod8.enhancements import enumerate_z4_enhancements, isotropic_subquotient
+    from sigmod8.z2forms import enumerate_nonsingular_forms, wu_class
+
+    real = sc._arf_tables
     calls = []
-    monkeypatch.setattr(sc, "_arf_table", lambda form: calls.append(form) or real(form))
+    monkeypatch.setattr(sc, "_arf_tables", lambda dim, forms: calls.extend(forms) or real(dim, forms))
     isotropic = [f for dim in (0, 2, 4)
                  for f in enumerate_nonsingular_forms(dim, isotropic_only=True)]
-    w_forms = {_subquotient_indices(f)[0] for dim in range(5)
-               for f in enumerate_nonsingular_forms(dim)} - {None}
+    w_forms = {isotropic_subquotient(q).form for dim in range(5)
+               for f in enumerate_nonsingular_forms(dim)
+               for q in enumerate_z4_enhancements(f) if q.evaluate(wu_class(f)) == 0}
     assert len(w_forms) == 30
-    assert sc.suite_bk_4arf(4).passed
+    assert sc._exhaustive_suites(4)[1].passed
     first = list(calls)
-    assert first[:len(isotropic)] == isotropic
-    subquotient = first[len(isotropic):]
-    assert len(subquotient) == len(set(subquotient)) == 30
-    assert set(subquotient) == w_forms
-    assert sc.suite_bk_4arf(4).passed
+    assert list(dict.fromkeys(first)) == isotropic  # the doubled half, in enumeration order
+    # every W is isotropic, and the subquotient half builds each one once
+    assert set(first) == w_forms
+    assert Counter(first) == Counter(isotropic + list(w_forms))
+    assert sc._exhaustive_suites(4)[1].passed
     assert calls[len(first):] == first
+
+
+def test_exhaustive_blocks_do_not_change_the_tables(monkeypatch):
+    """Blocks of 5 forms (dims 3 and 4 end in a part block) give the same
+    forms, tables and suite results as the default block size."""
+    import numpy as np
+
+    from sigmod8 import selfcheck as sc
+    from sigmod8.enhancements import _bk_classify_tables, _subquotient_indices
+
+    def tables(max_dim):
+        out = {}
+        for block in sc._blocks(max_dim):
+            parts = out.setdefault(block.dim, [[], [], [], []])
+            parts[0] += block.forms
+            parts[1].append(block.gauss)
+            parts[2].append(_bk_classify_tables(block.split))
+            parts[3].append(_subquotient_indices(block.split)[2])
+        return {dim: [forms] + [np.concatenate(t) for t in rest]
+                for dim, (forms, *rest) in out.items()}
+
+    default, default_suites = tables(4), sc._exhaustive_suites(4)
+    assert sc.BLOCK_FORMS > len(default[4][0])  # the default runs each dim in one block
+    monkeypatch.setattr(sc, "BLOCK_FORMS", 5)
+    assert [len(block.forms) for block in sc._blocks(3)] == [1, 1, 4] + [5] * 5 + [3]
+    small = tables(4)
+    assert default.keys() == small.keys()
+    for dim in default:
+        assert default[dim][0] == small[dim][0]
+        for a, b in zip(default[dim][1:], small[dim][1:]):
+            assert np.array_equal(a, b)
+    assert sc._exhaustive_suites(4) == default_suites
 
 
 def _brute_selfcheck_counts(max_dim):
