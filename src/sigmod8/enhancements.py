@@ -312,8 +312,8 @@ def _bk_gauss_table(form: Z2SymForm) -> bytes:
     Gauss sum is entry d of the transform of i^q0, q0 having values diag_i.
     The one-form case of _bk_gauss_tables.
     """
-    sums = kernels.gauss_sums(form.dim, _q0(form).values, form.rows)
-    return _bk_of_sums(form.dim, *sums).tobytes()
+    import numpy as np
+    return _bk_gauss_tables(np.array(form.rows, dtype=np.uint32)).tobytes()
 
 
 def _bk_of_sums(dim: int, re, im):
@@ -338,12 +338,13 @@ def _bk_of_sums(dim: int, re, im):
 
 
 def _bk_gauss_tables(rows):
-    """_bk_gauss_table of each form of a stack, given by its Gram rows (forms, dim).
+    """_bk_gauss_table of each form of a stack, given by its Gram rows (..., dim).
 
     One stack of q0 tables, one transform along its rows and one exact
-    match: a (forms, 2^dim) uint8 array.
+    match: a (..., 2^dim) uint8 array.
     """
-    return _bk_of_sums(rows.shape[1], *kernels.gauss_sums(rows.shape[1], _diagonal(rows), rows))
+    dim = rows.shape[-1]
+    return _bk_of_sums(dim, *kernels.gauss_sums(dim, _diagonal(rows), rows))
 
 
 def bk_classify(q: Z4Quadratic) -> Tuple[int, int, int, int]:
@@ -471,9 +472,9 @@ def enumerate_z2_enhancements(form: Z2SymForm) -> Iterator[Z2Quadratic]:
 
 
 def _diagonal(rows):
-    """lambda(e_i, e_i) of each form of a stack of Gram rows (forms, dim)."""
+    """lambda(e_i, e_i) of each form of a stack of Gram rows (..., dim)."""
     import numpy as np
-    return (rows >> np.arange(rows.shape[1], dtype=np.uint32)) & 1
+    return (rows >> np.arange(rows.shape[-1], dtype=np.uint32)) & 1
 
 
 def _apply_rows(rows, vectors):
@@ -605,8 +606,8 @@ def _bk_classify_tables(split: _SplitArrays):
     return (4 * _pair_counts(high, dim) + split.counts[:, None] - 2 * minus) & 7
 
 
-def _arf_tables(dim: int, forms: Sequence[Z2SymForm]):
-    """Arf invariant of every Z2 enhancement of isotropic nonsingular forms of one dim.
+def _arf_tables(split: _SplitArrays):
+    """Arf invariant of every Z2 enhancement of each form of a stack of isotropic forms.
 
     Row b is indexed like enumerate_z2_enhancements, whose enhancement 0 is
     h = 0.  On an isotropic form q0 = 2 h0 (q0(s) = 2 * #{i < j in s :
@@ -614,7 +615,6 @@ def _arf_tables(dim: int, forms: Sequence[Z2SymForm]):
     the sum of h_b(e) h_b(f) over the pairs, is the pair count mod 2.
     Not cached.
     """
-    split = _split_arrays(dim, forms)
     if _diagonal(split.rows).any():
         raise AnisotropicInput("Z2 enhancements require an isotropic form")
     return _pair_counts(_high_bits(split.rows, split.pairs), 0) & 1

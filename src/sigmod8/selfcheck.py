@@ -144,7 +144,8 @@ def _doubled(block: _Block) -> SuiteResult:
     if not forms:
         return SuiteResult("bk-4arf", True, 0)
     gauss = block.gauss[isotropic]
-    j = _first_mismatch(gauss.tobytes(), (_arf_tables(block.dim, forms) << 2).tobytes())
+    arf = _arf_tables(_SplitArrays(*(a[isotropic] for a in block.split)))
+    j = _first_mismatch(gauss.tobytes(), (arf << 2).tobytes())
     if j is None:
         return SuiteResult("bk-4arf", True, gauss.size)
     f, b = divmod(j, gauss.shape[1])
@@ -188,7 +189,7 @@ class _FourArf:
             group = [(code, w) for code, w in new.items() if w.dim == dim]
             self.row.update((code, len(self.tables) + k) for k, (code, _) in enumerate(group))
             tables = np.zeros((len(group), self.tables.shape[1]), dtype=np.uint8)
-            tables[:, :1 << dim] = _arf_tables(dim, [w for _, w in group]) << 2
+            tables[:, :1 << dim] = _arf_tables(_split_arrays(dim, [w for _, w in group])) << 2
             self.tables = np.concatenate([self.tables, tables])
         return np.array([self.row.get(code, 0) for code in codes])
 
@@ -227,7 +228,10 @@ def _exhaustive_suites(max_dim: int) -> Tuple[SuiteResult, SuiteResult]:
 
     Each block's Gauss table serves both suites.  bk-4arf reports as if its
     doubled half ran over every dim before its subquotient half: a failure
-    of the doubled half comes first, and counts only doubled checks.
+    of the doubled half comes first, and counts only doubled checks.  So a
+    failed subquotient half leaves the doubled half to run on, and no
+    further block is built once gauss-vs-classify and the doubled half have
+    both failed.
     """
     gauss_vs_classify = SuiteResult("gauss-vs-classify", True, 0)
     doubled = subquotient = SuiteResult("bk-4arf", True, 0)
@@ -239,6 +243,8 @@ def _exhaustive_suites(max_dim: int) -> Tuple[SuiteResult, SuiteResult]:
             doubled = _extend(doubled, _doubled(block))
         if doubled.passed and subquotient.passed:
             subquotient = _extend(subquotient, suite_bk_4arf(block, four_arf))
+        if not gauss_vs_classify.passed and not doubled.passed:
+            break  # both suites have ended: build no further block
     return gauss_vs_classify, _extend(doubled, subquotient)
 
 

@@ -382,6 +382,10 @@ def test_classify_table_matches_bk_classify():
     # rebuilt on every call: the classification route is never a cache hit
     assert not hasattr(_bk_classify_tables, "cache_info")
     assert not hasattr(_arf_tables, "cache_info")
+    split = _split_arrays(dim, forms)
+    assert _bk_classify_tables(split) is not _bk_classify_tables(split)
+    isotropic = _split_arrays(4, list(enumerate_nonsingular_forms(4, isotropic_only=True)))
+    assert _arf_tables(isotropic) is not _arf_tables(isotropic)
 
 
 def test_flip_coordinates_brute_force():
@@ -406,13 +410,13 @@ def test_arf_table_matches_arf():
     rng = SplitMix64(45)
     forms += [random_isotropic_enhanced(3, rng).form for _ in range(12)]
     for dim, group in _by_dim(forms):
-        tables = _arf_tables(dim, group)
+        tables = _arf_tables(_split_arrays(dim, group))
         assert tables.shape == (len(group), 1 << dim)
         for form, table in zip(group, tables.tolist()):
             for b, h in enumerate(enumerate_z2_enhancements(form)):
                 assert table[b] == arf(h), (form.rows, h.values)
     with pytest.raises(AnisotropicInput):
-        _arf_tables(1, [P_FORM])
+        _arf_tables(_split_arrays(1, [P_FORM]))
 
 
 def test_subquotient_indices_match_isotropic_subquotient():
@@ -432,7 +436,7 @@ def test_subquotient_indices_match_isotropic_subquotient():
                 w = isotropic_subquotient(q)
                 assert w.form == w_form == _subquotient_basis(form)[1]
                 assert row[d] == sum(bit << j for j, bit in enumerate(w.values))
-                assert _arf_tables(w_dim, [w_form])[0, row[d]] == arf(w)
+                assert _arf_tables(_split_arrays(w_dim, [w_form]))[0, row[d]] == arf(w)
             if w_form is None:  # then no enhancement has q(v) = 0
                 assert all(q.evaluate(v) for q in enumerate_z4_enhancements(form))
 

@@ -501,6 +501,13 @@ def test_gauss_vs_classify_detects_wrong_classify_table(monkeypatch):
     assert result.counterexample == "form rows (), values ()"
 
 
+def _forms_of(split):
+    """The forms of a stack of splittings, from their Gram rows."""
+    from sigmod8.z2forms import Z2SymForm
+
+    return [Z2SymForm(split.rows.shape[1], tuple(rows)) for rows in split.rows.tolist()]
+
+
 def _flip_arf_entry(monkeypatch, skip):
     """Flip entry 0 of every Arf table the suites build for a form after the
     first `skip` tables of that form in the run.
@@ -515,9 +522,9 @@ def _flip_arf_entry(monkeypatch, skip):
     real = sc._arf_tables
     built = []
 
-    def flipped(dim, forms):
-        tables = real(dim, forms)
-        for row, form in enumerate(forms):
+    def flipped(split):
+        tables = real(split)
+        for row, form in enumerate(_forms_of(split)):
             if built.count(form) >= skip:
                 tables[row, 0] ^= 1
             built.append(form)
@@ -549,6 +556,70 @@ def test_bk_4arf_detects_wrong_arf_table_subquotient_half(monkeypatch):
     assert not result.passed
     assert result.checked == sum(1 << f.dim for f in isotropic)
     assert result.counterexample == "form rows (), values ()"
+
+
+def test_bk_4arf_doubled_failure_after_subquotient_failure(monkeypatch):
+    """A doubled-half failure at dim 4 is reported over a subquotient-half
+    failure at dim 0, even once gauss-vs-classify has failed too."""
+    from sigmod8 import selfcheck as sc
+    from sigmod8.z2forms import enumerate_nonsingular_forms
+
+    real_classify, real_arf = sc._bk_classify_tables, sc._arf_tables
+    built = []
+
+    def shifted(split):
+        tables = real_classify(split)
+        tables[:, 0] ^= 1
+        return tables
+
+    def flipped(split):  # the second table of any form, the first of a dim-4 one
+        tables = real_arf(split)
+        for row, form in enumerate(_forms_of(split)):
+            if built.count(form) or form.dim == 4:
+                tables[row, 0] ^= 1
+            built.append(form)
+        return tables
+
+    monkeypatch.setattr(sc, "_bk_classify_tables", shifted)
+    monkeypatch.setattr(sc, "_arf_tables", flipped)
+    isotropic = {dim: list(enumerate_nonsingular_forms(dim, isotropic_only=True))
+                 for dim in (0, 2, 4)}
+    gauss_vs_classify, bk_4arf = sc._exhaustive_suites(4)
+    assert gauss_vs_classify.checked == 0 and not gauss_vs_classify.passed
+    assert not bk_4arf.passed
+    assert bk_4arf.checked == sum(1 << f.dim for f in isotropic[0] + isotropic[2])
+    assert bk_4arf.counterexample == (
+        f"isotropic form rows {isotropic[4][0].rows}, h values (0, 0, 0, 0)"
+    )
+
+
+def test_exhaustive_suites_stop_once_both_have_failed(monkeypatch):
+    """No block past dim 0 is built when gauss-vs-classify and the doubled
+    half of bk-4arf both fail on the dim-0 form."""
+    from sigmod8 import selfcheck as sc
+
+    real_classify, real_arf, real_split = sc._bk_classify_tables, sc._arf_tables, sc._split_arrays
+    dims = []
+
+    def shifted(split):
+        tables = real_classify(split)
+        tables[:, 0] ^= 1
+        return tables
+
+    def flipped(split):
+        tables = real_arf(split)
+        tables[:, 0] ^= 1
+        return tables
+
+    monkeypatch.setattr(sc, "_bk_classify_tables", shifted)
+    monkeypatch.setattr(sc, "_arf_tables", flipped)
+    monkeypatch.setattr(sc, "_split_arrays", lambda dim, forms: dims.append(dim) or real_split(dim, forms))
+    results = sc._exhaustive_suites(5)
+    assert [r.line() for r in results] == [
+        "suite gauss-vs-classify: FAIL after 0 checks: form rows (), values ()",
+        "suite bk-4arf: FAIL after 0 checks: isotropic form rows (), h values ()",
+    ]
+    assert dims == [0]
 
 
 def _indices_by_form(max_dim):
@@ -612,7 +683,7 @@ def test_bk_4arf_builds_each_subquotient_table_once_per_run(monkeypatch):
 
     real = sc._arf_tables
     calls = []
-    monkeypatch.setattr(sc, "_arf_tables", lambda dim, forms: calls.extend(forms) or real(dim, forms))
+    monkeypatch.setattr(sc, "_arf_tables", lambda split: calls.extend(_forms_of(split)) or real(split))
     isotropic = [f for dim in (0, 2, 4)
                  for f in enumerate_nonsingular_forms(dim, isotropic_only=True)]
     w_forms = {isotropic_subquotient(q).form for dim in range(5)
