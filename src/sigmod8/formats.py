@@ -20,6 +20,7 @@ file.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import chain
 from typing import List, Optional, Sequence, Tuple
@@ -45,6 +46,8 @@ __all__ = [
 
 # Largest |exponent| in a ratform decimal such as 1.5e-3, as int's digit limit bounds p and q
 EXPONENT_LIMIT = 4300
+# A ratform entry of this form, the common case, is read by int(), the rest by Fraction(tok)
+_PLAIN_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?").fullmatch
 
 _BITS = frozenset((0, 1))
 
@@ -181,16 +184,20 @@ def parse_ratform(text: str, path: Optional[str] = None) -> RatSymForm:
             lines.fail(lineno, f"expected {dim} entries, got {len(tokens)}")
         row = []
         for tok in tokens:
-            _, e, exponent = tok.lower().partition("e")
             try:
+                if _PLAIN_RATIONAL(tok):  # int() has Fraction(tok)'s digit limit
+                    p, _, q = tok.partition("/")
+                    row.append(Fraction(int(p), int(q or 1)))
+                    continue
+                _, e, exponent = tok.lower().partition("e")
                 if e and abs(int(exponent)) > EXPONENT_LIMIT:  # Fraction computes 10**exponent
                     raise ValueError(tok)
                 row.append(Fraction(tok))
             except (ValueError, ZeroDivisionError):
                 lines.fail(lineno, f"expected a rational p/q, got {tok!r}")
-        rows.append(row)
+        rows.append(tuple(row))
     lines.expect_done()
-    return _build(path, lambda: RatSymForm.from_matrix(rows))
+    return _build(path, lambda: RatSymForm(dim, tuple(rows)))
 
 
 def parse_symcomplex(text: str, path: Optional[str] = None) -> SymComplex:

@@ -14,7 +14,9 @@ on the diagonal mod 2Z; its Gauss sum sum_x e^(pi i q(x)) recovers the
 signature mod 8.  The sum is exact: every q(x) is an integer numerator over
 D = 2 max(orders), so it is counted by numerator and compared with the
 eight candidates in Z[e^(pi i/D)] (Milgram's formula).  No floating point
-is used anywhere.
+is used anywhere.  Rationals stay Fractions at the API (RatSymForm, the
+values of a LinkingForm); the CLI's path checks and consumes them as
+integer numerators and denominators, with no Fraction arithmetic.
 """
 from __future__ import annotations
 
@@ -348,16 +350,24 @@ class LinkingForm:
                 raise NotTwoPrimary(f"order {d} is not a power of two")
         if len(self.bmat) != l or len(self.qvec) != l:
             raise ValueError("b and q must match the generator count")
-        for i in range(l):
+        # on numerators and denominators: n/m - r/s is in Z when m s divides
+        # n s - r m, and d n/m is when m divides d n
+        num = [[b.numerator for b in row] for row in self.bmat]
+        den = [[b.denominator for b in row] for row in self.bmat]
+        for i, (d, q) in enumerate(zip(self.orders, self.qvec)):
             for j in range(l):
-                if (self.bmat[i][j] - self.bmat[j][i]) % 1 != 0:
+                n, m = num[i][j], den[i][j]
+                if j > i and (n * den[j][i] - num[j][i] * m) % (m * den[j][i]):
                     raise ValueError("b is not symmetric mod Z")
-                if (self.orders[i] * self.bmat[i][j]) % 1 != 0:
+                if d * n % m:
                     raise ValueError("b is not defined on the stated group")
-            if (self.qvec[i] - self.bmat[i][i]) % 1 != 0:
-                raise ValueError("q(x) must reduce to b(x,x) mod Z")
-            if (self.orders[i] * self.qvec[i]) % 1 != 0:
+            # d q in Z would follow from d b_ii in Z and the congruence below;
+            # tested first, a q off the group is named as such
+            n, m, r, s = q.numerator, q.denominator, num[i][i], den[i][i]
+            if d * n % m:
                 raise ValueError("q is not defined on the stated group")
+            if (n * s - r * m) % (m * s):
+                raise ValueError("q(x) must reduce to b(x,x) mod Z")
 
     @property
     def order(self) -> int:
@@ -429,12 +439,13 @@ def boundary_linking_form(form: IntSymForm) -> LinkingForm:
     v_t = _transpose(v)
     cols = [v_t[i] for i in keep]  # kept columns of V
     gram = _mat_mul(cols, _mat_mul(form.matrix, _transpose(cols)))
-    ub = [
-        [Fraction(x, di * dj) for x, dj in zip(row, orders)]
+    # each entry is reduced once, on its integer numerator: x / (d_i d_j) mod 1
+    # is (x mod d_i d_j) / (d_i d_j), and q_i is (x_ii mod 2 d_i^2) / d_i^2
+    bmat = tuple([
+        tuple([Fraction(x % (di * dj), di * dj) for x, dj in zip(row, orders)])
         for row, di in zip(gram, orders)
-    ]
-    bmat = tuple(tuple(x % 1 for x in row) for row in ub)
-    qvec = tuple(row[i] % 2 for i, row in enumerate(ub))
+    ])
+    qvec = tuple([Fraction(gram[i][i] % (2 * d * d), d * d) for i, d in enumerate(orders)])
     return LinkingForm(orders, bmat, qvec)
 
 
@@ -450,9 +461,9 @@ def bk_linking(lf: LinkingForm) -> int:
     if size > LINKING_GROUP_LIMIT:
         raise GroupTooLarge(f"|T| = {size} exceeds {LINKING_GROUP_LIMIT}")
     denom = 2 * max(lf.orders, default=2)
-    # integers, since LinkingForm checks that orders_i q_i and orders_i b_ij are
-    qnum = [int(q * denom) for q in lf.qvec]
-    bnum = [[int(2 * b * denom) for b in row] for row in lf.bmat]
+    # exact, since LinkingForm checks that orders_i q_i and orders_i b_ij are integers
+    qnum = [q.numerator * denom // q.denominator for q in lf.qvec]
+    bnum = [[b.numerator * 2 * denom // b.denominator for b in row] for row in lf.bmat]
     return kernels.linking_bk(lf.orders, qnum, bnum, denom)
 
 

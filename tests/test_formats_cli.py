@@ -15,6 +15,7 @@ import pytest
 import sigmod8
 from sigmod8 import cli, formats
 from sigmod8.errors import CommutatorRelationViolated, ParseError
+from sigmod8.intforms import RatSymForm
 
 EX1_MONODROMY = """\
 # genus-2 local coefficient system, worked example
@@ -253,6 +254,48 @@ def test_ratform_exponents(tmp_path):
         code, out = run_cli(["invariants", str(path), "--kind", "ratform"])
         assert code == 2, out
         assert f"huge.ratform:3: expected a rational p/q, got {tok!r}" in out
+
+
+# Every documented kind of ratform entry; the plain ones (signed integers and
+# p/q in ASCII digits) are read by int(), the rest by Fraction(tok).
+RATFORM_TOKENS = [
+    "0", "-0", "+7", "-12", "007", "3/4", "-3/4", "+6/8", "-0/5", "010/004",
+    "1_000/3", "\u0663", "\u0663/4", "1.5", "-0.75", ".5", "2.", "+1.25e2", "2.5E-2",
+    "1e4300", "-1e-4300", "7.5e+4300", "9" * 4300, "-" + "9" * 4300, "1/" + "9" * 4300,
+    "9" * 4300 + "/" + "8" * 4300,
+]
+
+# Fraction refuses each of these, and so must the parser (a bare split into
+# int(p) and int(q) would accept 3/-4 and 1/+2); test_ratform_exponents has
+# the exponents Fraction accepts and the parser refuses.
+RATFORM_REFUSED = [
+    "3/-4", "1/+2", "1/0", "-0/0", "1e", "/3", "3/", "--1", "+-1", "1//2", "1/2/3", "1.5/2",
+    "0x10", "9" * 4301, "1/" + "9" * 4301,
+]
+
+
+@pytest.mark.parametrize("tok", RATFORM_TOKENS, ids=range(len(RATFORM_TOKENS)))
+def test_ratform_entry_is_fraction_of_token(tok):
+    (entry,), = formats.parse_ratform(f"ratform 1\n{tok}\n").matrix
+    assert type(entry) is Fraction
+    assert entry == Fraction(tok)
+
+
+@pytest.mark.parametrize("tok", RATFORM_REFUSED, ids=range(len(RATFORM_REFUSED)))
+def test_ratform_refused_entry(tmp_path, tok):
+    with pytest.raises((ValueError, ZeroDivisionError)):
+        Fraction(tok)
+    path = tmp_path / "bad.ratform"
+    path.write_text(f"ratform 2\n1 0\n0 {tok}\n")
+    code, out = run_cli(["invariants", str(path), "--kind", "ratform"])
+    assert code == 2, out
+    assert out == f"parse error: {path}:3: expected a rational p/q, got {tok!r}\n"
+
+
+def test_ratform_matrix_is_tuples_of_fractions():
+    form = formats.parse_ratform("ratform 2\n1/2 -3\n-3 0.25\n")
+    assert form == RatSymForm.from_matrix([[Fraction(1, 2), -3], [-3, Fraction(1, 4)]])
+    assert all(type(row) is tuple for row in form.matrix)
 
 
 def test_parse_monodromy_commutator_violation_is_not_parse_error():

@@ -1,0 +1,78 @@
+"""Golden digest of command-line reports.
+
+The SHA-256 of every exit code and stdout below is pinned, so a change to
+the arithmetic behind a report must leave every report byte-identical:
+each file in samples/, even intforms with |T| = 2^1 .. 2^12 and the
+rejected cases around them, and ratforms in p/q, decimal and refused
+spellings.  On a deliberate change of a report, take the new digest from
+the failure message and say in the commit which reports changed and why.
+"""
+import hashlib
+import io
+import os
+import shutil
+from pathlib import Path
+
+from sigmod8 import cli
+from sigmod8.rng import SplitMix64
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+GOLDEN_SHA256 = "3d2f4f9c044055d8c9245d6bc71f54c7992119c2cbfad3181ecf02be74f71be9"
+
+
+def _even_form(rng, log_order):
+    """Rows of an even form congruent over Z to diag(+-2^k_i), sum k_i = log_order."""
+    dim = rng.randint(1, min(log_order, 6))
+    ks = [1] * dim
+    for _ in range(log_order - dim):
+        ks[rng.randrange(dim)] += 1
+    m = [[rng.choice((1, -1)) << ks[i] if i == j else 0 for j in range(dim)] for i in range(dim)]
+    for _ in range(3 * dim):
+        i, j, k = rng.randrange(dim), rng.randrange(dim), rng.choice((-2, -1, 1, 2))
+        if i != j:  # e_j -> e_j + k e_i
+            m[j] = [a + k * b for a, b in zip(m[j], m[i])]
+            for row in m:
+                row[j] += k * row[i]
+    return m
+
+
+def _text(keyword, rows):
+    return f"{keyword} {len(rows)}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows)
+
+
+def _inline_inputs():
+    rng = SplitMix64(8)
+    for log_order in range(1, 13):
+        for t in range(3):
+            yield f"even-{log_order}-{t}.intform", _text("intform", _even_form(rng, log_order))
+    yield "odd-part.intform", _text("intform", [[2, 1], [1, 2]])  # det 3
+    yield "odd-diagonal.intform", _text("intform", [[3, 1], [1, 2]])
+    yield "degenerate.intform", _text("intform", [[2, 2], [2, 2]])
+    yield "too-large.intform", _text("intform", [[1 << 21]])
+    yield "asymmetric.intform", _text("intform", [[2, 1], [0, 2]])
+    yield "pq.ratform", "ratform 3\n1/2 -3/4 5\n-3/4 7/3 0\n5 0 -11/6\n"
+    yield "signed.ratform", "ratform 2\n+6/8 -0/5\n-0 -010/004\n"
+    yield "decimal.ratform", "ratform 3\n1.5 -0.75 .5\n-0.75 2.5E-2 1e3\n.5 1e3 -7.25e-1\n"
+    yield "mixed.ratform", "ratform 2\n1_000/3 ٣\n٣ -2.\n"
+    yield "asymmetric.ratform", "ratform 2\n1 1/2\n0.25 1\n"
+    for k, tok in enumerate(("3/-4", "1/+2", "1/0", "1e", "/3", "--1", "1e4301", "9" * 4301)):
+        yield f"refused-{k}.ratform", f"ratform 2\n1 0\n0 {tok}\n"
+
+
+def test_reports_match_golden_digest(tmp_path, monkeypatch):
+    for name in sorted(os.listdir(SAMPLES)):
+        shutil.copy(SAMPLES / name, tmp_path / name)
+    names = sorted(os.listdir(tmp_path))
+    for name, text in _inline_inputs():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        names.append(name)
+    monkeypatch.chdir(tmp_path)  # reports name their input; keep the name relative
+    digest = hashlib.sha256()
+    for name in names:
+        kind = name.rsplit(".", 1)[1]
+        argv = ["bundle", name] if kind == "monodromy" else ["invariants", name, "--kind", kind]
+        out = io.StringIO()
+        code = cli.main(argv, out=out)
+        digest.update(f"{name}\n{code}\n{out.getvalue()}".encode())
+    assert digest.hexdigest() == GOLDEN_SHA256

@@ -1,6 +1,7 @@
 """Integral and rational forms: signatures, mod-8 identities, linking forms."""
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ from sigmod8.errors import (
     NotUnimodular,
     OddDiagonal,
 )
+from sigmod8.formats import parse_intform
 from sigmod8.intforms import (
     ENTRY_BOUND,
     LINKING_GROUP_LIMIT,
@@ -34,6 +36,7 @@ from sigmod8.intforms import (
 )
 from sigmod8.rng import SplitMix64
 
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 I4 = IntSymForm.diagonal([1, 1, 1, 1])
 HZ = IntSymForm.from_matrix([[0, 1], [1, 0]])
 
@@ -502,6 +505,85 @@ def test_linking_numerators_match_evaluate_q():
         for idx, rev in enumerate(itertools.product(*(range(d) for d in reversed(lf.orders)))):
             coeffs = rev[::-1]
             assert Fraction(int(table[idx]), denom) == lf.evaluate_q(coeffs)
+
+
+F = Fraction
+
+
+# (refused, accepted near-miss, error, message): every check of LinkingForm
+# trips on its first input and lets the second through.
+LINKING_CHECKS = [
+    # an order of 3, and of 1, is not a power of two > 1; 4 is
+    (((3,), ((F(1, 3),),), (F(1, 3),)), ((4,), ((F(1, 4),),), (F(1, 4),)),
+     NotTwoPrimary, "order 3 is not a power of two"),
+    (((1,), ((F(0),),), (F(0),)), ((2,), ((F(0),),), (F(0),)),
+     NotTwoPrimary, "order 1 is not a power of two"),
+    # two generators, one row of b; then one q
+    (((2, 2), ((F(0), F(0)),), (F(0), F(0))),
+     ((2, 2), ((F(0), F(0)), (F(0), F(0))), (F(0), F(0))),
+     ValueError, "b and q must match the generator count"),
+    (((2, 2), ((F(0), F(0)), (F(0), F(0))), (F(0),)),
+     ((2, 2), ((F(0), F(0)), (F(0), F(0))), (F(0), F(0))),
+     ValueError, "b and q must match the generator count"),
+    # b_01 - b_10 = 1/2 is refused, b_01 - b_10 = 1 is not
+    (((2, 2), ((F(0), F(1, 2)), (F(0), F(0))), (F(0), F(0))),
+     ((2, 2), ((F(0), F(3, 2)), (F(1, 2), F(0))), (F(0), F(0))),
+     ValueError, "b is not symmetric mod Z"),
+    # 2 b_01 = 1/2 on Z2 + Z4; 2 b_01 = 1 is in Z
+    (((2, 4), ((F(0), F(1, 4)), (F(1, 4), F(0))), (F(0), F(0))),
+     ((2, 4), ((F(0), F(1, 2)), (F(1, 2), F(0))), (F(0), F(0))),
+     ValueError, "b is not defined on the stated group"),
+    # 2 q = 1/2 on Z2; q = 3/2 has 2 q = 3
+    (((2,), ((F(1, 2),),), (F(1, 4),)), ((2,), ((F(1, 2),),), (F(3, 2),)),
+     ValueError, "q is not defined on the stated group"),
+    # q - b(x,x) = 1/2 is refused, q - b(x,x) = 1 is not
+    (((4,), ((F(1, 4),),), (F(3, 4),)), ((4,), ((F(1, 4),),), (F(5, 4),)),
+     ValueError, r"q\(x\) must reduce to b\(x,x\) mod Z"),
+]
+
+
+@pytest.mark.parametrize(
+    "refused, accepted, error, message",
+    LINKING_CHECKS,
+    ids=["order-3", "order-1", "b-rows", "q-count", "b-symmetric", "b-defined", "q-defined", "q-congruence"],
+)
+def test_linking_form_checks(refused, accepted, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        LinkingForm(*refused)
+    assert LinkingForm(*accepted).orders == accepted[0]
+
+
+def _boundary_oracle_cases():
+    rng = SplitMix64(16)
+    for log_order in range(2, 13, 2):
+        for _ in range(2):
+            yield _congruent_power_diagonal(rng, log_order)[0]
+    with open(SAMPLES / "four_bounding.intform", encoding="utf-8") as fh:
+        yield parse_intform(fh.read())
+
+
+@pytest.mark.parametrize("form", list(_boundary_oracle_cases()))
+def test_boundary_linking_form_oracle(form):
+    """The boundary form equals the one built in Fraction arithmetic from
+    the Smith form: b_ij = (V^T phi V)_ij / (d_i d_j) mod 1 and
+    q_i = (V^T phi V)_ii / d_i^2 mod 2; its BK is sigma mod 8."""
+    _u, d, v = smith_normal_form(form.matrix)
+    keep = [i for i in range(form.dim) if d[i][i] != 1]
+    orders = tuple(d[i][i] for i in keep)
+    n = form.dim
+    gram = [
+        [sum(v[a][i] * form.matrix[a][b] * v[b][j] for a in range(n) for b in range(n)) for j in keep]
+        for i in keep
+    ]
+    lf = boundary_linking_form(form)
+    assert lf.orders == orders
+    assert lf.bmat == tuple(
+        tuple(Fraction(x, di * dj) % 1 for x, dj in zip(row, orders))
+        for row, di in zip(gram, orders)
+    )
+    assert lf.qvec == tuple(Fraction(gram[i][i], di * di) % 2 for i, di in enumerate(orders))
+    assert all(type(x) is Fraction for x in lf.qvec + sum(lf.bmat, ()))
+    assert bk_linking(lf) == signature_exact(form) % 8
 
 
 def test_linking_group_bound():
