@@ -58,7 +58,6 @@ built directly are always validated.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
@@ -72,6 +71,7 @@ from .errors import (
     NotLinearDifference,
     SingularForm,
 )
+from .record import Record
 from .z2forms import (
     ENUMERATION_DIM_LIMIT,
     FORM_CACHE_SIZE,
@@ -115,7 +115,7 @@ GAUSS_DIM_LIMIT = 24
 TABLE_CHECK_LIMIT = 10
 
 
-class _Enhancement:
+class _Enhancement(Record):
     """Evaluation shared by Z2Quadratic and Z4Quadratic.
 
     For x the sum of the e_i in its mask, the value is the sum of the
@@ -124,16 +124,8 @@ class _Enhancement:
     and (2, 3) over Z4.
     """
 
-    @classmethod
-    def _trusted(cls, form: Z2SymForm, values: Tuple[int, ...]):
-        """An enhancement whose values the caller built valid for the form.
-
-        Skips __post_init__; for enumeration, which validates the form once.
-        """
-        q = object.__new__(cls)
-        object.__setattr__(q, "form", form)
-        object.__setattr__(q, "values", values)
-        return q
+    form: Z2SymForm
+    values: Tuple[int, ...]
 
     @property
     def dim(self) -> int:
@@ -161,17 +153,13 @@ class _Enhancement:
         return type(self)(self.form.direct_sum(other.form), self.values + other.values)
 
 
-@dataclass(frozen=True)
 class Z2Quadratic(_Enhancement):
     """Z2-valued quadratic enhancement, stored by its values on the basis."""
 
     CROSS = 1
     MASK = 1
 
-    form: Z2SymForm
-    values: Tuple[int, ...]
-
-    def __post_init__(self):
+    def _validate(self):
         if len(self.values) != self.form.dim:
             raise ValueError("need one value per basis vector")
         if any(v not in (0, 1) for v in self.values):
@@ -180,7 +168,6 @@ class Z2Quadratic(_Enhancement):
             raise AnisotropicInput("Z2 enhancements require an isotropic form")
 
 
-@dataclass(frozen=True)
 class Z4Quadratic(_Enhancement):
     """Z4-valued quadratic enhancement, stored by its values on the basis.
 
@@ -190,10 +177,7 @@ class Z4Quadratic(_Enhancement):
     CROSS = 2
     MASK = 3
 
-    form: Z2SymForm
-    values: Tuple[int, ...]
-
-    def __post_init__(self):
+    def _validate(self):
         if len(self.values) != self.form.dim:
             raise ValueError("need one value per basis vector")
         diag = self.form.diagonal_mask()

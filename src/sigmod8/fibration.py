@@ -36,7 +36,6 @@ which reproduces the standard Dehn-twist matrices in this basis.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -52,6 +51,7 @@ from .errors import (
 )
 from .intforms import IntSymForm, Matrix, RatSymForm, signature_exact
 from .intforms import _identity, _mat_mul, _mat_sub, _mat_vec, _negate, _transpose
+from .record import Record
 
 __all__ = [
     "SymplecticMatrix",
@@ -104,14 +104,13 @@ def _preserves_j(m: Matrix) -> bool:
     return _mat_mul(_transpose(m), _j_times(m)) == standard_j(len(m) // 2)
 
 
-@dataclass(frozen=True)
-class SymplecticMatrix:
+class SymplecticMatrix(Record):
     """Integer matrix M with M^T J M = J for the standard block J."""
 
     h: int
     entries: Matrix
 
-    def __post_init__(self):
+    def _validate(self):
         n = 2 * self.h
         if len(self.entries) != n or any(len(r) != n for r in self.entries):
             raise OddDimension(f"expected a {n}x{n} matrix")
@@ -124,18 +123,6 @@ class SymplecticMatrix:
         if n % 2:
             raise OddDimension("symplectic matrices have even size")
         return cls(n // 2, tuple([tuple([int(x) for x in r]) for r in matrix]))
-
-    @classmethod
-    def _trusted(cls, h: int, entries: Matrix) -> "SymplecticMatrix":
-        """A matrix symplectic by construction: no M^T J M check.
-
-        Only for products and inverses of matrices that were checked, and
-        for products of transvections (random_transvection_word).
-        """
-        m = object.__new__(cls)
-        object.__setattr__(m, "h", h)
-        object.__setattr__(m, "entries", entries)
-        return m
 
     def inverse(self) -> "SymplecticMatrix":
         return SymplecticMatrix._trusted(self.h, _symplectic_inverse(self.entries))
@@ -181,20 +168,17 @@ def transvection(c: Sequence[int]) -> SymplecticMatrix:
     return SymplecticMatrix(n // 2, entries)
 
 
-@dataclass(frozen=True)
-class MonodromyData:
+class MonodromyData(Record):
     """g pairs (f_i, g_i) in Sp(2h, Z) with prod [f_i, g_i] = I."""
 
     h: int
     g: int
     pairs: Tuple[Tuple[SymplecticMatrix, SymplecticMatrix], ...]
     # g_i f_i^{-1} g_i^{-1} per handle, formed once for the commutators and
-    # kept for handle_signatures; derived from `pairs`, so never compared
-    _conjugates: Tuple[SymplecticMatrix, ...] = field(
-        default=(), init=False, repr=False, compare=False
-    )
+    # kept for handle_signatures; derived from `pairs`, so not a field
+    _conjugates: Tuple[SymplecticMatrix, ...]
 
-    def __post_init__(self):
+    def _validate(self):
         if len(self.pairs) != self.g:
             raise ValueError("need one pair per base handle")
         for f, gg in self.pairs:
@@ -459,8 +443,7 @@ def z2_trivial_check(m: MonodromyData) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class BundleReport:
+class BundleReport(Record):
     """Per-handle Wall signatures plus the local-system signature."""
 
     handle_signatures: Tuple[int, ...]

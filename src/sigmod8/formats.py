@@ -8,7 +8,9 @@ file.
 
     z2form <dim>        dim rows of dim 0/1 entries
     z2q <dim>           z2form rows, then one row of dim values in {0,1}
+                        (at dim 0, no row: the file is its header)
     z4q <dim>           z2form rows, then one row of dim values in {0,1,2,3}
+                        (likewise)
     intform <dim>       dim rows of dim integers
     ratform <dim>       dim rows of dim rationals (p/q, ints, decimals)
     symcomplex <n>      one row of n+1 ranks, each in 0..256
@@ -149,7 +151,8 @@ def _parse_enhancement(text: str, path: Optional[str], kind: str, cls, modulus: 
     lines = _Lines(text, path)
     (dim,) = _header(lines, kind, 1)
     rows = _z2_rows(lines, dim, f"{kind} form")
-    lineno, tokens = lines.take(f"row of {kind} values")
+    # at dim 0 the row of values has no tokens, a blank line that _Lines drops
+    lineno, tokens = lines.take(f"row of {kind} values") if dim else (0, [])
     values = _ints(lines, lineno, tokens, dim, f"{kind} values")
     lines.expect_done()
     if any(not 0 <= v < modulus for v in values):

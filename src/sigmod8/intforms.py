@@ -20,7 +20,6 @@ integer numerators and denominators, with no Fraction arithmetic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -37,6 +36,7 @@ from .errors import (
     NotUnimodular,
     OddDiagonal,
 )
+from .record import Record
 from .z2forms import Z2SymForm, wu_class
 
 __all__ = [
@@ -103,8 +103,7 @@ def _check_symmetric(matrix: Tuple[Tuple, ...]) -> None:
                 raise ValueError("matrix is not symmetric")
 
 
-@dataclass(frozen=True)
-class IntSymForm:
+class IntSymForm(Record):
     """Symmetric bilinear form over Z (arbitrary-precision entries).
 
     Signature, determinant and mod-2 reduction are computed on first use
@@ -114,7 +113,7 @@ class IntSymForm:
     dim: int
     matrix: Tuple[Tuple[int, ...], ...]
 
-    def __post_init__(self):
+    def _validate(self):
         if len(self.matrix) != self.dim:
             raise ValueError("matrix size must equal dim")
         _check_symmetric(self.matrix)
@@ -160,14 +159,13 @@ class IntSymForm:
         return sum(map(mul, x, _mat_vec(self.matrix, y)))
 
 
-@dataclass(frozen=True)
-class RatSymForm:
+class RatSymForm(Record):
     """Symmetric bilinear form over Q with exact Fraction entries."""
 
     dim: int
     matrix: Tuple[Tuple[Fraction, ...], ...]
 
-    def __post_init__(self):
+    def _validate(self):
         if len(self.matrix) != self.dim:
             raise ValueError("matrix size must equal dim")
         _check_symmetric(self.matrix)
@@ -327,8 +325,7 @@ def smith_normal_form(
     return u, a, v
 
 
-@dataclass(frozen=True)
-class LinkingForm:
+class LinkingForm(Record):
     """Quadratic linking form on a finite abelian 2-group.
 
     orders: elementary divisors (d_1, ..., d_l), each a power of 2 > 1
@@ -343,7 +340,7 @@ class LinkingForm:
     bmat: Tuple[Tuple[Fraction, ...], ...]
     qvec: Tuple[Fraction, ...]
 
-    def __post_init__(self):
+    def _validate(self):
         l = len(self.orders)
         for d in self.orders:
             if d < 2 or d & (d - 1):
@@ -473,8 +470,7 @@ def tensor_product(a: IntSymForm, b: IntSymForm) -> IntSymForm:
     return IntSymForm(a.dim * b.dim, tuple(rows))
 
 
-@dataclass(frozen=True)
-class DefectReport:
+class DefectReport(Record):
     """Result of the mod-8 multiplicativity-defect computation."""
 
     arf: int

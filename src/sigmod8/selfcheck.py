@@ -26,7 +26,6 @@ the caller's SplitMix64 state, so failures reproduce from the seed alone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
@@ -53,6 +52,7 @@ from .intforms import (
     signature_exact,
     van_der_blij_residue,
 )
+from .record import Record
 from .z2forms import Z2SymForm, enumerate_nonsingular_forms
 
 __all__ = ["SuiteResult", "run_all_suites"]
@@ -62,8 +62,7 @@ __all__ = ["SuiteResult", "run_all_suites"]
 BLOCK_FORMS = 4096
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(Record):
     name: str
     passed: bool
     checked: int

@@ -28,9 +28,9 @@ with the ranks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import add, mul
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -42,6 +42,7 @@ from .errors import (
 )
 from .intforms import IntSymForm, Matrix, characteristic_vector, signature_exact
 from .intforms import _mat_mul, _mat_vec, _negate, _transpose
+from .record import Record
 from .z2forms import eliminate
 
 __all__ = [
@@ -74,8 +75,7 @@ def _as_matrix(m, rows: int, cols: int, what: str) -> Matrix:
     return out
 
 
-@dataclass(frozen=True)
-class SymComplex:
+class SymComplex(Record):
     """Chain complex with a (partial) symmetric structure.
 
     ranks[r] is the rank of C_r for 0 <= r <= n.  diffs maps r to the
@@ -86,11 +86,11 @@ class SymComplex:
     """
 
     ranks: Tuple[int, ...]
-    diffs: Mapping[int, Matrix] = field(default_factory=dict)
-    phi0: Mapping[int, Matrix] = field(default_factory=dict)
-    phi1: Mapping[int, Matrix] = field(default_factory=dict)
+    diffs: Mapping[int, Matrix] = MappingProxyType({})
+    phi0: Mapping[int, Matrix] = MappingProxyType({})
+    phi1: Mapping[int, Matrix] = MappingProxyType({})
 
-    def __post_init__(self):
+    def _validate(self):
         n = self.n
         for r, rank in enumerate(self.ranks):
             if not 0 <= rank <= RANK_LIMIT:
@@ -135,8 +135,7 @@ class SymComplex:
         return self._full("phi1", r)
 
 
-@dataclass(frozen=True)
-class Mod2CohomologyClass:
+class Mod2CohomologyClass(Record):
     """Integer cochain pair (u, v) with d*v = 2u, d*u = 0.
 
     v is a cochain on C_degree, u a cochain on C_{degree+1}; the class of

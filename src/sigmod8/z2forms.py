@@ -16,7 +16,6 @@ each first row's determinant is one popcount.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce, wraps
 from operator import xor
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -27,6 +26,7 @@ from .errors import (
     DimTooLarge,
     SingularForm,
 )
+from .record import Record
 
 __all__ = [
     "Z2Vec",
@@ -48,14 +48,13 @@ def _parity(x: int) -> int:
     return x.bit_count() & 1
 
 
-@dataclass(frozen=True)
-class Z2Vec:
+class Z2Vec(Record):
     """Vector in Z2^dim, packed into the low `dim` bits of `mask`."""
 
     dim: int
     mask: int
 
-    def __post_init__(self):
+    def _validate(self):
         if self.dim < 0 or self.mask < 0 or self.mask >> self.dim:
             raise ValueError(f"mask {self.mask:#x} does not fit in dim {self.dim}")
 
@@ -97,14 +96,13 @@ def _pack_bits(entries: Sequence[int]) -> int:
     return int(raw.translate(_PARITY_CHARS), 2)
 
 
-@dataclass(frozen=True)
-class Z2SymForm:
+class Z2SymForm(Record):
     """Symmetric bilinear form on Z2^dim; rows[i] packs lambda(e_i, e_j)."""
 
     dim: int
     rows: Tuple[int, ...]
 
-    def __post_init__(self):
+    def _validate(self):
         # a tuple keeps the form hashable, as the per-form caches need
         object.__setattr__(self, "rows", tuple(self.rows))
         if len(self.rows) != self.dim:
@@ -118,18 +116,6 @@ class Z2SymForm:
         joined = "".join(bits)
         if [joined[j::self.dim] for j in range(self.dim)] != bits:
             raise ValueError("matrix is not symmetric")
-
-    @classmethod
-    def _trusted(cls, dim: int, rows: Tuple[int, ...]) -> "Z2SymForm":
-        """A form whose rows the caller built symmetric and within the dim.
-
-        Skips __post_init__; for enumeration, which builds its rows
-        symmetric.  Forms built directly are always validated.
-        """
-        form = object.__new__(cls)
-        object.__setattr__(form, "dim", dim)
-        object.__setattr__(form, "rows", rows)
-        return form
 
     @classmethod
     def from_matrix(cls, matrix: Sequence[Sequence[int]]) -> "Z2SymForm":
@@ -237,14 +223,13 @@ def rref_basis(vectors: Iterable[int], dim: int) -> Tuple[int, ...]:
     return tuple([echelon[pivot] for pivot in sorted(echelon)])
 
 
-@dataclass(frozen=True)
-class Z2Subspace:
+class Z2Subspace(Record):
     """Subspace of Z2^ambient_dim, stored by its canonical RREF basis."""
 
     ambient_dim: int
     basis: Tuple[int, ...]
 
-    def __post_init__(self):
+    def _validate(self):
         for b in self.basis:
             if b >> self.ambient_dim:
                 raise ValueError("basis vector outside ambient space")
@@ -521,4 +506,4 @@ def _bordered_forms(dim: int, isotropic_only: bool) -> Iterator[Z2SymForm]:
         if key not in firsts:
             firsts[key] = [r for r in candidates if _parity(r & key)]
         for first in firsts[key]:
-            yield Z2SymForm._trusted(dim, _border(first, block))
+            yield Z2SymForm._trusted(dim, _border(first, block))  # symmetric by construction

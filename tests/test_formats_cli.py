@@ -326,6 +326,25 @@ def test_cli_z4q_p1_report(tmp_path):
     assert "wu-sublagrangian: undefined (q(v)=1)" in out
 
 
+@pytest.mark.parametrize("kind, report", [
+    ("z4q", ["kind = z4q, dim = 0", "BK = 0", "decomposition: 0·q00 + 0·q22 + 0·P1 + 0·P-1",
+             "witt class (Z8) = 0", "wu-sublagrangian: span of v = ()", "subquotient dim = 0",
+             "Arf(subquotient) = 0"]),
+    ("z2q", ["kind = z2q, dim = 0", "Arf = 0", "BK(2h) = 0"]),
+])
+def test_cli_dim0_enhancement(tmp_path, kind, report):
+    """At dim 0 the row of values is empty, so the file is its header alone."""
+    path = tmp_path / f"zero.{kind}"
+    for text in (f"{kind} 0\n", f"# empty\n{kind} 0\n\n# no values\n"):
+        path.write_text(text)
+        code, out = run_cli(["invariants", str(path), "--kind", kind])
+        assert code == 0, out
+        assert out.splitlines()[1:] == report
+    path.write_text(f"{kind} 0\n1\n")
+    code, out = run_cli(["invariants", str(path), "--kind", kind])
+    assert (code, out) == (2, f"parse error: {path}:2: unexpected trailing line: 1\n")
+
+
 def test_cli_z2form_h_report(tmp_path):
     path = tmp_path / "h.z2form"
     path.write_text("z2form 2\n0 1\n1 0\n")
@@ -441,15 +460,18 @@ def test_cli_symcomplex_block_free_rank_256(tmp_path):
 
 
 def test_importing_cli_does_not_load_numpy():
-    """numpy is imported by the Gauss kernels on first use, not at import."""
+    """numpy is imported by the Gauss kernels on first use, not at import;
+    dataclasses and inspect, which its code generation needs, never are."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(sigmod8.__file__))
+    code = ("import sys, sigmod8.cli; "
+            "print(*(m in sys.modules for m in ('numpy', 'dataclasses', 'inspect')))")
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, sigmod8.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", code],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "False", "False"]
 
 
 def test_cli_bundle_report(tmp_path):
