@@ -17,18 +17,17 @@ q(v) = 0 in Z4 the subquotient (L_perp/L, [lambda], [q]/2) carries a
 Z2-enhancement whose Arf invariant satisfies BK = 4*Arf.  wu_sublagrangian
 and isotropic_subquotient share the check that q(v) = 0.
 
-Work that depends only on the form is done once per form.  For dim <= 6
-(ENUMERATION_DIM_LIMIT, the range enumerate_nonsingular_forms is meant
-for) bk_gauss looks q up in a per-form table of all 2^dim BK values,
-indexed like enumerate_z4_enhancements.  The table comes from one
-Walsh-Hadamard transform of i^q0 (kernels.gauss_sums), uses nothing but
-the definition of the Gauss sum (not the difference-vector identity), and
-every entry is matched exactly; larger forms are counted one enhancement
-at a time.  The representatives of L_perp/L and the Gram form of the
-subquotient are kept per form by z2forms.small_form_cache, like the one
-splitting that gives is_nonsingular, wu_class and split_vectors: equal
-forms of dim <= 6 share an lru_cache entry, and a larger form keeps its
-values on the instance.
+Work that depends only on the form is done once per form instance.  For
+dim <= 6 (ENUMERATION_DIM_LIMIT) bk_gauss looks q up in a table of all
+2^dim BK values of the form, indexed like enumerate_z4_enhancements.  The
+table comes from one Walsh-Hadamard transform of i^q0
+(kernels.gauss_sums), uses nothing but the definition of the Gauss sum,
+and every entry is matched exactly; larger forms are counted one
+enhancement at a time.  That table, the representatives and Gram form of
+L_perp/L, and the splitting behind is_nonsingular, wu_class and
+split_vectors are kept on the form instance (z2forms.memo_on_form), so
+bk_gauss and bk_classify over every enhancement of a form compute them
+once; equal forms share nothing.
 
 The selfcheck suites compare the two routes over every enhancement of
 many forms at once, so both routes also come as batched tables over a
@@ -37,29 +36,28 @@ indexed like enumerate_z4_enhancements of form f:
 
 * _bk_gauss_tables: one stack of q0 tables, one transform along its rows
   (kernels.gauss_sums on a stack) and one exact match against the eighth
-  roots; _bk_gauss_table is its one-form case, cached for bk_gauss.
+  roots; _bk_gauss_table is its one-form case, kept on the form for
+  bk_gauss.
 * _bk_classify_tables (4n + p_plus - p_minus of each enhancement) and
   _arf_tables (Arf of each Z2 enhancement of an isotropic form).
   Enhancement d differs from enhancement 0 by 2*(d . x), so both evaluate
   enhancement 0 (q0(e_i) = lambda(e_i, e_i)) once on each split vector s
   and flip bit 1 of the value by the parity of d . s; the flips of all
   split vectors, packed into one mask per d, are built by doubling
-  (_flip_coordinates).  They start from _split_arrays, the split vectors
-  of each form from one _splitting lookup, and read nothing from the
-  Gauss route.
+  (_flip_coordinates).  They start from _split_rows, the splittings of
+  the whole stack at once, and read nothing from the Gauss route.
 * _subquotient_indices: for each enhancement with q(v) = 0, the index of
   its subquotient values in the Arf table of W = L_perp/L, and W's Gram
   rows, from the closed-form representatives of _subquotient_basis.
 
-The batched tables are not cached: every selfcheck run computes both
-routes afresh.  Enumeration validates the form once and builds its
+The batched tables take uint32 stacks of Gram rows, no form objects, and
+are not cached.  Enumeration validates the form once and builds its
 enhancements without re-running the constructors' checks; enhancements
 built directly are always validated.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Any, Dict, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Any, Dict, Iterator, NamedTuple, Sequence, Tuple
 
 from . import kernels
 from .errors import (
@@ -74,7 +72,6 @@ from .errors import (
 from .record import Record
 from .z2forms import (
     ENUMERATION_DIM_LIMIT,
-    FORM_CACHE_SIZE,
     H_FORM,
     P_FORM,
     Z2SymForm,
@@ -83,9 +80,8 @@ from .z2forms import (
     _apply,
     _parity,
     _restrict,
-    _splitting,
     is_nonsingular,
-    small_form_cache,
+    memo_on_form,
     solve,
     split_vectors,
     wu_class,
@@ -288,14 +284,11 @@ def bk_gauss(q: Z4Quadratic) -> int:
     return _match_gauss(form.dim, c0 - c2, c1 - c3)
 
 
-@lru_cache(maxsize=FORM_CACHE_SIZE)
+@memo_on_form
 def _bk_gauss_table(form: Z2SymForm) -> bytes:
-    """BK of every enhancement of the form, indexed like enumerate_z4_enhancements.
-
-    Entry d belongs to the enhancement with values diag_i + 2*d_i, whose
-    Gauss sum is entry d of the transform of i^q0, q0 having values diag_i.
-    The one-form case of _bk_gauss_tables.
-    """
+    """BK of every enhancement of the form, indexed like enumerate_z4_enhancements:
+    entry d of the transform of i^q0 is the Gauss sum of the enhancement
+    with values diag_i + 2*d_i.  The one-form case of _bk_gauss_tables."""
     import numpy as np
     return _bk_gauss_tables(np.array(form.rows, dtype=np.uint32)).tobytes()
 
@@ -407,7 +400,7 @@ def isotropic_subquotient(q: Z4Quadratic) -> Z2Quadratic:
     return Z2Quadratic(w_form, tuple(values))
 
 
-@small_form_cache
+@memo_on_form
 def _subquotient_basis(form: Z2SymForm) -> Tuple[Tuple[int, ...], Z2SymForm]:
     """Representatives of L_perp/L for L = <v>, and the Gram form of L_perp/L.
 
@@ -525,53 +518,68 @@ def _pair_counts(high, at: int):
 
 
 class _SplitArrays(NamedTuple):
-    """The splittings of a stack of forms of one dim, as uint32 arrays.
-
-    A zero vector has q_d = 0 for every d, so the zero padding adds nothing
-    to the counts of the tables.
-    """
+    """The splittings of a stack of forms of one dim, as uint32 arrays; the
+    zero padding adds nothing to the tables, as q_d(0) = 0 for every d."""
 
     rows: Any  # (forms, dim) Gram rows
     lines: Any  # (forms, dim) the anisotropic lines, then zeros
-    pairs: Any  # (forms, dim) the hyperbolic pairs as e_1, f_1, e_2, f_2, ..., then zeros
+    pairs: Any  # (forms, 2 (dim // 2)) the hyperbolic pairs as e_1, f_1, e_2, ..., then zeros
     counts: Any  # (forms,) the number of lines
     wu: Any  # (forms, 1) the Wu class, the sum of the lines
 
 
-def _split_arrays(dim: int, forms: Sequence[Z2SymForm]) -> _SplitArrays:
-    """The rows, split vectors and Wu class of each form, from one _splitting lookup.
+def _split_rows(rows) -> _SplitArrays:
+    """The splitting _splitting finds, for each form of a stack of Gram rows (forms, dim).
 
-    Only for the dims enumeration covers, where a table of every
-    enhancement is meant.
+    Each step splits one piece off every form, with the updates of
+    _splitting and _symplectic_pairs: its lowest alive line, else the pair
+    of its lowest alive e and e's lowest alive mate f.  A word holds a Gram
+    row and, from bit 16, its vector, so one XOR updates both; word dim is
+    zero, read where a form has no line, mate or position left.  A form
+    out of lines stays isotropic, so its p lines take steps 0..p-1 and its
+    pairs follow.  SingularForm when a step finds no mate.
     """
     import numpy as np
+    count, dim = rows.shape
     if dim > ENUMERATION_DIM_LIMIT:
         raise DimTooLarge(f"enhancement tables need dim <= {ENUMERATION_DIM_LIMIT}")
-    rows: List[int] = []
-    lines: List[int] = []
-    pairs: List[int] = []
-    counts: List[int] = []
-    wu: List[int] = []
-    zeros = (0,) * dim
-    for form in forms:
-        split = _splitting(form)
-        if split is None:
-            raise SingularForm("the tables require nonsingular forms")
-        (aniso, hyperbolic), v = split
-        p = len(aniso)
-        rows += form.rows
-        counts.append(p)
-        wu.append(v.mask)
-        lines += aniso
-        lines += zeros[p:]
-        for pair in hyperbolic:
-            pairs += pair
-        pairs += zeros[dim - p:]
-    shape = (len(forms), dim)
+    at = np.arange(dim + 1, dtype=np.uint32)
+    masks = np.arange(1 << dim, dtype=np.uint32)
+    lowest = np.bitwise_count((masks & -masks) - 1)  # of each mask; dim for 0
+    lowest[0] = dim
+    bit = np.uint32(1) << at
+    bit[dim] = 0
+    column = bit[:, None]
+    forms = np.arange(count)
+    # words[i, c]: position i of form c, its Gram row and, from bit 16, its vector
+    words = np.zeros((dim + 1, count), dtype=np.uint32)
+    words[:dim] = rows.T | column[:dim] << 16
+    alive = np.full(count, (1 << dim) - 1, dtype=np.uint32)
+    line = np.zeros((dim, count), dtype=bool)
+    pieces = np.zeros((dim + dim // 2, 2, count), dtype=np.uint32)  # (e, f) of each step
+    for step in range(dim):
+        anisotropic = alive & np.bitwise_or.reduce(words & column, axis=0)
+        line[step] = is_line = anisotropic != 0
+        first = lowest[np.where(is_line, anisotropic, alive)]
+        e = words[first, forms]
+        mate = lowest[np.where(is_line, 0, e & alive)]
+        f = words[mate, forms]
+        alive ^= bit[first] | bit[mate]
+        words ^= ((np.where(is_line, e, f) & alive & column) != 0) * e
+        words ^= ((e & alive & column) != 0) * f
+        pieces[step] = e, f
+    p = line.sum(axis=0)
+    pairs = pieces[p + np.arange(dim // 2)[:, None], :, forms]  # (pair, form, e or f)
+    pairs = pairs.transpose(1, 0, 2).reshape(count, -1) >> 16
+    if (p + 2 * (pairs[:, 1::2] != 0).sum(axis=1) != dim).any():
+        raise SingularForm("the tables require nonsingular forms")
+    lines = np.where(line, pieces[:dim, 0], 0).T >> 16
     return _SplitArrays(
-        *[np.array(a, dtype=np.uint32).reshape(shape) for a in (rows, lines, pairs)],
-        np.array(counts, dtype=np.uint8),
-        np.array(wu, dtype=np.uint32).reshape(len(forms), 1),
+        rows,
+        lines,
+        pairs,
+        p.astype(np.uint8),
+        np.bitwise_xor.reduce(lines, axis=1)[:, None],
     )
 
 
@@ -610,9 +618,10 @@ def _subquotient_indices(split: _SplitArrays):
     Returns three arrays over the forms of the stack: the dim of W = L_perp/L
     (-1 when no enhancement has q_d(v) = 0), the Gram rows of W (zero
     padded to dim), and, for each enhancement d, the index of the
-    subquotient values q_d(b_j)/2 in the Arf table of W, or -1 when
-    q_d(v) != 0.  The representatives b_j are those of _subquotient_basis,
-    zero padded: a zero vector adds no bit to an index.  Not cached.
+    subquotient values q_d(b_j)/2 in the Arf table of W (int8, below
+    2^dim), or -1 when q_d(v) != 0.  The representatives b_j are those of
+    _subquotient_basis, zero padded: a zero vector adds no bit to an
+    index.  Not cached.
     """
     import numpy as np
     rows, wu = split.rows, split.wu
@@ -648,4 +657,4 @@ def _subquotient_indices(split: _SplitArrays):
     flips = _flip_coordinates(dim, np.concatenate([reps, wu], axis=1))
     isotropic = (flips >> dim == qv >> 1) & ~odd[:, None]
     index = (flips & ((1 << dim) - 1)) ^ h0[:, None]
-    return w_dims, w_rows, np.where(isotropic, index.astype(np.int64), -1)
+    return w_dims, w_rows, np.where(isotropic, index.astype(np.int8), -1)

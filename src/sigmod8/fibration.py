@@ -473,8 +473,9 @@ def random_transvection_word(h: int, max_len: int, rng, doubled: bool = False) -
     n = 2 * h
     rows = [list(row) for row in _identity(n)]
     length = rng.randint(1, max_len)
+    draw = rng.next_u64
     for _ in range(length):
-        c = [rng.randint(-1, 1) for _ in range(n)]
+        c = [draw() % 3 - 1 for _ in range(n)]  # rng.randint(-1, 1), without its two calls
         if not any(c):
             c[rng.randrange(n)] = 1
         if doubled:

@@ -533,13 +533,14 @@ def random_unimodular_form(dim: int, rng) -> IntSymForm:
         if i == j or dim < 2:
             continue
         k = rng.choice((-2, -1, 1, 2))
-        # congruence by E = I + k e_j e_i^T: row_j += k row_i, col_j += k col_i
-        new_rows = [row[:] for row in m]
-        for c in range(dim):
-            new_rows[j][c] += k * m[i][c]
-        for r in range(dim):
-            new_rows[r][j] += k * new_rows[r][i]
-        if any(abs(x) >= ENTRY_BOUND for row in new_rows for x in row):
+        # congruence by E = I + k e_j e_i^T: row_j += k row_i, col_j += k col_i.
+        # Only row and column j change, and they stay equal (m is symmetric);
+        # every other entry is unchanged and already below the bound.
+        row = [a + k * b for a, b in zip(m[j], m[i])]
+        row[j] += k * row[i]
+        if any(abs(x) >= ENTRY_BOUND for x in row):
             continue
-        m = new_rows
+        m[j] = row
+        for r in range(dim):
+            m[r][j] = row[r]
     return IntSymForm.from_matrix(m)

@@ -10,7 +10,8 @@ its own forms and comparing its own residue with sigma mod 8.
 
 The two exhaustive suites share one pass over the forms (_exhaustive_suites):
 each dim is enumerated once, in blocks of BLOCK_FORMS forms, and each
-block's tables are array operations over the whole block.  The block's
+block's splittings and tables are array operations on its uint32 stack of
+Gram rows (a form object is built only for a counterexample).  The block's
 Gauss table (_bk_gauss_tables) is compared with its classification table
 (gauss-vs-classify), with 4 Arf of the isotropic forms' Z2 enhancements
 (the doubled half of bk-4arf, BK(2h) = 4 Arf(h)), and, at every
@@ -27,14 +28,14 @@ the caller's SplitMix64 state, so failures reproduce from the seed alone.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Any, Iterator, List, NamedTuple, Optional, Tuple
 
 from .enhancements import (
     _SplitArrays,
     _arf_tables,
     _bk_classify_tables,
     _bk_gauss_tables,
-    _split_arrays,
+    _split_rows,
     _subquotient_indices,
     bk_gauss,
     enumerate_z2_enhancements,
@@ -53,7 +54,7 @@ from .intforms import (
     van_der_blij_residue,
 )
 from .record import Record
-from .z2forms import Z2SymForm, enumerate_nonsingular_forms
+from .z2forms import Z2SymForm, nonsingular_rows
 
 __all__ = ["SuiteResult", "run_all_suites"]
 
@@ -100,9 +101,13 @@ class _Block(NamedTuple):
     """Forms of one dim, their split vectors and the Gauss-sum BK of each enhancement."""
 
     dim: int
-    forms: List[Z2SymForm]
-    split: _SplitArrays
+    split: _SplitArrays  # split.rows holds the forms' Gram rows
     gauss: Any  # (forms, 2^dim) uint8, row f indexed like enumerate_z4_enhancements
+
+
+def _form(block: _Block, f: int) -> Z2SymForm:
+    """Form f of a block, built only to print a counterexample."""
+    return Z2SymForm(block.dim, tuple(block.split.rows[f].tolist()))
 
 
 def _blocks(max_dim: int) -> Iterator[_Block]:
@@ -112,13 +117,8 @@ def _blocks(max_dim: int) -> Iterator[_Block]:
     one after the other and dropped once checked.
     """
     for dim in range(max_dim + 1):
-        forms = enumerate_nonsingular_forms(dim)
-        while True:
-            block = list(islice(forms, BLOCK_FORMS))
-            if not block:
-                break
-            split = _split_arrays(dim, block)
-            yield _Block(dim, block, split, _bk_gauss_tables(split.rows))
+        for rows in nonsingular_rows(dim, BLOCK_FORMS):
+            yield _Block(dim, _split_rows(rows), _bk_gauss_tables(rows))
 
 
 def suite_gauss_vs_classify(block: _Block) -> SuiteResult:
@@ -127,7 +127,7 @@ def suite_gauss_vs_classify(block: _Block) -> SuiteResult:
     if j is None:
         return SuiteResult("gauss-vs-classify", True, block.gauss.size)
     f, d = divmod(j, block.gauss.shape[1])
-    form = block.forms[f]
+    form = _form(block, f)
     return SuiteResult(
         "gauss-vs-classify",
         False,
@@ -138,9 +138,8 @@ def suite_gauss_vs_classify(block: _Block) -> SuiteResult:
 
 def _doubled(block: _Block) -> SuiteResult:
     """BK(2h) = 4 Arf(h) on the block's isotropic forms: 2h_b is enhancement b."""
-    isotropic = [f for f, lines in enumerate(block.split.counts.tolist()) if not lines]
-    forms = [block.forms[f] for f in isotropic]
-    if not forms:
+    isotropic = (block.split.counts == 0).nonzero()[0]
+    if not len(isotropic):
         return SuiteResult("bk-4arf", True, 0)
     gauss = block.gauss[isotropic]
     arf = _arf_tables(_SplitArrays(*(a[isotropic] for a in block.split)))
@@ -148,12 +147,13 @@ def _doubled(block: _Block) -> SuiteResult:
     if j is None:
         return SuiteResult("bk-4arf", True, gauss.size)
     f, b = divmod(j, gauss.shape[1])
+    form = _form(block, isotropic[f])
     return SuiteResult(
         "bk-4arf",
         False,
         j,
-        f"isotropic form rows {forms[f].rows}, h values "
-        f"{_values(enumerate_z2_enhancements(forms[f]), b)}",
+        f"isotropic form rows {form.rows}, h values "
+        f"{_values(enumerate_z2_enhancements(form), b)}",
     )
 
 
@@ -161,36 +161,40 @@ class _FourArf:
     """4 Arf mod 8 of every Z2 enhancement of each subquotient form W of a run.
 
     Each distinct W gets one table, built by _arf_tables when W is first
-    met and dropped with the run.  W is keyed by its dim and Gram rows,
-    packed into one integer; rows are padded to 2^max_dim entries, so one
-    gather serves forms whose W differ in dim.
+    met (the new Ws of a block found by np.unique and split as one stack)
+    and dropped with the run.  W is keyed by its dim and Gram rows, packed
+    into one integer (-1 for no W, whose table is zeros); `codes` holds the
+    sorted codes met so far and `tables` their tables, padded to 2^max_dim
+    entries, so one gather serves forms whose W differ in dim.
     """
 
     def __init__(self, max_dim: int):
         import numpy as np
         self.max_dim = max_dim
-        self.row: Dict[int, int] = {}
+        self.codes = np.zeros(0, dtype=np.int64)
         self.tables = np.zeros((0, 1 << max_dim), dtype=np.uint8)
 
     def rows_of(self, w_dims, w_rows):
-        """The table row of each form's W (any row where it has none)."""
+        """The table row of each form's W."""
         import numpy as np
         shifts = np.arange(w_rows.shape[1], dtype=np.int64) * self.max_dim
         codes = (w_rows.astype(np.int64) << shifts).sum(axis=1)
         codes |= w_dims.astype(np.int64) << self.max_dim ** 2  # -1 (no W) stays negative
-        codes = codes.tolist()
-        new: Dict[int, Z2SymForm] = {}  # code -> W, for each W first met here
-        for f, code in enumerate(codes):
-            if code >= 0 and code not in self.row and code not in new:
-                dim = int(w_dims[f])
-                new[code] = Z2SymForm(dim, tuple(w_rows[f, :dim].tolist()))
-        for dim in dict.fromkeys(w.dim for w in new.values()):  # one batch per W dim
-            group = [(code, w) for code, w in new.items() if w.dim == dim]
-            self.row.update((code, len(self.tables) + k) for k, (code, _) in enumerate(group))
-            tables = np.zeros((len(group), self.tables.shape[1]), dtype=np.uint8)
-            tables[:, :1 << dim] = _arf_tables(_split_arrays(dim, [w for _, w in group])) << 2
-            self.tables = np.concatenate([self.tables, tables])
-        return np.array([self.row.get(code, 0) for code in codes])
+        met = len(self.codes)
+        self.codes, first, rows = np.unique(
+            np.concatenate([self.codes, codes]), return_index=True, return_inverse=True
+        )
+        tables = np.zeros((len(first), self.tables.shape[1]), dtype=np.uint8)
+        old = first < met
+        tables[old] = self.tables[first[old]]
+        new = (first >= met) & (self.codes >= 0)
+        at = first[new] - met  # the first form with each new W
+        for dim in sorted(set(w_dims[at].tolist())):  # one batch per W dim
+            group = new.nonzero()[0][w_dims[at] == dim]
+            w = w_rows[first[group] - met, :dim]
+            tables[group, :1 << dim] = _arf_tables(_split_rows(w)) << 2
+        self.tables = tables
+        return rows[met:]
 
 
 def suite_bk_4arf(block: _Block, four_arf: _FourArf) -> SuiteResult:
@@ -213,7 +217,7 @@ def suite_bk_4arf(block: _Block, four_arf: _FourArf) -> SuiteResult:
     if j is None:
         return SuiteResult("bk-4arf", True, flags.count(1))
     f, d = divmod(j, block.gauss.shape[1])
-    form = block.forms[f]
+    form = _form(block, f)
     return SuiteResult(
         "bk-4arf",
         False,

@@ -8,15 +8,15 @@ nonsingular symmetric forms are
     H = [[0,1],[1,0]]    the hyperbolic plane,
 
 and every nonsingular form splits (non-uniquely) as p*P + k*H.  One pass
-per form (_splitting) finds a splitting, decides nonsingularity and sums
-the P lines to the Wu class.  enumerate_nonsingular_forms lists every
-nonsingular form of a small dim by bordering: one elimination per
-(dim - 1)-block gives its determinant and adjugate diagonal, from which
-each first row's determinant is one popcount.
+per form (_splitting, kept on the instance) finds a splitting, decides
+nonsingularity and sums the P lines to the Wu class.  nonsingular_rows
+lists every nonsingular form of a small dim as uint32 arrays of Gram rows
+by bordering: each (dim - 1)-block's key det A | adj(A)_diag << 1 makes
+each first row's determinant one popcount.
 """
 from __future__ import annotations
 
-from functools import lru_cache, reduce, wraps
+from functools import reduce, wraps
 from operator import xor
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -103,7 +103,7 @@ class Z2SymForm(Record):
     rows: Tuple[int, ...]
 
     def _validate(self):
-        # a tuple keeps the form hashable, as the per-form caches need
+        # a tuple keeps the form hashable
         object.__setattr__(self, "rows", tuple(self.rows))
         if len(self.rows) != self.dim:
             raise ValueError("row count must equal dim")
@@ -252,41 +252,22 @@ class Z2Subspace(Record):
         return not eliminate({b & -b: b for b in self.basis}, [v.mask])
 
 
-# Largest dim for which exhaustive enumeration of forms is meant.
-ENUMERATION_DIM_LIMIT = 6
-
-# Entries of each per-form lru_cache.  The exhaustive selfcheck suites read
-# each form once per run, so the cache need not hold a whole dim (888,832
-# forms at dim 6), only what requests revisit: the 482 forms up to dim 4,
-# and the forms a request builds over and over.  The bound keeps the
-# randomized suites' forms, new in every request, from growing it for good.
-FORM_CACHE_SIZE = 1 << 10
-
-
-def small_form_cache(fn):
-    """fn(form), computed once per form and kept.
-
-    Equal forms of dim <= ENUMERATION_DIM_LIMIT, which enumeration and
-    selfcheck revisit across requests, share an lru_cache entry of
-    FORM_CACHE_SIZE.  A larger form rarely recurs: its value is kept on
-    the instance, for every caller in the request, and freed with it.
-    """
-    cached = lru_cache(maxsize=FORM_CACHE_SIZE)(fn)
+def memo_on_form(fn):
+    """fn(form), computed once per form instance and kept on it (and freed
+    with it): equal forms share nothing, and no request sees another's."""
     name = f"_{fn.__name__}_value"
 
     @wraps(fn)
     def call(form):
-        if form.dim <= ENUMERATION_DIM_LIMIT:
-            return cached(form)
-        if name not in form.__dict__:
-            form.__dict__[name] = fn(form)
-        return form.__dict__[name]
+        memo = form.__dict__
+        if name not in memo:
+            memo[name] = fn(form)
+        return memo[name]
 
-    call.cache_info = cached.cache_info
     return call
 
 
-@small_form_cache
+@memo_on_form
 def _splitting(form: Z2SymForm) -> Optional[tuple]:
     """((aniso, pairs), wu) of a nonsingular form, read by is_nonsingular,
     wu_class and split_vectors; None for a singular form.
@@ -358,9 +339,6 @@ def split_vectors(form: Z2SymForm) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, in
     return split[0]
 
 
-split_vectors.cache_info = _splitting.cache_info  # hits of every reader of _splitting
-
-
 def decompose(form: Z2SymForm) -> Tuple[int, int]:
     """Multiplicities (p, k) with form = p*P + k*H and p + 2k = dim, from split_vectors."""
     if not is_nonsingular(form):
@@ -428,82 +406,88 @@ def witt_class_sym(form: Z2SymForm) -> int:
     return p & 1
 
 
+# Largest dim for which exhaustive enumeration of forms is meant.
+ENUMERATION_DIM_LIMIT = 6
 
-def _det_adjugate_diagonal(rows: Sequence[int], dim: int) -> Tuple[int, int]:
-    """(det A, the diagonal of adj A as a mask) of a symmetric matrix A over Z2.
 
-    One elimination of [A | I], with the identity as tags.  At full rank
-    the row with pivot e_i carries row i of A^-1 = adj A in its tags.  At
-    corank 1, adj A has rank 1, its columns lie in ker A = <u> and it is
-    symmetric, so adj A = u u^T and its diagonal is u: the free column f
-    plus each pivot whose row holds f.  At corank 2 or more, adj A = 0.
+def _bordered_dets(keys, dim: int):
+    """det [[c, b^T], [b, A]] for each block key of A and each first row (c, b),
+    c at bit 0: c det A + sum_i adj(A)_ii b_i (adj A is symmetric), the
+    parity of first & key.  A (blocks, 2^dim) uint8 array."""
+    import numpy as np
+    firsts = np.arange(1 << dim, dtype=np.uint32)
+    return np.bitwise_count(firsts & keys[:, None]) & 1
+
+
+def _bordered_rows(blocks, firsts):
+    """The rows of [[c, b^T], [b, A]] for each block A and first row (c, b)."""
+    import numpy as np
+    column = (firsts[:, None] >> np.arange(1, blocks.shape[1] + 1, dtype=np.uint32)) & 1
+    return np.concatenate([firsts[:, None], blocks << 1 | column], axis=1)
+
+
+def _symmetric_blocks(dim: int):
+    """(rows, keys) of every symmetric matrix A of the dim, in candidate order.
+
+    Candidate k = block << dim | first: row 0 at the low bits, the block of
+    rows 1.. above.  The key of A is det A | adj(A)_diag << 1.  det A is
+    affine in each diagonal entry, with the cofactor as slope, so
+    adj(A)_ii = det A + det(A + e_i e_i^T), and flipping entry (i, i)
+    flips one bit of k: each dim's keys come from its determinants, and
+    those from the keys of the dim below.
     """
-    echelon: Dict[int, int] = {}
-    eliminate(echelon, [r | 1 << (dim + i) for i, r in enumerate(rows)], dim)
-    corank = dim - len(echelon)
-    if corank == 0:
-        return 1, sum((row >> dim) & pivot for pivot, row in echelon.items())
-    if corank == 1:
-        free = ((1 << dim) - 1) & ~sum(echelon)
-        return 0, free | sum(pivot for pivot, row in echelon.items() if row & free)
-    return 0, 0
+    import numpy as np
+    rows = np.zeros((1, 0), dtype=np.uint32)
+    keys = np.ones(1, dtype=np.uint32)  # the empty matrix has det 1
+    for n in range(1, dim + 1):
+        det = _bordered_dets(keys, n).ravel()
+        k = np.arange(len(det), dtype=np.uint32)
+        rows = _bordered_rows(rows[k >> n], k & ((1 << n) - 1))
+        at = np.arange(n, dtype=np.uint32)
+        diagonal = np.uint32(1) << (at * n - at * (at - 1) // 2)  # entry (i, i) in k
+        adj = det[:, None] ^ det[k[:, None] ^ diagonal]
+        keys = det | (adj << (at + 1)).sum(axis=1, dtype=np.uint32)
+    return rows, keys
 
 
-def _border(first: int, block: Sequence[int]) -> Tuple[int, ...]:
-    """The rows of [[c, b^T], [b, A]] for the first row `first` = (c, b) and
-    the rows of A."""
-    return (first, *[(r << 1) | ((first >> i) & 1) for i, r in enumerate(block, 1)])
-
-
-def _symmetric_rows(dim: int, isotropic_only: bool) -> Iterator[Tuple[int, ...]]:
-    """Every symmetric matrix of the dim (zero diagonal with isotropic_only).
-
-    Candidate k has the upper-triangle entries (i, j), i <= j, row by row,
-    at its bits, the diagonal left out with isotropic_only.  Row 0's entries
-    come first, so k is the (dim - 1)-block's index above row 0's bits:
-    blocks outside, first rows inside, k in increasing order.
-    """
-    if dim == 0:
-        yield ()
-        return
-    firsts = range(0, 1 << dim, 2 if isotropic_only else 1)
-    for block in _symmetric_rows(dim - 1, isotropic_only):
-        for first in firsts:
-            yield _border(first, block)
-
-
-def enumerate_nonsingular_forms(dim: int, isotropic_only: bool = False) -> Iterator[Z2SymForm]:
-    """Every nonsingular symmetric form of the dim, as a generator.
-
-    With isotropic_only, only forms with zero diagonal.  The forms come in
-    the order of their candidate index (see _symmetric_rows).  A candidate
-    is M = [[c, b^T], [b, A]], bordered by row and column 0; over Z2,
-    det M = c det A + b^T adj(A) b = c det A + sum_i adj(A)_ii b_i, since
-    adj A is symmetric.  So each block A costs one elimination
-    (_det_adjugate_diagonal), and each first row (c, b) one AND and one
-    popcount.  There are 2^(dim(dim+1)/2) candidates: dim must lie in
-    0..ENUMERATION_DIM_LIMIT, or DimTooLarge is raised at the call.
+def nonsingular_rows(dim: int, chunk: int):
+    """The Gram rows of every nonsingular form of the dim, in candidate order:
+    a generator of (forms, dim) uint32 arrays of `chunk` forms (the last
+    may hold fewer).  A nonzero key has odd parity with half of the 2^dim
+    first rows, so form j borders the (j >> (dim - 1))-th block of nonzero
+    key, and a chunk borders only its own blocks.  DimTooLarge is raised at
+    the call for a dim outside 0..ENUMERATION_DIM_LIMIT.
     """
     if not 0 <= dim <= ENUMERATION_DIM_LIMIT:
         raise DimTooLarge(
             f"enumeration of forms needs dim in 0..{ENUMERATION_DIM_LIMIT}, got {dim}"
         )
-    return _bordered_forms(dim, isotropic_only)
+    return _nonsingular_chunks(dim, chunk)
 
 
-def _bordered_forms(dim: int, isotropic_only: bool) -> Iterator[Z2SymForm]:
-    """The generator behind enumerate_nonsingular_forms, for a dim in range."""
+def _nonsingular_chunks(dim: int, chunk: int):
+    import numpy as np
     if dim == 0:
-        yield Z2SymForm._trusted(0, ())
+        yield np.zeros((1, 0), dtype=np.uint32)
         return
-    candidates = range(0, 1 << dim, 2 if isotropic_only else 1)
-    firsts: Dict[int, List[int]] = {}  # key -> the first rows r with r . key = 1
-    for block in _symmetric_rows(dim - 1, isotropic_only):
-        det, adj = _det_adjugate_diagonal(block, dim - 1)
-        key = det | adj << 1
-        if not key:
-            continue
-        if key not in firsts:
-            firsts[key] = [r for r in candidates if _parity(r & key)]
-        for first in firsts[key]:
-            yield Z2SymForm._trusted(dim, _border(first, block))  # symmetric by construction
+    blocks, keys = _symmetric_blocks(dim - 1)
+    live = np.flatnonzero(keys)
+    half = 1 << (dim - 1)
+    for start in range(0, len(live) * half, chunk):
+        taken = live[start // half:(start + chunk - 1) // half + 1]
+        block, first = np.nonzero(_bordered_dets(keys[taken], dim))
+        rows = _bordered_rows(blocks[taken[block]], first.astype(np.uint32))
+        yield rows[start % half:start % half + chunk]
+
+
+def enumerate_nonsingular_forms(dim: int, isotropic_only: bool = False) -> Iterator[Z2SymForm]:
+    """Every nonsingular form of the dim (with zero diagonal if isotropic_only)
+    from nonsingular_rows, in its order; DimTooLarge as there."""
+    import numpy as np
+    chunks = nonsingular_rows(dim, 1 << 12)
+    diagonal = np.uint32(1) << np.arange(dim, dtype=np.uint32)
+    return (
+        Z2SymForm._trusted(dim, tuple(rows))  # symmetric by construction
+        for chunk in chunks
+        for rows in (chunk[~(chunk & diagonal).any(axis=1)] if isotropic_only else chunk).tolist()
+    )

@@ -1,4 +1,5 @@
 """Arf / Brown-Kervaire invariants, with the Gauss sum as the oracle."""
+import numpy as np
 import pytest
 
 from sigmod8 import kernels
@@ -10,9 +11,10 @@ from sigmod8.enhancements import (
     _bk_classify_tables,
     _bk_gauss_table,
     _bk_gauss_tables,
+    _SplitArrays,
     _flip_coordinates,
     _match_gauss,
-    _split_arrays,
+    _split_rows,
     _subquotient_basis,
     _subquotient_indices,
     arf,
@@ -47,6 +49,7 @@ from sigmod8.z2forms import (
     Z2SymForm,
     enumerate_nonsingular_forms,
     is_nonsingular,
+    split_vectors,
     wu_class,
 )
 
@@ -286,16 +289,18 @@ def test_bk_gauss_table_matches_counting_sampled_dim5_dim6():
                 assert bk_gauss(q) == bk_by_counting(q), (form.rows, q.values)
 
 
-def test_form_caches_shared_by_equal_forms():
+def test_form_values_kept_per_instance():
+    """Equal forms give equal values; each instance computes its own once
+    and keeps it, and nothing is shared between instances."""
     a = Z2SymForm.from_matrix([[1, 1, 0, 0], [1, 1, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1]])
     b = Z2SymForm(4, list(a.rows))  # rows given as a list are stored as a tuple
     assert a is not b and a == b and hash(a) == hash(b)
     assert [bk_gauss(q) for q in enumerate_z4_enhancements(a)] == [
         bk_gauss(q) for q in enumerate_z4_enhancements(b)
     ]
-    assert _bk_gauss_table(a) is _bk_gauss_table(b)
-    assert _subquotient_basis(a) is _subquotient_basis(b)
-    assert wu_class(a) is wu_class(b)
+    for value in (_bk_gauss_table, _subquotient_basis, wu_class):
+        assert value(a) is value(a) and value(b) is value(b)
+        assert value(a) == value(b) and value(a) is not value(b)
 
 
 def test_gauss_match_rejects_impossible_sums():
@@ -318,7 +323,7 @@ def test_gauss_table_rejects_one_off_root_sum(monkeypatch, dim):
     monkeypatch.setattr(kernels, "gauss_sums", off_root)
     form = Z2SymForm(dim, tuple(1 << i for i in range(dim)))
     with pytest.raises(NoGaussMatch, match=f"does not match any eighth root at dim {dim}"):
-        _bk_gauss_table.__wrapped__(form)  # past the cache, which may hold the true table
+        _bk_gauss_table(form)  # a new instance: no table is kept for it yet
 
 
 def test_witt_relations_via_gauss():
@@ -359,11 +364,17 @@ def _by_dim(forms):
     return groups.items()
 
 
+def _stack(dim, forms):
+    """The Gram rows of the forms, as the (forms, dim) uint32 stack the tables take."""
+    rows = [f.rows for f in forms]
+    return np.array(rows, dtype=np.uint32).reshape(len(rows), dim)
+
+
 def test_bk_gauss_tables_match_counting():
     """Row f, entry d of the batched Gauss tables is BK of enhancement d of
     form f, counted on its own by gauss_counts."""
     for dim, forms in _by_dim(_table_forms(48)):
-        tables = _bk_gauss_tables(_split_arrays(dim, forms).rows)
+        tables = _bk_gauss_tables(_stack(dim, forms))
         assert tables.shape == (len(forms), 1 << dim)
         for form, table in zip(forms, tables.tolist()):
             assert table == [bk_by_counting(q) for q in enumerate_z4_enhancements(form)], form.rows
@@ -373,7 +384,7 @@ def test_bk_gauss_tables_match_counting():
 def test_classify_table_matches_bk_classify():
     """Entry d of a form's row is 4n + p_plus - p_minus of enhancement d."""
     for dim, forms in _by_dim(_table_forms(44)):
-        tables = _bk_classify_tables(_split_arrays(dim, forms))
+        tables = _bk_classify_tables(_split_rows(_stack(dim, forms)))
         assert tables.shape == (len(forms), 1 << dim)
         for form, table in zip(forms, tables.tolist()):
             for d, q in enumerate(enumerate_z4_enhancements(form)):
@@ -382,17 +393,15 @@ def test_classify_table_matches_bk_classify():
     # rebuilt on every call: the classification route is never a cache hit
     assert not hasattr(_bk_classify_tables, "cache_info")
     assert not hasattr(_arf_tables, "cache_info")
-    split = _split_arrays(dim, forms)
+    split = _split_rows(_stack(dim, forms))
     assert _bk_classify_tables(split) is not _bk_classify_tables(split)
-    isotropic = _split_arrays(4, list(enumerate_nonsingular_forms(4, isotropic_only=True)))
+    isotropic = _split_rows(_stack(4, enumerate_nonsingular_forms(4, isotropic_only=True)))
     assert _arf_tables(isotropic) is not _arf_tables(isotropic)
 
 
 def test_flip_coordinates_brute_force():
     """Bit k of coords[f, d] is the parity of d & vectors[f, k], for any
     number of vectors (more than dim too)."""
-    import numpy as np
-
     rng = SplitMix64(47)
     for dim in range(7):
         for count in (0, 1, dim, dim + 1, dim + 3, 2 * dim + 5):
@@ -410,20 +419,20 @@ def test_arf_table_matches_arf():
     rng = SplitMix64(45)
     forms += [random_isotropic_enhanced(3, rng).form for _ in range(12)]
     for dim, group in _by_dim(forms):
-        tables = _arf_tables(_split_arrays(dim, group))
+        tables = _arf_tables(_split_rows(_stack(dim, group)))
         assert tables.shape == (len(group), 1 << dim)
         for form, table in zip(group, tables.tolist()):
             for b, h in enumerate(enumerate_z2_enhancements(form)):
                 assert table[b] == arf(h), (form.rows, h.values)
     with pytest.raises(AnisotropicInput):
-        _arf_tables(_split_arrays(1, [P_FORM]))
+        _arf_tables(_split_rows(_stack(1, [P_FORM])))
 
 
 def test_subquotient_indices_match_isotropic_subquotient():
     """The index the bk-4arf suite reads is the subquotient's value mask, and
     the W it names is the subquotient's form."""
     for dim, forms in _by_dim(_table_forms(46)):
-        w_dims, w_rows, indices = _subquotient_indices(_split_arrays(dim, forms))
+        w_dims, w_rows, indices = _subquotient_indices(_split_rows(_stack(dim, forms)))
         assert indices.shape == (len(forms), 1 << dim)
         for form, w_dim, rows, row in zip(forms, w_dims.tolist(), w_rows.tolist(), indices.tolist()):
             v = wu_class(form)
@@ -436,16 +445,97 @@ def test_subquotient_indices_match_isotropic_subquotient():
                 w = isotropic_subquotient(q)
                 assert w.form == w_form == _subquotient_basis(form)[1]
                 assert row[d] == sum(bit << j for j, bit in enumerate(w.values))
-                assert _arf_tables(_split_arrays(w_dim, [w_form]))[0, row[d]] == arf(w)
+                assert _arf_tables(_split_rows(_stack(w_dim, [w_form])))[0, row[d]] == arf(w)
             if w_form is None:  # then no enhancement has q(v) = 0
                 assert all(q.evaluate(v) for q in enumerate_z4_enhancements(form))
 
 
 def test_tables_refuse_large_or_singular_forms():
     with pytest.raises(DimTooLarge):
-        _split_arrays(7, [])
-    with pytest.raises(SingularForm):
-        _split_arrays(1, [Z2SymForm(1, (0,))])
+        _split_rows(_stack(7, []))
+    for rows in ((0,), (0, 0), (3, 3), (2, 1, 0), (1, 0, 0), (1, 2, 4, 0)):
+        with pytest.raises(SingularForm):  # every form has a radical: no mate is left for it
+            _split_rows(_stack(len(rows), [Z2SymForm(len(rows), rows), Z2SymForm(len(rows), rows)]))
+
+
+def _lam(rows, x, y):
+    """lambda(x, y) for vectors x, y (forms, k) on the forms of a stack of Gram rows."""
+    image = x & 0
+    for i in range(rows.shape[1]):
+        image ^= ((x >> i) & 1) * rows[:, i, None]
+    return np.bitwise_count(image & y) & 1
+
+
+@pytest.mark.parametrize("dim", range(6))
+def test_split_rows_is_a_splitting(dim):
+    """On every form of the dim: p lines, then k hyperbolic pairs, p + 2k = dim,
+    orthogonal across pieces and spanning Z2^dim, the lines summing to the
+    Wu class.  Checked from the Gram rows alone, not against _splitting."""
+    rows = _stack(dim, enumerate_nonsingular_forms(dim))
+    split = _split_rows(rows)
+    count = len(rows)
+    p = split.counts.astype(int)[:, None]
+    k = (dim - p) // 2
+    assert (p + 2 * k == dim).all()
+    slot = np.arange(dim)
+    lines, e, f = split.lines, split.pairs[:, 0::2], split.pairs[:, 1::2]
+    assert ((lines != 0) == (slot < p)).all()  # the lines first, then zeros
+    in_pairs = np.arange(e.shape[1]) < k
+    assert ((e != 0) == in_pairs).all() and ((f != 0) == in_pairs).all()
+    assert (_lam(rows, lines, lines) == (slot < p)).all()  # lambda(v, v) = 1
+    assert (_lam(rows, e, f) == in_pairs).all()  # lambda(e, f) = 1
+    assert not _lam(rows, e, e).any() and not _lam(rows, f, f).any()
+    vectors = np.concatenate([lines, split.pairs], axis=1)
+    piece = np.concatenate([slot, dim + np.arange(split.pairs.shape[1]) // 2])
+    for a in range(vectors.shape[1]):
+        others = vectors[:, piece != piece[a]]
+        assert not _lam(rows, np.repeat(vectors[:, a:a + 1], others.shape[1], axis=1), others).any()
+    # the dim nonzero vectors span: their 2^dim subset sums are all of Z2^dim
+    sums = np.zeros((count, 1), dtype=np.uint32)
+    for column in vectors[vectors != 0].reshape(count, dim).T:
+        sums = np.concatenate([sums, sums ^ column[:, None]], axis=1)
+    assert (np.sort(sums, axis=1) == np.arange(1 << dim)).all()
+    x = np.repeat(np.arange(1 << dim, dtype=np.uint32)[None], count, axis=0)
+    wu = np.repeat(split.wu, 1 << dim, axis=1)
+    assert (_lam(rows, x, x) == _lam(rows, x, wu)).all()  # lambda(x, x) = lambda(x, v)
+    assert (split.wu[:, 0] == np.bitwise_xor.reduce(lines, axis=1)).all()
+
+
+def _split_by_form(dim, forms):
+    """The stack of splittings built one form at a time from split_vectors and wu_class."""
+    lines, pairs, counts = [], [], []
+    for form in forms:
+        aniso, hyperbolic = split_vectors(form)
+        lines.append(list(aniso) + [0] * (dim - len(aniso)))
+        pairs.append([x for pair in hyperbolic for x in pair] + [0] * len(aniso))
+        counts.append(len(aniso))
+    shape = (len(forms), dim)
+    return _SplitArrays(
+        _stack(dim, forms),
+        np.array(lines, dtype=np.uint32).reshape(shape),
+        np.array(pairs, dtype=np.uint32).reshape(shape),
+        np.array(counts, dtype=np.uint8),
+        np.array([wu_class(form).mask for form in forms], dtype=np.uint32).reshape(len(forms), 1),
+    )
+
+
+@pytest.mark.parametrize("dim", range(6))
+def test_split_rows_agrees_with_the_scalar_splitting(dim):
+    """The same tables and Wu class as the splitting of each form on its own,
+    and no line exactly on the even forms."""
+    forms = list(enumerate_nonsingular_forms(dim))
+    split = _split_rows(_stack(dim, forms))
+    scalar = _split_by_form(dim, forms)
+    assert split.counts.tolist() == [len(split_vectors(form)[0]) for form in forms]
+    assert np.array_equal(_bk_classify_tables(split), _bk_classify_tables(scalar))
+    assert split.wu[:, 0].tolist() == [wu_class(form).mask for form in forms]
+    assert [c == 0 for c in split.counts.tolist()] == [form.is_isotropic() for form in forms]
+    even = split.counts == 0
+    if even.any():
+        assert np.array_equal(
+            _arf_tables(_SplitArrays(*(a[even] for a in split))),
+            _arf_tables(_SplitArrays(*(a[even] for a in scalar))),
+        )
 
 
 # -------------------------------------------------------------------- double

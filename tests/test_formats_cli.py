@@ -663,7 +663,7 @@ def test_exhaustive_suites_stop_once_both_have_failed(monkeypatch):
     half of bk-4arf both fail on the dim-0 form."""
     from sigmod8 import selfcheck as sc
 
-    real_classify, real_arf, real_split = sc._bk_classify_tables, sc._arf_tables, sc._split_arrays
+    real_classify, real_arf, real_split = sc._bk_classify_tables, sc._arf_tables, sc._split_rows
     dims = []
 
     def shifted(split):
@@ -678,7 +678,7 @@ def test_exhaustive_suites_stop_once_both_have_failed(monkeypatch):
 
     monkeypatch.setattr(sc, "_bk_classify_tables", shifted)
     monkeypatch.setattr(sc, "_arf_tables", flipped)
-    monkeypatch.setattr(sc, "_split_arrays", lambda dim, forms: dims.append(dim) or real_split(dim, forms))
+    monkeypatch.setattr(sc, "_split_rows", lambda rows: dims.append(rows.shape[1]) or real_split(rows))
     results = sc._exhaustive_suites(5)
     assert [r.line() for r in results] == [
         "suite gauss-vs-classify: FAIL after 0 checks: form rows (), values ()",
@@ -689,13 +689,14 @@ def test_exhaustive_suites_stop_once_both_have_failed(monkeypatch):
 
 def _indices_by_form(max_dim):
     """(form, its row of _subquotient_indices) for every form up to max_dim."""
-    from sigmod8.enhancements import _split_arrays, _subquotient_indices
-    from sigmod8.z2forms import enumerate_nonsingular_forms
+    from sigmod8.enhancements import _split_rows, _subquotient_indices
+    from sigmod8.z2forms import enumerate_nonsingular_forms, nonsingular_rows
 
     out = []
     for dim in range(max_dim + 1):
-        forms = list(enumerate_nonsingular_forms(dim))
-        out += zip(forms, _subquotient_indices(_split_arrays(dim, forms))[2].tolist())
+        (rows,) = nonsingular_rows(dim, 1 << 12)
+        indices = _subquotient_indices(_split_rows(rows))[2].tolist()
+        out += zip(enumerate_nonsingular_forms(dim), indices)
     return out
 
 
@@ -777,7 +778,7 @@ def test_exhaustive_blocks_do_not_change_the_tables(monkeypatch):
         out = {}
         for block in sc._blocks(max_dim):
             parts = out.setdefault(block.dim, [[], [], [], []])
-            parts[0] += block.forms
+            parts[0] += block.split.rows.tolist()
             parts[1].append(block.gauss)
             parts[2].append(_bk_classify_tables(block.split))
             parts[3].append(_subquotient_indices(block.split)[2])
@@ -787,7 +788,7 @@ def test_exhaustive_blocks_do_not_change_the_tables(monkeypatch):
     default, default_suites = tables(4), sc._exhaustive_suites(4)
     assert sc.BLOCK_FORMS > len(default[4][0])  # the default runs each dim in one block
     monkeypatch.setattr(sc, "BLOCK_FORMS", 5)
-    assert [len(block.forms) for block in sc._blocks(3)] == [1, 1, 4] + [5] * 5 + [3]
+    assert [len(block.split.rows) for block in sc._blocks(3)] == [1, 1, 4] + [5] * 5 + [3]
     small = tables(4)
     assert default.keys() == small.keys()
     for dim in default:
@@ -846,6 +847,36 @@ def test_cli_selfcheck_counts_every_enhancement(max_dim, counts):
     assert code == 0
     assert f"suite gauss-vs-classify: PASS ({gauss} checks)" in out
     assert f"suite bk-4arf: PASS ({arf_checks} checks)" in out
+
+
+def test_selfcheck_builds_no_form_objects(monkeypatch):
+    """A passing exhaustive selfcheck works on stacks of Gram rows: it builds
+    no Z2SymForm, checked or trusted, and no module keeps a per-form cache."""
+    from sigmod8 import enhancements, z2forms
+    from sigmod8.z2forms import Z2SymForm
+
+    built = []
+    real_init, real_trusted = Z2SymForm.__init__, Z2SymForm._trusted.__func__
+
+    def init(self, *args):
+        built.append(args)
+        real_init(self, *args)
+
+    def trusted(cls, *args):
+        built.append(args)
+        return real_trusted(cls, *args)
+
+    monkeypatch.setattr(Z2SymForm, "__init__", init)
+    monkeypatch.setattr(Z2SymForm, "_trusted", classmethod(trusted))
+    code, out = run_cli(["selfcheck", "--max-dim", "4", "--trials", "0"])
+    assert code == 0 and "suite bk-4arf: PASS (4272 checks)" in out
+    assert built == []
+    Z2SymForm(1, (1,))
+    Z2SymForm._trusted(1, (1,))
+    assert built == [(1, (1,))] * 2  # both are counted
+    for module in (z2forms, enhancements):
+        assert not hasattr(module, "FORM_CACHE_SIZE")
+        assert [name for name, v in vars(module).items() if hasattr(v, "cache_info")] == []
 
 
 def test_cli_selfcheck_determinism():

@@ -726,3 +726,45 @@ def test_one_determinant_per_report(monkeypatch):
             calls.clear()
             assert report(obj, io.StringIO()) == 0
             assert len(calls) == 1, report.__name__
+
+
+def _generated_digest(seed, words):
+    """SHA-256 of the forms (dims 0-16), optionally the transvection words,
+    and the final generator state drawn from one seed."""
+    import hashlib
+
+    from sigmod8.fibration import random_transvection_word
+
+    rng = SplitMix64(seed)
+    drawn = [[random_unimodular_form(dim, rng).matrix for dim in range(17)]]
+    if words:
+        drawn.append([random_transvection_word(h, 6, rng, doubled).entries
+                      for h in (1, 2, 3) for doubled in (False, True)])
+    return hashlib.sha256(repr((*drawn, rng.state)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0, "485134e9641420cb9318262c41de6c69dc3f0a46aeb9240b1646b95447af950a"),
+    (1, "b1a4972af4909913252a0da4c71518c16143023e910f0a96a3e7d47551e4ad46"),
+    (7, "74946a0fb557fdd37789778c303cd8e43b51bf508499c57ed627b839a55c75df"),
+    (2015, "0ab08a72796248c161abf03f491194b2b2f55c644ac73f968a041489c82c1f73"),
+])
+def test_random_generators_stream_is_pinned(seed, digest):
+    """The unimodular forms, transvection words and generator state of a seed
+    never change: selfcheck counterexamples reproduce from the seed alone."""
+    assert _generated_digest(seed, words=True) == digest
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0, "d25337afea79285b0b538dcf7f6252ab32652a6cc78d8875ed73162f8b12152b"),
+    (1, "4794c63b835f9ceb872b49afab844b8fc54a125f818ac263052333a85c9e9d27"),
+    (7, "32321b1360765ef46c4bfccf8f605c46f86b9f0d9553093ae6e9deaf00932e33"),
+    (2015, "94f4e54c1633486f7c4bdd04bdbff769f84f7fd0f5bdfebe101313ea64826aaa"),
+])
+def test_random_unimodular_form_skips_steps_past_the_bound(monkeypatch, seed, digest):
+    """With a bound of 6 most congruence steps overflow and are skipped; the
+    forms and the generator state are still those pinned."""
+    from sigmod8 import intforms
+
+    monkeypatch.setattr(intforms, "ENTRY_BOUND", 6)
+    assert _generated_digest(seed, words=False) == digest

@@ -289,8 +289,8 @@ def random_symmetric(dim, rng, isotropic):
 
 
 def test_large_form_keeps_its_values_on_its_instance():
-    """Above dim 6 the splitting is kept on the form: equal forms share nothing,
-    the shared cache is not touched, and the values go with the form."""
+    """The splitting is kept on the form: equal forms share nothing, there
+    is no shared cache, and the values go with the form."""
     import gc
     import weakref
 
@@ -300,7 +300,7 @@ def test_large_form_keeps_its_values_on_its_instance():
         a = random_symmetric(8, rng, 0)
     b = Z2SymForm(8, a.rows)
     singular = Z2SymForm(8, (0,) + tuple(r & ~1 for r in a.rows[1:]))  # e_0 in the radical
-    before = split_vectors.cache_info()
+    assert not hasattr(split_vectors, "cache_info")
     v = wu_class(a)
     assert wu_class(a) is v and split_vectors(a) is split_vectors(a)
     assert wu_class(b) == v and wu_class(b) is not v
@@ -308,7 +308,6 @@ def test_large_form_keeps_its_values_on_its_instance():
     assert not is_nonsingular(singular)
     with pytest.raises(SingularForm):
         wu_class(singular)
-    assert split_vectors.cache_info() == before
     for x in range(1 << 8):  # the Wu class read off the splitting
         assert a.evaluate_masks(x, x) == a.evaluate_masks(x, v.mask)
     kept = weakref.ref(a)
@@ -523,24 +522,44 @@ def _det_brute(matrix):
 
 
 def test_det_adjugate_diagonal_against_cofactors():
-    """(det A, diagonal of adj A) for every symmetric A of dim <= 4: coranks 0, 1 and >= 2."""
-    from sigmod8.z2forms import _det_adjugate_diagonal
+    """The block keys det A | adj(A)_diag << 1 of every symmetric A of dim <= 4,
+    in candidate order: coranks 0, 1 and >= 2."""
+    from sigmod8.z2forms import _symmetric_blocks
 
     seen = set()
     for dim in range(5):
-        for rows in _all_symmetric(dim):
+        blocks, keys = _symmetric_blocks(dim)
+        assert blocks.tolist() == list(_all_symmetric(dim))
+        for rows, key in zip(blocks.tolist(), keys.tolist()):
             matrix = Z2SymForm(dim, tuple(rows)).matrix
             det = _det_brute(matrix)
             adj = sum(_det_brute([[matrix[r][c] for c in range(dim) if c != i]
                                   for r in range(dim) if r != i]) << i
                       for i in range(dim))
-            assert _det_adjugate_diagonal(rows, dim) == (det, adj), rows
+            assert key == det | adj << 1, rows
             seen.add((det, bool(adj)))
     assert seen == {(1, True), (1, False), (0, True), (0, False)}
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 5, 32, 33, 4096])
+def test_nonsingular_rows_come_in_chunks(chunk):
+    """Every chunk but the last of each dim holds `chunk` forms, and together
+    they are the enumeration, in its order."""
+    from sigmod8.z2forms import nonsingular_rows
+
+    for dim in range(6):
+        chunks = [c.tolist() for c in nonsingular_rows(dim, chunk)]
+        assert all(len(c) == chunk for c in chunks[:-1]) and 0 < len(chunks[-1]) <= chunk
+        assert [tuple(r) for c in chunks for r in c] == [
+            f.rows for f in enumerate_nonsingular_forms(dim)]
 
 
 @pytest.mark.parametrize("dim", [ENUMERATION_DIM_LIMIT + 1, -1])
 def test_enumeration_refuses_dims_outside_the_limit_at_the_call(dim):
     """Raised by the call itself, before any candidate is built."""
+    from sigmod8.z2forms import nonsingular_rows
+
     with pytest.raises(DimTooLarge, match=r"dim in 0\.\.6"):
         enumerate_nonsingular_forms(dim)
+    with pytest.raises(DimTooLarge, match=r"dim in 0\.\.6"):
+        nonsingular_rows(dim, 1)
