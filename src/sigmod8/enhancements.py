@@ -39,16 +39,18 @@ indexed like enumerate_z4_enhancements of form f:
   roots; _bk_gauss_table is its one-form case, kept on the form for
   bk_gauss.
 * _bk_classify_tables (4n + p_plus - p_minus of each enhancement) and
-  _arf_tables (Arf of each Z2 enhancement of an isotropic form).
-  Enhancement d differs from enhancement 0 by 2*(d . x), so both evaluate
-  enhancement 0 (q0(e_i) = lambda(e_i, e_i)) once on each split vector s
-  and flip bit 1 of the value by the parity of d . s; the flips of all
-  split vectors, packed into one mask per d, are built by doubling
-  (_flip_coordinates).  They start from _split_rows, the splittings of
-  the whole stack at once, and read nothing from the Gauss route.
-* _subquotient_indices: for each enhancement with q(v) = 0, the index of
-  its subquotient values in the Arf table of W = L_perp/L, and W's Gram
-  rows, from the closed-form representatives of _subquotient_basis.
+  _arf_tables (Arf of each enhancement, read off symplectic pairs on
+  which q0 is even).  Enhancement d differs from enhancement 0 by
+  2*(d . x), so both evaluate enhancement 0 (q0(e_i) = lambda(e_i, e_i))
+  once on each split vector s and flip bit 1 of the value by the parity
+  of d . s; the flips of all split vectors, packed into one mask per d,
+  are built by doubling (_flip_coordinates).  They start from
+  _split_rows, the splittings of the whole stack at once, and read
+  nothing from the Gauss route.
+* _subquotient_pairs: which enhancements have q(v) = 0, and the
+  symplectic pairs of W = L_perp/L, split by _split_rows on the
+  closed-form representatives of _subquotient_basis and lifted back into
+  the form, on which _arf_tables gives Arf(W) of those enhancements.
 
 The batched tables take uint32 stacks of Gram rows, no form objects, and
 are not cached.  Enumeration validates the form once and builds its
@@ -598,63 +600,50 @@ def _bk_classify_tables(split: _SplitArrays):
     return (4 * _pair_counts(high, dim) + split.counts[:, None] - 2 * minus) & 7
 
 
-def _arf_tables(split: _SplitArrays):
-    """Arf invariant of every Z2 enhancement of each form of a stack of isotropic forms.
+def _arf_tables(rows, pairs):
+    """Arf invariant of every enhancement of each form of a stack, read off its pairs.
 
-    Row b is indexed like enumerate_z2_enhancements, whose enhancement 0 is
-    h = 0.  On an isotropic form q0 = 2 h0 (q0(s) = 2 * #{i < j in s :
-    lambda_ij = 1}), so h_b(s) = bit 1 of q_b(s), and the Arf invariant,
-    the sum of h_b(e) h_b(f) over the pairs, is the pair count mod 2.
-    Not cached.
+    rows is (forms, dim) and pairs (forms, 2k), symplectic pairs e_1, f_1,
+    e_2, ... (zero pairs add nothing) on which q0 is even, so that each
+    q_d / 2 is a Z2 enhancement h_d there; row d is indexed like
+    enumerate_z4_enhancements, and the Arf invariant, the sum of h_d(e)
+    h_d(f) over the pairs, is the pair count of _high_bits mod 2.  On an
+    isotropic form with its own pairs q_d = 2 h_d, so row d is also
+    enumerate_z2_enhancements' enhancement d.  Not cached.
     """
-    if _diagonal(split.rows).any():
-        raise AnisotropicInput("Z2 enhancements require an isotropic form")
-    return _pair_counts(_high_bits(split.rows, split.pairs), 0) & 1
+    if (_q0_at(rows, pairs) & 1).any():
+        raise AnisotropicInput("Z2 enhancements require q0 even on the pairs")
+    return _pair_counts(_high_bits(rows, pairs), 0) & 1
 
 
-def _subquotient_indices(split: _SplitArrays):
-    """Where isotropic_subquotient puts each enhancement, for _arf_tables lookups.
+def _subquotient_pairs(split: _SplitArrays):
+    """Symplectic pairs of W = L_perp/L lifted into each form, and where q_d(v) = 0.
 
-    Returns three arrays over the forms of the stack: the dim of W = L_perp/L
-    (-1 when no enhancement has q_d(v) = 0), the Gram rows of W (zero
-    padded to dim), and, for each enhancement d, the index of the
-    subquotient values q_d(b_j)/2 in the Arf table of W (int8, below
-    2^dim), or -1 when q_d(v) != 0.  The representatives b_j are those of
-    _subquotient_basis, zero padded: a zero vector adds no bit to an
-    index.  Not cached.
+    Returns (pairs, checked): pairs (forms, 2 (dim // 2)) for _arf_tables,
+    whose entry d is then Arf(isotropic_subquotient(q_d)) wherever
+    checked[f, d], which holds exactly when q_d(v) = 0.  W's Gram rows on
+    the representatives of _subquotient_basis (e_i + phi_i e_h for i != h,
+    less the one at the lowest bit of v) are split by _split_rows, and
+    each pair of W is lifted back as its sum of representatives, zero
+    padded.  A form with v = 0 is its own W and keeps its own pairs, as
+    does a form with lambda(v, v) = 1, where nothing is checked.  Not
+    cached.
     """
     import numpy as np
     rows, wu = split.rows, split.wu
-    count, dim = rows.shape
-    at = np.arange(dim, dtype=np.uint32)
-    qv = _q0_at(rows, wu)
+    dim = rows.shape[1]
     phi = _apply_rows(rows, wu)
-    smear = phi | phi >> 1  # every bit below the highest of phi (dim <= 6 bits)
-    smear |= smear >> 2
-    smear |= smear >> 4
-    top = np.bitwise_count(smear) - 1  # the highest set bit of phi
-    low = np.bitwise_count((wu & -wu) - 1)  # the lowest set bit of v
-    # the reduced echelon basis of L_perp, less the rows at top and low; when
-    # v = 0, every e_i (nothing is dropped)
-    reps = (1 << at) | ((phi >> at) & 1) << top
-    first = np.where(phi == 0, dim, np.minimum(top, low))
-    second = np.where(phi == 0, dim, np.maximum(top, low))
-    shifted = np.concatenate([reps, np.zeros((count, 2), dtype=np.uint32)], axis=1)
-    reps = np.where(
-        at < first,
-        reps,
-        np.where(at + 1 < second, shifted[:, 1:dim + 1], shifted[:, 2:dim + 2]),
-    )
-    odd = (qv & 1)[:, 0] == 1  # then q_d(v) = q0(v) + 2(d . v) is odd for every d
-    reps = np.where(odd[:, None], 0, reps)
-    w_dims = np.where(odd, -1, np.where(phi[:, 0] == 0, dim, dim - 2))
-    w_rows = _pack(np.bitwise_count(reps[:, :, None] & _apply_rows(rows, reps)[:, None, :]) & 1)
-    q_reps = _q0_at(rows, reps)
-    if (q_reps & 1).any():
-        raise SingularForm("representative is not isotropic")
-    h0 = _pack(q_reps >> 1)  # the values of q0 on W, as a mask
-    # bit j flips q_d(b_j) by 2, bit dim flips q_d(v) by 2
-    flips = _flip_coordinates(dim, np.concatenate([reps, wu], axis=1))
-    isotropic = (flips >> dim == qv >> 1) & ~odd[:, None]
-    index = (flips & ((1 << dim) - 1)) ^ h0[:, None]
-    return w_dims, w_rows, np.where(isotropic, index.astype(np.int8), -1)
+    even = np.bitwise_count(phi & wu) & 1 == 0  # lambda(v, v) = 0
+    checked = even & (_high_bits(rows, wu) == 0)
+    pairs = split.pairs.copy()
+    lift = (even & (phi != 0))[:, 0]
+    if lift.any():
+        rows, phi, wu = rows[lift], phi[lift], wu[lift]
+        at = np.arange(dim, dtype=np.uint32)
+        top = np.array([m.bit_length() for m in range(1 << dim)], dtype=np.uint32)[phi] - 1
+        low = np.bitwise_count((wu & -wu) - 1)
+        reps = (1 << at) | ((phi >> at) & 1) << top
+        reps = reps[(at != top) & (at != low)].reshape(len(reps), dim - 2)
+        w_rows = _pack(np.bitwise_count(reps[:, :, None] & _apply_rows(rows, reps)[:, None, :]) & 1)
+        pairs[lift] = np.pad(_apply_rows(reps, _split_rows(w_rows).pairs), ((0, 0), (0, 2)))
+    return pairs, checked

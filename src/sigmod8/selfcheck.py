@@ -16,14 +16,14 @@ Gauss table (_bk_gauss_tables) is compared with its classification table
 (gauss-vs-classify), with 4 Arf of the isotropic forms' Z2 enhancements
 (the doubled half of bk-4arf, BK(2h) = 4 Arf(h)), and, at every
 enhancement with q(v) = 0, with 4 Arf(W) of its Wu subquotient (the
-subquotient half).  An Arf table is built once per distinct W in the run
-and dropped with it, as are all other tables, so nothing of the
-classification route is kept from one run to the next.  The check counts
-and counterexamples are per enhancement, as if each had been checked on
-its own, and bk-4arf reports as if its doubled half had run over every
-dim first.  The Wall suite's random symplectic words are built by rank-one
-updates (fibration.random_transvection_word).  All randomness comes from
-the caller's SplitMix64 state, so failures reproduce from the seed alone.
+subquotient half), read off W's symplectic pairs lifted into the form.
+Every table is dropped with its block, so nothing of the classification
+route outlives a block.  The check counts and counterexamples are per
+enhancement, as if each had been checked on its own, and bk-4arf reports
+as if its doubled half had run over every dim first.  The Wall suite's
+random symplectic words are built by rank-one updates
+(fibration.random_transvection_word).  All randomness comes from the
+caller's SplitMix64 state, so failures reproduce from the seed alone.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from .enhancements import (
     _bk_classify_tables,
     _bk_gauss_tables,
     _split_rows,
-    _subquotient_indices,
+    _subquotient_pairs,
     bk_gauss,
     enumerate_z2_enhancements,
     enumerate_z4_enhancements,
@@ -142,7 +142,7 @@ def _doubled(block: _Block) -> SuiteResult:
     if not len(isotropic):
         return SuiteResult("bk-4arf", True, 0)
     gauss = block.gauss[isotropic]
-    arf = _arf_tables(_SplitArrays(*(a[isotropic] for a in block.split)))
+    arf = _arf_tables(block.split.rows[isotropic], block.split.pairs[isotropic])
     j = _first_mismatch(gauss.tobytes(), (arf << 2).tobytes())
     if j is None:
         return SuiteResult("bk-4arf", True, gauss.size)
@@ -157,63 +157,20 @@ def _doubled(block: _Block) -> SuiteResult:
     )
 
 
-class _FourArf:
-    """4 Arf mod 8 of every Z2 enhancement of each subquotient form W of a run.
-
-    Each distinct W gets one table, built by _arf_tables when W is first
-    met (the new Ws of a block found by np.unique and split as one stack)
-    and dropped with the run.  W is keyed by its dim and Gram rows, packed
-    into one integer (-1 for no W, whose table is zeros); `codes` holds the
-    sorted codes met so far and `tables` their tables, padded to 2^max_dim
-    entries, so one gather serves forms whose W differ in dim.
-    """
-
-    def __init__(self, max_dim: int):
-        import numpy as np
-        self.max_dim = max_dim
-        self.codes = np.zeros(0, dtype=np.int64)
-        self.tables = np.zeros((0, 1 << max_dim), dtype=np.uint8)
-
-    def rows_of(self, w_dims, w_rows):
-        """The table row of each form's W."""
-        import numpy as np
-        shifts = np.arange(w_rows.shape[1], dtype=np.int64) * self.max_dim
-        codes = (w_rows.astype(np.int64) << shifts).sum(axis=1)
-        codes |= w_dims.astype(np.int64) << self.max_dim ** 2  # -1 (no W) stays negative
-        met = len(self.codes)
-        self.codes, first, rows = np.unique(
-            np.concatenate([self.codes, codes]), return_index=True, return_inverse=True
-        )
-        tables = np.zeros((len(first), self.tables.shape[1]), dtype=np.uint8)
-        old = first < met
-        tables[old] = self.tables[first[old]]
-        new = (first >= met) & (self.codes >= 0)
-        at = first[new] - met  # the first form with each new W
-        for dim in sorted(set(w_dims[at].tolist())):  # one batch per W dim
-            group = new.nonzero()[0][w_dims[at] == dim]
-            w = w_rows[first[group] - met, :dim]
-            tables[group, :1 << dim] = _arf_tables(_split_rows(w)) << 2
-        self.tables = tables
-        return rows[met:]
-
-
-def suite_bk_4arf(block: _Block, four_arf: _FourArf) -> SuiteResult:
+def suite_bk_4arf(block: _Block) -> SuiteResult:
     """BK(q) = 4 Arf(W) on the Wu subquotient, for each enhancement of a block with q(v) = 0.
 
-    Only those enhancements are checked and counted; W's table is read at
-    the index _subquotient_indices gives.
+    Only those enhancements are checked and counted; Arf(W) is read off
+    W's symplectic pairs, lifted into the form by _subquotient_pairs.
     """
     import numpy as np
-    w_dims, w_rows, index = _subquotient_indices(block.split)
-    indexed = index >= 0
-    flags = indexed.tobytes()  # one byte per enhancement, 1 where it is checked
+    pairs, checked = _subquotient_pairs(block.split)
+    flags = checked.tobytes()  # one byte per enhancement, 1 where it is checked
     if 1 not in flags:
         return SuiteResult("bk-4arf", True, 0)
-    rows = four_arf.rows_of(w_dims, w_rows)
-    # 4 Arf(W) where q(v) = 0, and the Gauss entry itself elsewhere (where
-    # the index is -1 the gather reads an entry that np.where discards)
-    expected = np.where(indexed, four_arf.tables[rows[:, None], index], block.gauss)
-    j = _first_mismatch(expected.tobytes(), block.gauss.tobytes())
+    # 4 Arf(W) where q(v) = 0, and the Gauss entry itself elsewhere
+    four_arf = _arf_tables(block.split.rows, pairs) << 2
+    j = _first_mismatch(np.where(checked, four_arf, block.gauss).tobytes(), block.gauss.tobytes())
     if j is None:
         return SuiteResult("bk-4arf", True, flags.count(1))
     f, d = divmod(j, block.gauss.shape[1])
@@ -238,14 +195,13 @@ def _exhaustive_suites(max_dim: int) -> Tuple[SuiteResult, SuiteResult]:
     """
     gauss_vs_classify = SuiteResult("gauss-vs-classify", True, 0)
     doubled = subquotient = SuiteResult("bk-4arf", True, 0)
-    four_arf = _FourArf(max_dim)
     for block in _blocks(max_dim):
         if gauss_vs_classify.passed:
             gauss_vs_classify = _extend(gauss_vs_classify, suite_gauss_vs_classify(block))
         if doubled.passed:
             doubled = _extend(doubled, _doubled(block))
         if doubled.passed and subquotient.passed:
-            subquotient = _extend(subquotient, suite_bk_4arf(block, four_arf))
+            subquotient = _extend(subquotient, suite_bk_4arf(block))
         if not gauss_vs_classify.passed and not doubled.passed:
             break  # both suites have ended: build no further block
     return gauss_vs_classify, _extend(doubled, subquotient)

@@ -16,7 +16,7 @@ from sigmod8.enhancements import (
     _match_gauss,
     _split_rows,
     _subquotient_basis,
-    _subquotient_indices,
+    _subquotient_pairs,
     arf,
     bk_classify,
     bk_gauss,
@@ -396,7 +396,7 @@ def test_classify_table_matches_bk_classify():
     split = _split_rows(_stack(dim, forms))
     assert _bk_classify_tables(split) is not _bk_classify_tables(split)
     isotropic = _split_rows(_stack(4, enumerate_nonsingular_forms(4, isotropic_only=True)))
-    assert _arf_tables(isotropic) is not _arf_tables(isotropic)
+    assert _arf_tables(isotropic.rows, isotropic.pairs) is not _arf_tables(isotropic.rows, isotropic.pairs)
 
 
 def test_flip_coordinates_brute_force():
@@ -415,39 +415,48 @@ def test_flip_coordinates_brute_force():
 
 
 def test_arf_table_matches_arf():
+    """On an isotropic form's own pairs, entry b is Arf of Z2 enhancement b."""
     forms = [f for dim in (0, 2, 4) for f in enumerate_nonsingular_forms(dim, isotropic_only=True)]
     rng = SplitMix64(45)
     forms += [random_isotropic_enhanced(3, rng).form for _ in range(12)]
     for dim, group in _by_dim(forms):
-        tables = _arf_tables(_split_rows(_stack(dim, group)))
+        split = _split_rows(_stack(dim, group))
+        tables = _arf_tables(split.rows, split.pairs)
         assert tables.shape == (len(group), 1 << dim)
         for form, table in zip(group, tables.tolist()):
             for b, h in enumerate(enumerate_z2_enhancements(form)):
                 assert table[b] == arf(h), (form.rows, h.values)
+    # q0(e_1) = 1 on P + P: q_d / 2 is no Z2 enhancement on that pair
     with pytest.raises(AnisotropicInput):
-        _arf_tables(_split_rows(_stack(1, [P_FORM])))
+        _arf_tables(_stack(2, [P_FORM.direct_sum(P_FORM)]), np.array([[1, 2]], dtype=np.uint32))
 
 
-def test_subquotient_indices_match_isotropic_subquotient():
-    """The index the bk-4arf suite reads is the subquotient's value mask, and
-    the W it names is the subquotient's form."""
+def test_subquotient_pairs_match_isotropic_subquotient():
+    """checked[f, d] is q_d(v) = 0; the lifted pairs are dim(W)/2 symplectic
+    pairs in v_perp, and the Arf table on them is Arf of each subquotient."""
     for dim, forms in _by_dim(_table_forms(46)):
-        w_dims, w_rows, indices = _subquotient_indices(_split_rows(_stack(dim, forms)))
-        assert indices.shape == (len(forms), 1 << dim)
-        for form, w_dim, rows, row in zip(forms, w_dims.tolist(), w_rows.tolist(), indices.tolist()):
+        rows = _stack(dim, forms)
+        pairs, checked = _subquotient_pairs(_split_rows(rows))
+        assert pairs.shape == (len(forms), 2 * (dim // 2))
+        assert checked.shape == (len(forms), 1 << dim)
+        tables = _arf_tables(rows, pairs)
+        for f, form in enumerate(forms):
             v = wu_class(form)
-            w_form = Z2SymForm(w_dim, tuple(rows[:w_dim])) if w_dim >= 0 else None
-            assert w_dim < 0 or rows[w_dim:] == [0] * (dim - w_dim)
-            for d, q in enumerate(enumerate_z4_enhancements(form)):
-                if q.evaluate(v) != 0:
-                    assert row[d] == -1
-                    continue
-                w = isotropic_subquotient(q)
-                assert w.form == w_form == _subquotient_basis(form)[1]
-                assert row[d] == sum(bit << j for j, bit in enumerate(w.values))
-                assert _arf_tables(_split_rows(_stack(w_dim, [w_form])))[0, row[d]] == arf(w)
-            if w_form is None:  # then no enhancement has q(v) = 0
-                assert all(q.evaluate(v) for q in enumerate_z4_enhancements(form))
+            qs = list(enumerate_z4_enhancements(form))
+            assert checked[f].tolist() == [q.evaluate(v) == 0 for q in qs]
+            if not checked[f].any():
+                continue
+            w = isotropic_subquotient(qs[int(checked[f].argmax())]).form
+            lifted = pairs[f].tolist()
+            assert 2 * sum(e != 0 for e in lifted[0::2]) == w.dim
+            assert [form.evaluate_masks(x, v.mask) for x in lifted] == [0] * len(lifted)
+            for a, x in enumerate(lifted):  # lambda(e_i, f_j) = delta_ij, e's and f's orthogonal
+                assert [form.evaluate_masks(x, y) for y in lifted] == [
+                    int(x != 0 and b != a and b // 2 == a // 2) for b in range(len(lifted))
+                ], form.rows
+            for d, q in enumerate(qs):
+                if checked[f, d]:
+                    assert tables[f, d] == arf(isotropic_subquotient(q)), (form.rows, d)
 
 
 def test_tables_refuse_large_or_singular_forms():
@@ -533,8 +542,8 @@ def test_split_rows_agrees_with_the_scalar_splitting(dim):
     even = split.counts == 0
     if even.any():
         assert np.array_equal(
-            _arf_tables(_SplitArrays(*(a[even] for a in split))),
-            _arf_tables(_SplitArrays(*(a[even] for a in scalar))),
+            _arf_tables(split.rows[even], split.pairs[even]),
+            _arf_tables(scalar.rows[even], scalar.pairs[even]),
         )
 
 

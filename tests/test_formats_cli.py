@@ -566,42 +566,37 @@ def test_gauss_vs_classify_detects_wrong_classify_table(monkeypatch):
     assert result.counterexample == "form rows (), values ()"
 
 
-def _forms_of(split):
-    """The forms of a stack of splittings, from their Gram rows."""
-    from sigmod8.z2forms import Z2SymForm
-
-    return [Z2SymForm(split.rows.shape[1], tuple(rows)) for rows in split.rows.tolist()]
-
-
-def _flip_arf_entry(monkeypatch, skip):
-    """Flip entry 0 of every Arf table the suites build for a form after the
-    first `skip` tables of that form in the run.
-
-    The doubled half builds the first table of each isotropic form, in its
-    own block; the subquotient half builds the second, when the form first
-    appears as a W, which is in the same block (an isotropic form is its
-    own W).
-    """
+def _flip_arf_entry(monkeypatch, flip):
+    """Flip entry 0 of every row of each Arf table the suites build where
+    flip(subquotient, dim) holds: subquotient tells whether the subquotient
+    half of bk-4arf (suite_bk_4arf) builds the table, not the doubled half,
+    and dim is the dim of its forms."""
     from sigmod8 import selfcheck as sc
 
-    real = sc._arf_tables
-    built = []
+    real_arf, real_suite = sc._arf_tables, sc.suite_bk_4arf
+    inside = []
 
-    def flipped(split):
-        tables = real(split)
-        for row, form in enumerate(_forms_of(split)):
-            if built.count(form) >= skip:
-                tables[row, 0] ^= 1
-            built.append(form)
+    def flipped(rows, pairs):
+        tables = real_arf(rows, pairs)
+        if flip(bool(inside), rows.shape[1]):
+            tables[:, 0] ^= 1
         return tables
 
+    def subquotient_half(block):
+        inside.append(block)
+        try:
+            return real_suite(block)
+        finally:
+            inside.pop()
+
     monkeypatch.setattr(sc, "_arf_tables", flipped)
+    monkeypatch.setattr(sc, "suite_bk_4arf", subquotient_half)
 
 
 def test_bk_4arf_detects_wrong_arf_table_doubled_half(monkeypatch):
     from sigmod8 import selfcheck as sc
 
-    _flip_arf_entry(monkeypatch, 0)
+    _flip_arf_entry(monkeypatch, lambda subquotient, dim: True)
     result = sc._exhaustive_suites(4)[1]
     assert not result.passed
     assert result.checked == 0
@@ -616,7 +611,7 @@ def test_bk_4arf_detects_wrong_arf_table_subquotient_half(monkeypatch):
     # dim 0, 2, 4, and its tables are left alone
     isotropic = [f for dim in (0, 2, 4)
                  for f in enumerate_nonsingular_forms(dim, isotropic_only=True)]
-    _flip_arf_entry(monkeypatch, 1)
+    _flip_arf_entry(monkeypatch, lambda subquotient, dim: subquotient)
     result = sc._exhaustive_suites(4)[1]
     assert not result.passed
     assert result.checked == sum(1 << f.dim for f in isotropic)
@@ -629,24 +624,16 @@ def test_bk_4arf_doubled_failure_after_subquotient_failure(monkeypatch):
     from sigmod8 import selfcheck as sc
     from sigmod8.z2forms import enumerate_nonsingular_forms
 
-    real_classify, real_arf = sc._bk_classify_tables, sc._arf_tables
-    built = []
+    real_classify = sc._bk_classify_tables
 
     def shifted(split):
         tables = real_classify(split)
         tables[:, 0] ^= 1
         return tables
 
-    def flipped(split):  # the second table of any form, the first of a dim-4 one
-        tables = real_arf(split)
-        for row, form in enumerate(_forms_of(split)):
-            if built.count(form) or form.dim == 4:
-                tables[row, 0] ^= 1
-            built.append(form)
-        return tables
-
     monkeypatch.setattr(sc, "_bk_classify_tables", shifted)
-    monkeypatch.setattr(sc, "_arf_tables", flipped)
+    # every subquotient table, and the doubled half's tables at dim 4
+    _flip_arf_entry(monkeypatch, lambda subquotient, dim: subquotient or dim == 4)
     isotropic = {dim: list(enumerate_nonsingular_forms(dim, isotropic_only=True))
                  for dim in (0, 2, 4)}
     gauss_vs_classify, bk_4arf = sc._exhaustive_suites(4)
@@ -663,7 +650,7 @@ def test_exhaustive_suites_stop_once_both_have_failed(monkeypatch):
     half of bk-4arf both fail on the dim-0 form."""
     from sigmod8 import selfcheck as sc
 
-    real_classify, real_arf, real_split = sc._bk_classify_tables, sc._arf_tables, sc._split_rows
+    real_classify, real_split = sc._bk_classify_tables, sc._split_rows
     dims = []
 
     def shifted(split):
@@ -671,13 +658,8 @@ def test_exhaustive_suites_stop_once_both_have_failed(monkeypatch):
         tables[:, 0] ^= 1
         return tables
 
-    def flipped(split):
-        tables = real_arf(split)
-        tables[:, 0] ^= 1
-        return tables
-
     monkeypatch.setattr(sc, "_bk_classify_tables", shifted)
-    monkeypatch.setattr(sc, "_arf_tables", flipped)
+    _flip_arf_entry(monkeypatch, lambda subquotient, dim: True)
     monkeypatch.setattr(sc, "_split_rows", lambda rows: dims.append(rows.shape[1]) or real_split(rows))
     results = sc._exhaustive_suites(5)
     assert [r.line() for r in results] == [
@@ -687,20 +669,20 @@ def test_exhaustive_suites_stop_once_both_have_failed(monkeypatch):
     assert dims == [0]
 
 
-def _indices_by_form(max_dim):
-    """(form, its row of _subquotient_indices) for every form up to max_dim."""
-    from sigmod8.enhancements import _split_rows, _subquotient_indices
+def _checked_by_form(max_dim):
+    """(form, its row of checked flags from _subquotient_pairs) for every form up to max_dim."""
+    from sigmod8.enhancements import _split_rows, _subquotient_pairs
     from sigmod8.z2forms import enumerate_nonsingular_forms, nonsingular_rows
 
     out = []
     for dim in range(max_dim + 1):
         (rows,) = nonsingular_rows(dim, 1 << 12)
-        indices = _subquotient_indices(_split_rows(rows))[2].tolist()
-        out += zip(enumerate_nonsingular_forms(dim), indices)
+        checked = _subquotient_pairs(_split_rows(rows))[1].tolist()
+        out += zip(enumerate_nonsingular_forms(dim), checked)
     return out
 
 
-def test_bk_4arf_subquotient_failure_counts_indexed_entries(monkeypatch):
+def test_bk_4arf_subquotient_failure_counts_checked_entries(monkeypatch):
     """A wrong Gauss entry at d > 0 of a dim-4 form: `checked` counts only
     the enhancements with q(v) = 0 before it, not d."""
     import numpy as np
@@ -709,10 +691,9 @@ def test_bk_4arf_subquotient_failure_counts_indexed_entries(monkeypatch):
     from sigmod8.enhancements import enumerate_z4_enhancements
     from sigmod8.z2forms import enumerate_nonsingular_forms
 
-    forms = _indices_by_form(4)
-    for at, (target, indices) in enumerate(forms):  # an indexed entry d right after an unindexed one
-        after_none = [d for d in range(1, len(indices))
-                      if indices[d] >= 0 and indices[d - 1] < 0]
+    forms = _checked_by_form(4)
+    for at, (target, flags) in enumerate(forms):  # a checked entry d right after an unchecked one
+        after_none = [d for d in range(1, len(flags)) if flags[d] and not flags[d - 1]]
         if target.dim == 4 and after_none:
             break
     d = after_none[0]
@@ -728,42 +709,34 @@ def test_bk_4arf_subquotient_failure_counts_indexed_entries(monkeypatch):
     monkeypatch.setattr(sc, "_bk_gauss_tables", wrong)
     doubled = sum(1 << f.dim for dim in (0, 2, 4)
                   for f in enumerate_nonsingular_forms(dim, isotropic_only=True))
-    before = sum(index >= 0 for _, ix in forms[:at] for index in ix)
+    before = sum(sum(row) for _, row in forms[:at])
     result = sc._exhaustive_suites(4)[1]
     assert not result.passed
-    indexed_before_d = sum(index >= 0 for index in indices[:d])
-    assert 0 < indexed_before_d < d - 1
-    assert result.checked == doubled + before + indexed_before_d
+    checked_before_d = sum(flags[:d])
+    assert 0 < checked_before_d < d - 1
+    assert result.checked == doubled + before + checked_before_d
     values = list(enumerate_z4_enhancements(target))[d].values
     assert result.counterexample == f"form rows {target.rows}, values {values}"
 
 
-def test_bk_4arf_builds_each_subquotient_table_once_per_run(monkeypatch):
-    """The doubled half builds one table per isotropic form, the subquotient
-    half one per distinct W; a second run builds them all again."""
-    from collections import Counter
-
+def test_bk_4arf_fails_on_a_zeroed_lifted_pair(monkeypatch):
+    """The subquotient half reads Arf(W) off the lifted pairs: with the last
+    lifted pair of every form with v != 0 zeroed, it fails."""
     from sigmod8 import selfcheck as sc
-    from sigmod8.enhancements import enumerate_z4_enhancements, isotropic_subquotient
-    from sigmod8.z2forms import enumerate_nonsingular_forms, wu_class
 
-    real = sc._arf_tables
-    calls = []
-    monkeypatch.setattr(sc, "_arf_tables", lambda split: calls.extend(_forms_of(split)) or real(split))
-    isotropic = [f for dim in (0, 2, 4)
-                 for f in enumerate_nonsingular_forms(dim, isotropic_only=True)]
-    w_forms = {isotropic_subquotient(q).form for dim in range(5)
-               for f in enumerate_nonsingular_forms(dim)
-               for q in enumerate_z4_enhancements(f) if q.evaluate(wu_class(f)) == 0}
-    assert len(w_forms) == 30
-    assert sc._exhaustive_suites(4)[1].passed
-    first = list(calls)
-    assert list(dict.fromkeys(first)) == isotropic  # the doubled half, in enumeration order
-    # every W is isotropic, and the subquotient half builds each one once
-    assert set(first) == w_forms
-    assert Counter(first) == Counter(isotropic + list(w_forms))
-    assert sc._exhaustive_suites(4)[1].passed
-    assert calls[len(first):] == first
+    real = sc._subquotient_pairs
+
+    def zeroed(split):
+        pairs, checked = real(split)
+        for f in (split.wu[:, 0] != 0).nonzero()[0]:
+            k = int((pairs[f, 0::2] != 0).sum())  # W's pairs come first
+            pairs[f, 2 * k - 2:2 * k] = 0
+        return pairs, checked
+
+    monkeypatch.setattr(sc, "_subquotient_pairs", zeroed)
+    assert sc._exhaustive_suites(4)[1].line() == (
+        "suite bk-4arf: FAIL after 486 checks: form rows (9, 4, 2, 1), values (1, 2, 2, 0)"
+    )
 
 
 def test_exhaustive_blocks_do_not_change_the_tables(monkeypatch):
@@ -772,16 +745,17 @@ def test_exhaustive_blocks_do_not_change_the_tables(monkeypatch):
     import numpy as np
 
     from sigmod8 import selfcheck as sc
-    from sigmod8.enhancements import _bk_classify_tables, _subquotient_indices
+    from sigmod8.enhancements import _bk_classify_tables, _subquotient_pairs
 
     def tables(max_dim):
         out = {}
         for block in sc._blocks(max_dim):
-            parts = out.setdefault(block.dim, [[], [], [], []])
+            parts = out.setdefault(block.dim, [[], [], [], [], []])
             parts[0] += block.split.rows.tolist()
             parts[1].append(block.gauss)
             parts[2].append(_bk_classify_tables(block.split))
-            parts[3].append(_subquotient_indices(block.split)[2])
+            for part, array in zip(parts[3:], _subquotient_pairs(block.split)):
+                part.append(array)
         return {dim: [forms] + [np.concatenate(t) for t in rest]
                 for dim, (forms, *rest) in out.items()}
 
