@@ -17,17 +17,10 @@ q(v) = 0 in Z4 the subquotient (L_perp/L, [lambda], [q]/2) carries a
 Z2-enhancement whose Arf invariant satisfies BK = 4*Arf.  wu_sublagrangian
 and isotropic_subquotient share the check that q(v) = 0.
 
-Work that depends only on the form is done once per form instance.  For
-dim <= 6 (ENUMERATION_DIM_LIMIT) bk_gauss looks q up in a table of all
-2^dim BK values of the form, indexed like enumerate_z4_enhancements.  The
-table comes from one Walsh-Hadamard transform of i^q0
-(kernels.gauss_sums), uses nothing but the definition of the Gauss sum,
-and every entry is matched exactly; larger forms are counted one
-enhancement at a time.  That table, the representatives and Gram form of
-L_perp/L, and the splitting behind is_nonsingular, wu_class and
-split_vectors are kept on the form instance (z2forms.memo_on_form), so
-bk_gauss and bk_classify over every enhancement of a form compute them
-once; equal forms share nothing.
+The splitting behind is_nonsingular, wu_class and split_vectors is kept
+on the form instance (Z2SymForm._split), so bk_gauss, bk_classify, arf
+and isotropic_subquotient on one form read one pass; equal forms share
+nothing.
 
 The selfcheck suites compare the two routes over every enhancement of
 many forms at once, so both routes also come as batched tables over a
@@ -36,8 +29,7 @@ indexed like enumerate_z4_enhancements of form f:
 
 * _bk_gauss_tables: one stack of q0 tables, one transform along its rows
   (kernels.gauss_sums on a stack) and one exact match against the eighth
-  roots; _bk_gauss_table is its one-form case, kept on the form for
-  bk_gauss.
+  roots.
 * _bk_classify_tables (4n + p_plus - p_minus of each enhancement) and
   _arf_tables (Arf of each enhancement, read off symplectic pairs on
   which q0 is even).  Enhancement d differs from enhancement 0 by
@@ -83,7 +75,6 @@ from .z2forms import (
     _parity,
     _restrict,
     is_nonsingular,
-    memo_on_form,
     solve,
     split_vectors,
     wu_class,
@@ -279,20 +270,8 @@ def bk_gauss(q: Z4Quadratic) -> int:
         raise DimTooLarge(f"Gauss enumeration limited to dim <= {GAUSS_DIM_LIMIT}")
     if not is_nonsingular(form):
         raise SingularForm("bk_gauss requires a nonsingular form")
-    if form.dim <= ENUMERATION_DIM_LIMIT:
-        d = sum((v >> 1) << i for i, v in enumerate(q.values))
-        return _bk_gauss_table(form)[d]
     c0, c1, c2, c3 = kernels.gauss_counts(form.dim, q.values, form.rows)
     return _match_gauss(form.dim, c0 - c2, c1 - c3)
-
-
-@memo_on_form
-def _bk_gauss_table(form: Z2SymForm) -> bytes:
-    """BK of every enhancement of the form, indexed like enumerate_z4_enhancements:
-    entry d of the transform of i^q0 is the Gauss sum of the enhancement
-    with values diag_i + 2*d_i.  The one-form case of _bk_gauss_tables."""
-    import numpy as np
-    return _bk_gauss_tables(np.array(form.rows, dtype=np.uint32)).tobytes()
 
 
 def _bk_of_sums(dim: int, re, im):
@@ -317,10 +296,13 @@ def _bk_of_sums(dim: int, re, im):
 
 
 def _bk_gauss_tables(rows):
-    """_bk_gauss_table of each form of a stack, given by its Gram rows (..., dim).
+    """BK of every enhancement of each form of a stack, given by its Gram rows (..., dim).
 
-    One stack of q0 tables, one transform along its rows and one exact
-    match: a (..., 2^dim) uint8 array.
+    Entry d of the transform of i^q0 is the Gauss sum of the enhancement
+    with values diag_i + 2*d_i, so row f is indexed like
+    enumerate_z4_enhancements of form f.  One stack of q0 tables, one
+    transform along its rows and one exact match: a (..., 2^dim) uint8
+    array.
     """
     dim = rows.shape[-1]
     return _bk_of_sums(dim, *kernels.gauss_sums(dim, _diagonal(rows), rows))
@@ -402,7 +384,6 @@ def isotropic_subquotient(q: Z4Quadratic) -> Z2Quadratic:
     return Z2Quadratic(w_form, tuple(values))
 
 
-@memo_on_form
 def _subquotient_basis(form: Z2SymForm) -> Tuple[Tuple[int, ...], Z2SymForm]:
     """Representatives of L_perp/L for L = <v>, and the Gram form of L_perp/L.
 

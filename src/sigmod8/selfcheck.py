@@ -164,6 +164,10 @@ def suite_bk_4arf(block: _Block) -> SuiteResult:
     W's symplectic pairs, lifted into the form by _subquotient_pairs.
     """
     import numpy as np
+    # q(v) = lambda(v, v) = dim mod 2 (v is the sum of the lines), so on an odd
+    # dim no enhancement has q(v) = 0 and nothing is checked
+    if block.dim % 2:
+        return SuiteResult("bk-4arf", True, 0)
     pairs, checked = _subquotient_pairs(block.split)
     flags = checked.tobytes()  # one byte per enhancement, 1 where it is checked
     if 1 not in flags:

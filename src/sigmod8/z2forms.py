@@ -8,15 +8,15 @@ nonsingular symmetric forms are
     H = [[0,1],[1,0]]    the hyperbolic plane,
 
 and every nonsingular form splits (non-uniquely) as p*P + k*H.  One pass
-per form (_splitting, kept on the instance) finds a splitting, decides
-nonsingularity and sums the P lines to the Wu class.  nonsingular_rows
-lists every nonsingular form of a small dim as uint32 arrays of Gram rows
-by bordering: each (dim - 1)-block's key det A | adj(A)_diag << 1 makes
-each first row's determinant one popcount.
+per form (_splitting, kept on the instance as Z2SymForm._split) finds a
+splitting, decides nonsingularity and sums the P lines to the Wu class.
+nonsingular_rows lists every nonsingular form of a small dim as uint32
+arrays of Gram rows by bordering: each (dim - 1)-block's key
+det A | adj(A)_diag << 1 makes each first row's determinant one popcount.
 """
 from __future__ import annotations
 
-from functools import reduce, wraps
+from functools import cached_property, reduce
 from operator import xor
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -152,6 +152,10 @@ class Z2SymForm(Record):
         rows = list(self.rows) + [r << self.dim for r in other.rows]
         return Z2SymForm(self.dim + other.dim, tuple(rows))
 
+    @cached_property
+    def _split(self) -> Optional[tuple]:
+        return _splitting(self)
+
 
 P_FORM = Z2SymForm(1, (1,))
 H_FORM = Z2SymForm.from_matrix([[0, 1], [1, 0]])
@@ -252,25 +256,10 @@ class Z2Subspace(Record):
         return not eliminate({b & -b: b for b in self.basis}, [v.mask])
 
 
-def memo_on_form(fn):
-    """fn(form), computed once per form instance and kept on it (and freed
-    with it): equal forms share nothing, and no request sees another's."""
-    name = f"_{fn.__name__}_value"
-
-    @wraps(fn)
-    def call(form):
-        memo = form.__dict__
-        if name not in memo:
-            memo[name] = fn(form)
-        return memo[name]
-
-    return call
-
-
-@memo_on_form
 def _splitting(form: Z2SymForm) -> Optional[tuple]:
-    """((aniso, pairs), wu) of a nonsingular form, read by is_nonsingular,
-    wu_class and split_vectors; None for a singular form.
+    """((aniso, pairs), wu) of a nonsingular form, kept as form._split and
+    read by is_nonsingular, wu_class and split_vectors; None for a singular
+    form.
 
     Lines v with lambda(v, v) = 1 are split off lowest-index-first:
     b_j + lambda(b_j, v) v is orthogonal to v, so the Gram entries become
@@ -305,12 +294,12 @@ def _splitting(form: Z2SymForm) -> Optional[tuple]:
 
 def is_nonsingular(form: Z2SymForm) -> bool:
     """True iff the Gram matrix is invertible over Z2 (dim 0 counts)."""
-    return _splitting(form) is not None
+    return form._split is not None
 
 
 def wu_class(form: Z2SymForm) -> Z2Vec:
     """The unique v with lambda(x, x) = lambda(x, v) for all x; needs nonsingular."""
-    split = _splitting(form)
+    split = form._split
     if split is None:
         raise SingularForm("matrix is singular over Z2")
     return split[1]
@@ -333,7 +322,7 @@ def split_vectors(form: Z2SymForm) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, in
     """(aniso, pairs): the lines and hyperbolic pairs of _splitting, as bit
     masks; deterministic.  A singular form raises DegenerateRestriction.
     """
-    split = _splitting(form)
+    split = form._split
     if split is None:
         raise DegenerateRestriction("restricted form is singular")
     return split[0]

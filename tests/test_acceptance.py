@@ -12,9 +12,11 @@ integral local system of rank 2.  See README.
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sigmod8.enhancements import (
+    _bk_gauss_tables,
     arf,
     bk_classify,
     bk_gauss,
@@ -173,15 +175,29 @@ def test_criterion_4_linking_form_example(capsys):
     assert ok
 
 
+def _gauss_tables(dim, forms):
+    """BK by the Gauss sum of every enhancement of each form: one transform
+    over the stack of the forms' Gram rows, row f indexed like
+    enumerate_z4_enhancements of form f."""
+    rows = np.array([form.rows for form in forms], dtype=np.uint32).reshape(len(forms), dim)
+    return _bk_gauss_tables(rows).tolist()
+
+
+def _index(q):
+    """d with q = enhancement d of enumerate_z4_enhancements: values diag_i + 2 d_i."""
+    return sum((v >> 1) << i for i, v in enumerate(q.values))
+
+
 def test_criterion_5_oracle_equivalence_exhaustive(capsys):
     t0 = time.perf_counter()
     failures = 0
     checked = 0
     for dim in range(0, 6):
-        for form in enumerate_nonsingular_forms(dim):
+        forms = list(enumerate_nonsingular_forms(dim))
+        for form, gauss in zip(forms, _gauss_tables(dim, forms)):
             for q in enumerate_z4_enhancements(form):
                 m, n, pp, pm = bk_classify(q)
-                if (4 * n + pp - pm) % 8 != bk_gauss(q):
+                if (4 * n + pp - pm) % 8 != gauss[_index(q)]:
                     failures += 1
                 checked += 1
     elapsed = time.perf_counter() - t0
@@ -195,20 +211,22 @@ def test_criterion_6_bk_equals_4arf_exhaustive(capsys):
     checked = 0
     ok = True
     for dim in (0, 2, 4, 6):
-        for form in enumerate_nonsingular_forms(dim, isotropic_only=True):
+        forms = list(enumerate_nonsingular_forms(dim, isotropic_only=True))
+        for form, gauss in zip(forms, _gauss_tables(dim, forms)):
             for h in enumerate_z2_enhancements(form):
-                if bk_gauss(double(h)) != (4 * arf(h)) % 8:
+                if gauss[_index(double(h))] != (4 * arf(h)) % 8:
                     ok = False
                 checked += 1
     sub_checked = 0
     for dim in range(0, 6):
-        for form in enumerate_nonsingular_forms(dim):
+        forms = list(enumerate_nonsingular_forms(dim))
+        for form, gauss in zip(forms, _gauss_tables(dim, forms)):
             for q in enumerate_z4_enhancements(form):
                 try:
                     w = isotropic_subquotient(q)
                 except NotDivisibleBy4:
                     continue
-                if bk_gauss(q) != (4 * arf(w)) % 8:
+                if gauss[_index(q)] != (4 * arf(w)) % 8:
                     ok = False
                 sub_checked += 1
     report(capsys, 6, ok, f"{checked} doubled, {sub_checked} subquotients")

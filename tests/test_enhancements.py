@@ -9,13 +9,11 @@ from sigmod8.enhancements import (
     Z4Quadratic,
     _arf_tables,
     _bk_classify_tables,
-    _bk_gauss_table,
     _bk_gauss_tables,
     _SplitArrays,
     _flip_coordinates,
     _match_gauss,
     _split_rows,
-    _subquotient_basis,
     _subquotient_pairs,
     arf,
     bk_classify,
@@ -274,19 +272,25 @@ def bk_by_counting(q):
     return _match_gauss(q.dim, c0 - c2, c1 - c3)
 
 
-def test_bk_gauss_table_matches_counting_exhaustive_dim4():
-    for dim in range(0, 5):
-        for form in enumerate_nonsingular_forms(dim):
-            for q in enumerate_z4_enhancements(form):
-                assert bk_gauss(q) == bk_by_counting(q), (form.rows, q.values)
+def _assert_bk_gauss_matches_transform(forms):
+    """bk_gauss of enhancement d of a form, counted on its own, is entry d
+    of the form's row of _bk_gauss_tables, one transform per dim."""
+    for dim, group in _by_dim(forms):
+        for form, table in zip(group, _bk_gauss_tables(_stack(dim, group)).tolist()):
+            for d, q in enumerate(enumerate_z4_enhancements(form)):
+                assert bk_gauss(q) == table[d], (form.rows, q.values)
 
 
-def test_bk_gauss_table_matches_counting_sampled_dim5_dim6():
+def test_bk_gauss_matches_transform_exhaustive_dim4():
+    _assert_bk_gauss_matches_transform(
+        form for dim in range(0, 5) for form in enumerate_nonsingular_forms(dim)
+    )
+
+
+def test_bk_gauss_matches_transform_sampled_dim5_dim6():
     rng = SplitMix64(43)
     for dim in (5, 6):
-        for form in random_nonsingular_forms(dim, 12, rng):
-            for q in enumerate_z4_enhancements(form):
-                assert bk_gauss(q) == bk_by_counting(q), (form.rows, q.values)
+        _assert_bk_gauss_matches_transform(random_nonsingular_forms(dim, 12, rng))
 
 
 def test_form_values_kept_per_instance():
@@ -298,9 +302,8 @@ def test_form_values_kept_per_instance():
     assert [bk_gauss(q) for q in enumerate_z4_enhancements(a)] == [
         bk_gauss(q) for q in enumerate_z4_enhancements(b)
     ]
-    for value in (_bk_gauss_table, _subquotient_basis, wu_class):
-        assert value(a) is value(a) and value(b) is value(b)
-        assert value(a) == value(b) and value(a) is not value(b)
+    assert wu_class(a) is wu_class(a) and wu_class(b) is wu_class(b)
+    assert wu_class(a) == wu_class(b) and wu_class(a) is not wu_class(b)
 
 
 def test_gauss_match_rejects_impossible_sums():
@@ -323,7 +326,7 @@ def test_gauss_table_rejects_one_off_root_sum(monkeypatch, dim):
     monkeypatch.setattr(kernels, "gauss_sums", off_root)
     form = Z2SymForm(dim, tuple(1 << i for i in range(dim)))
     with pytest.raises(NoGaussMatch, match=f"does not match any eighth root at dim {dim}"):
-        _bk_gauss_table(form)  # a new instance: no table is kept for it yet
+        _bk_gauss_tables(np.array(form.rows, dtype=np.uint32))
 
 
 def test_witt_relations_via_gauss():
@@ -378,7 +381,6 @@ def test_bk_gauss_tables_match_counting():
         assert tables.shape == (len(forms), 1 << dim)
         for form, table in zip(forms, tables.tolist()):
             assert table == [bk_by_counting(q) for q in enumerate_z4_enhancements(form)], form.rows
-            assert bytes(table) == _bk_gauss_table(form)  # the one-form case
 
 
 def test_classify_table_matches_bk_classify():
@@ -642,10 +644,9 @@ def test_arf_difference_identity():
         for form in enumerate_nonsingular_forms(dim):
             v = wu_class(form)
             qs = [q for q in enumerate_z4_enhancements(form) if q.evaluate(v) == 0]
-            for q in qs:
-                wq = isotropic_subquotient(q)
-                for qp in qs:
-                    wqp = isotropic_subquotient(qp)
+            ws = [isotropic_subquotient(q) for q in qs]
+            for q, wq in zip(qs, ws):
+                for qp, wqp in zip(qs, ws):
                     t, _ = difference_vector(q, qp)
                     qt = q.evaluate(t)
                     assert qt in (0, 2)  # t lies in the perpendicular of v

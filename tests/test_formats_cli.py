@@ -892,7 +892,7 @@ def test_one_splitting_per_form_and_no_solve_per_report():
     from sigmod8.intforms import random_unimodular_form
     from sigmod8.rng import SplitMix64
 
-    splitting = z2forms._splitting.__wrapped__.__code__
+    splitting = z2forms._splitting.__code__
     codes = {splitting, z2forms.solve.__code__}
     rng = SplitMix64(83)
     reports = []
