@@ -11,16 +11,16 @@ its own forms and comparing its own residue with sigma mod 8.
 The two exhaustive suites share one pass over the forms (_exhaustive_suites):
 each dim is enumerated once, in blocks of BLOCK_FORMS forms, and each
 block's splittings and tables are array operations on its uint32 stack of
-Gram rows (a form object is built only for a counterexample).  The block's
-Gauss table (_bk_gauss_tables) is compared with its classification table
-(gauss-vs-classify), with 4 Arf of the isotropic forms' Z2 enhancements
-(the doubled half of bk-4arf, BK(2h) = 4 Arf(h)), and, at every
-enhancement with q(v) = 0, with 4 Arf(W) of its Wu subquotient (the
-subquotient half), read off W's symplectic pairs lifted into the form.
-Every table is dropped with its block, so nothing of the classification
-route outlives a block.  The check counts and counterexamples are per
-enhancement, as if each had been checked on its own, and bk-4arf reports
-as if its doubled half had run over every dim first.  The Wall suite's
+Gram rows (a form object is built only for a counterexample).  Each suite
+makes one comparison per block (_compare) against its Gauss table
+(_bk_gauss_tables): gauss-vs-classify with the classification table, and
+bk-4arf, at every enhancement with q(v) = 0, with 4 Arf(W) of its Wu
+subquotient, read off W's symplectic pairs lifted into the form.  On an
+isotropic form v = 0 and W is the form itself, so there bk-4arf also
+checks BK(2h) = 4 Arf(h), and each entry counts as two checks.  Every
+table is dropped with its block, so nothing of the classification route
+outlives a block.  The check counts and counterexamples are per
+enhancement, in enumeration order.  The Wall suite's
 random symplectic words are built by rank-one updates
 (fibration.random_transvection_word).  All randomness comes from the
 caller's SplitMix64 state, so failures reproduce from the seed alone.
@@ -38,7 +38,6 @@ from .enhancements import (
     _split_rows,
     _subquotient_pairs,
     bk_gauss,
-    enumerate_z2_enhancements,
     enumerate_z4_enhancements,
 )
 from .errors import OneMinusFSingular
@@ -78,9 +77,7 @@ class SuiteResult(Record):
 
 
 def _extend(total: SuiteResult, part: SuiteResult) -> SuiteResult:
-    """The checks of `total`, then those of `part`; a failure ends the suite."""
-    if not total.passed:
-        return total
+    """The checks of a passing `total`, then those of `part`."""
     return SuiteResult(total.name, part.passed, total.checked + part.checked, part.counterexample)
 
 
@@ -90,11 +87,6 @@ def _first_mismatch(expected: bytes, got: bytes) -> Optional[int]:
         return None
     diffs = (i for i, (a, b) in enumerate(zip(expected, got)) if a != b)
     return next(diffs, min(len(expected), len(got)))
-
-
-def _values(enhancements, index: int):
-    """Values of the enhancement at `index` of an enumeration."""
-    return next(islice(enhancements, index, None)).values
 
 
 class _Block(NamedTuple):
@@ -121,47 +113,36 @@ def _blocks(max_dim: int) -> Iterator[_Block]:
             yield _Block(dim, _split_rows(rows), _bk_gauss_tables(rows))
 
 
-def suite_gauss_vs_classify(block: _Block) -> SuiteResult:
-    """BK by Gauss sum against 4n + p_plus - p_minus, on every enhancement of a block."""
-    j = _first_mismatch(block.gauss.tobytes(), _bk_classify_tables(block.split).tobytes())
+def _compare(name: str, block: _Block, table, weights=None) -> SuiteResult:
+    """A suite's table against the block's Gauss table, in enumeration order.
+
+    weights (forms, 2^dim), when given, is the number of checks each entry
+    counts for; otherwise each counts once.  A failure counts the checks
+    before the first mismatch and prints that enhancement.
+    """
+    j = _first_mismatch(block.gauss.tobytes(), table.tobytes())
+    entries = block.gauss.size if j is None else j
+    checks = entries if weights is None else int(weights.ravel()[:entries].sum())
     if j is None:
-        return SuiteResult("gauss-vs-classify", True, block.gauss.size)
+        return SuiteResult(name, True, checks)
     f, d = divmod(j, block.gauss.shape[1])
     form = _form(block, f)
-    return SuiteResult(
-        "gauss-vs-classify",
-        False,
-        j,
-        f"form rows {form.rows}, values {_values(enumerate_z4_enhancements(form), d)}",
-    )
+    values = next(islice(enumerate_z4_enhancements(form), d, None)).values
+    return SuiteResult(name, False, checks, f"form rows {form.rows}, values {values}")
 
 
-def _doubled(block: _Block) -> SuiteResult:
-    """BK(2h) = 4 Arf(h) on the block's isotropic forms: 2h_b is enhancement b."""
-    isotropic = (block.split.counts == 0).nonzero()[0]
-    if not len(isotropic):
-        return SuiteResult("bk-4arf", True, 0)
-    gauss = block.gauss[isotropic]
-    arf = _arf_tables(block.split.rows[isotropic], block.split.pairs[isotropic])
-    j = _first_mismatch(gauss.tobytes(), (arf << 2).tobytes())
-    if j is None:
-        return SuiteResult("bk-4arf", True, gauss.size)
-    f, b = divmod(j, gauss.shape[1])
-    form = _form(block, isotropic[f])
-    return SuiteResult(
-        "bk-4arf",
-        False,
-        j,
-        f"isotropic form rows {form.rows}, h values "
-        f"{_values(enumerate_z2_enhancements(form), b)}",
-    )
+def suite_gauss_vs_classify(block: _Block) -> SuiteResult:
+    """BK by Gauss sum against 4n + p_plus - p_minus, on every enhancement of a block."""
+    return _compare("gauss-vs-classify", block, _bk_classify_tables(block.split))
 
 
 def suite_bk_4arf(block: _Block) -> SuiteResult:
     """BK(q) = 4 Arf(W) on the Wu subquotient, for each enhancement of a block with q(v) = 0.
 
     Only those enhancements are checked and counted; Arf(W) is read off
-    W's symplectic pairs, lifted into the form by _subquotient_pairs.
+    W's symplectic pairs, lifted into the form by _subquotient_pairs.  On
+    an isotropic form v = 0, W is the form with its own pairs and q_d =
+    2 h_d, so each entry also checks BK(2h) = 4 Arf(h) and counts twice.
     """
     import numpy as np
     # q(v) = lambda(v, v) = dim mod 2 (v is the sum of the lines), so on an odd
@@ -169,46 +150,26 @@ def suite_bk_4arf(block: _Block) -> SuiteResult:
     if block.dim % 2:
         return SuiteResult("bk-4arf", True, 0)
     pairs, checked = _subquotient_pairs(block.split)
-    flags = checked.tobytes()  # one byte per enhancement, 1 where it is checked
-    if 1 not in flags:
-        return SuiteResult("bk-4arf", True, 0)
-    # 4 Arf(W) where q(v) = 0, and the Gauss entry itself elsewhere
     four_arf = _arf_tables(block.split.rows, pairs) << 2
-    j = _first_mismatch(np.where(checked, four_arf, block.gauss).tobytes(), block.gauss.tobytes())
-    if j is None:
-        return SuiteResult("bk-4arf", True, flags.count(1))
-    f, d = divmod(j, block.gauss.shape[1])
-    form = _form(block, f)
-    return SuiteResult(
-        "bk-4arf",
-        False,
-        flags[:j].count(1),
-        f"form rows {form.rows}, values {_values(enumerate_z4_enhancements(form), d)}",
-    )
+    weights = checked.astype(np.uint8) << (block.split.counts == 0)[:, None]  # no lines: isotropic
+    # 4 Arf(W) where q(v) = 0, and the Gauss entry itself elsewhere
+    return _compare("bk-4arf", block, np.where(checked, four_arf, block.gauss), weights)
 
 
 def _exhaustive_suites(max_dim: int) -> Tuple[SuiteResult, SuiteResult]:
     """gauss-vs-classify and bk-4arf over every form up to max_dim, in one pass.
 
-    Each block's Gauss table serves both suites.  bk-4arf reports as if its
-    doubled half ran over every dim before its subquotient half: a failure
-    of the doubled half comes first, and counts only doubled checks.  So a
-    failed subquotient half leaves the doubled half to run on, and no
-    further block is built once gauss-vs-classify and the doubled half have
-    both failed.
+    Each block's Gauss table serves both suites, one comparison each, and
+    each suite folds its blocks in enumeration order until its first
+    failure.  No further block is built once both have failed.
     """
-    gauss_vs_classify = SuiteResult("gauss-vs-classify", True, 0)
-    doubled = subquotient = SuiteResult("bk-4arf", True, 0)
+    suites = (suite_gauss_vs_classify, suite_bk_4arf)
+    results = [SuiteResult("gauss-vs-classify", True, 0), SuiteResult("bk-4arf", True, 0)]
     for block in _blocks(max_dim):
-        if gauss_vs_classify.passed:
-            gauss_vs_classify = _extend(gauss_vs_classify, suite_gauss_vs_classify(block))
-        if doubled.passed:
-            doubled = _extend(doubled, _doubled(block))
-        if doubled.passed and subquotient.passed:
-            subquotient = _extend(subquotient, suite_bk_4arf(block))
-        if not gauss_vs_classify.passed and not doubled.passed:
+        results = [_extend(r, suite(block)) if r.passed else r for r, suite in zip(results, suites)]
+        if not any(r.passed for r in results):
             break  # both suites have ended: build no further block
-    return gauss_vs_classify, _extend(doubled, subquotient)
+    return results[0], results[1]
 
 
 def _unimodular_suite(name: str, trials: int, rng, residue) -> SuiteResult:

@@ -58,15 +58,6 @@ class Z2Vec(Record):
         if self.dim < 0 or self.mask < 0 or self.mask >> self.dim:
             raise ValueError(f"mask {self.mask:#x} does not fit in dim {self.dim}")
 
-    @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "Z2Vec":
-        mask = 0
-        for i, b in enumerate(bits):
-            if b not in (0, 1):
-                raise ValueError("bits must be 0/1")
-            mask |= b << i
-        return cls(len(bits), mask)
-
     @property
     def bits(self) -> Tuple[int, ...]:
         return tuple((self.mask >> i) & 1 for i in range(self.dim))
@@ -75,9 +66,6 @@ class Z2Vec(Record):
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         return Z2Vec(self.dim, self.mask ^ other.mask)
-
-    def is_zero(self) -> bool:
-        return self.mask == 0
 
 
 # byte b -> the character "0" or "1" of its parity

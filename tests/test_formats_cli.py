@@ -1,6 +1,7 @@
 """Text formats and the command-line front end."""
 import argparse
 import importlib
+import importlib.util
 import io
 import os
 import pkgutil
@@ -185,6 +186,18 @@ def test_public_names_resolve_and_kinds_agree():
     kind = next(a for a in sub.choices["invariants"]._actions if a.dest == "kind")
     assert list(kind.choices) == list(cli._REPORTS)
     assert set(kind.choices) == set(formats.KINDS) - {"monodromy"}
+
+
+def test_perfbench_traces_functions_that_exist():
+    """Every (module, function) in perfbench's WRAPPED table exists in
+    sigmod8: a renamed traced function would silently drop its series."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{m}.{f}" for m, f, *_ in tracing.WRAPPED
+               if not callable(getattr(importlib.import_module(f"sigmod8.{m}"), f, None))]
+    assert tracing.WRAPPED and not missing, f"perfbench traces missing {missing}"
 
 
 SAMPLES = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "samples")
@@ -567,106 +580,25 @@ def test_gauss_vs_classify_detects_wrong_classify_table(monkeypatch):
 
 
 def _flip_arf_entry(monkeypatch, flip):
-    """Flip entry 0 of every row of each Arf table the suites build where
-    flip(subquotient, dim) holds: subquotient tells whether the subquotient
-    half of bk-4arf (suite_bk_4arf) builds the table, not the doubled half,
-    and dim is the dim of its forms."""
+    """Flip entry 0 of each row of the Arf tables bk-4arf builds where
+    flip(isotropic, dim) holds: isotropic tells whether the row's form has
+    zero diagonal (its entries also check BK(2h) = 4 Arf(h)), and dim is
+    the dim of its forms."""
+    import numpy as np
+
     from sigmod8 import selfcheck as sc
 
-    real_arf, real_suite = sc._arf_tables, sc.suite_bk_4arf
-    inside = []
+    real_arf = sc._arf_tables
 
     def flipped(rows, pairs):
         tables = real_arf(rows, pairs)
-        if flip(bool(inside), rows.shape[1]):
-            tables[:, 0] ^= 1
+        dim = rows.shape[1]
+        isotropic = ((rows >> np.arange(dim, dtype=np.uint32)) & 1).sum(axis=1) == 0
+        hit = np.array([flip(bool(iso), dim) for iso in isotropic], dtype=bool)
+        tables[hit, 0] ^= 1
         return tables
-
-    def subquotient_half(block):
-        inside.append(block)
-        try:
-            return real_suite(block)
-        finally:
-            inside.pop()
 
     monkeypatch.setattr(sc, "_arf_tables", flipped)
-    monkeypatch.setattr(sc, "suite_bk_4arf", subquotient_half)
-
-
-def test_bk_4arf_detects_wrong_arf_table_doubled_half(monkeypatch):
-    from sigmod8 import selfcheck as sc
-
-    _flip_arf_entry(monkeypatch, lambda subquotient, dim: True)
-    result = sc._exhaustive_suites(4)[1]
-    assert not result.passed
-    assert result.checked == 0
-    assert result.counterexample == "isotropic form rows (), h values ()"
-
-
-def test_bk_4arf_detects_wrong_arf_table_subquotient_half(monkeypatch):
-    from sigmod8 import selfcheck as sc
-    from sigmod8.z2forms import enumerate_nonsingular_forms
-
-    # the doubled half checks all 2^dim entries of each isotropic form of
-    # dim 0, 2, 4, and its tables are left alone
-    isotropic = [f for dim in (0, 2, 4)
-                 for f in enumerate_nonsingular_forms(dim, isotropic_only=True)]
-    _flip_arf_entry(monkeypatch, lambda subquotient, dim: subquotient)
-    result = sc._exhaustive_suites(4)[1]
-    assert not result.passed
-    assert result.checked == sum(1 << f.dim for f in isotropic)
-    assert result.counterexample == "form rows (), values ()"
-
-
-def test_bk_4arf_doubled_failure_after_subquotient_failure(monkeypatch):
-    """A doubled-half failure at dim 4 is reported over a subquotient-half
-    failure at dim 0, even once gauss-vs-classify has failed too."""
-    from sigmod8 import selfcheck as sc
-    from sigmod8.z2forms import enumerate_nonsingular_forms
-
-    real_classify = sc._bk_classify_tables
-
-    def shifted(split):
-        tables = real_classify(split)
-        tables[:, 0] ^= 1
-        return tables
-
-    monkeypatch.setattr(sc, "_bk_classify_tables", shifted)
-    # every subquotient table, and the doubled half's tables at dim 4
-    _flip_arf_entry(monkeypatch, lambda subquotient, dim: subquotient or dim == 4)
-    isotropic = {dim: list(enumerate_nonsingular_forms(dim, isotropic_only=True))
-                 for dim in (0, 2, 4)}
-    gauss_vs_classify, bk_4arf = sc._exhaustive_suites(4)
-    assert gauss_vs_classify.checked == 0 and not gauss_vs_classify.passed
-    assert not bk_4arf.passed
-    assert bk_4arf.checked == sum(1 << f.dim for f in isotropic[0] + isotropic[2])
-    assert bk_4arf.counterexample == (
-        f"isotropic form rows {isotropic[4][0].rows}, h values (0, 0, 0, 0)"
-    )
-
-
-def test_exhaustive_suites_stop_once_both_have_failed(monkeypatch):
-    """No block past dim 0 is built when gauss-vs-classify and the doubled
-    half of bk-4arf both fail on the dim-0 form."""
-    from sigmod8 import selfcheck as sc
-
-    real_classify, real_split = sc._bk_classify_tables, sc._split_rows
-    dims = []
-
-    def shifted(split):
-        tables = real_classify(split)
-        tables[:, 0] ^= 1
-        return tables
-
-    monkeypatch.setattr(sc, "_bk_classify_tables", shifted)
-    _flip_arf_entry(monkeypatch, lambda subquotient, dim: True)
-    monkeypatch.setattr(sc, "_split_rows", lambda rows: dims.append(rows.shape[1]) or real_split(rows))
-    results = sc._exhaustive_suites(5)
-    assert [r.line() for r in results] == [
-        "suite gauss-vs-classify: FAIL after 0 checks: form rows (), values ()",
-        "suite bk-4arf: FAIL after 0 checks: isotropic form rows (), h values ()",
-    ]
-    assert dims == [0]
 
 
 def _checked_by_form(max_dim):
@@ -682,14 +614,142 @@ def _checked_by_form(max_dim):
     return out
 
 
+def _bk_4arf_checks(forms):
+    """bk-4arf's checks on these (form, checked flags): an entry of an
+    isotropic form checks both identities and counts twice."""
+    return sum(sum(flags) * (2 if form.is_isotropic() else 1) for form, flags in forms)
+
+
+def _first_flipped(forms, flip):
+    """Index among (form, checked flags) of the first form whose entry 0 is
+    checked and whose Arf table _flip_arf_entry(flip) flips."""
+    return next(at for at, (form, flags) in enumerate(forms)
+                if flags[0] and flip(form.is_isotropic(), form.dim))
+
+
+def test_bk_4arf_detects_wrong_arf_table_doubled_half(monkeypatch):
+    """Every Arf table flipped: the dim-0 form's only entry, of an isotropic
+    form, fails first."""
+    from sigmod8 import selfcheck as sc
+
+    _flip_arf_entry(monkeypatch, lambda isotropic, dim: True)
+    result = sc._exhaustive_suites(4)[1]
+    assert not result.passed
+    assert result.checked == 0
+    assert result.counterexample == "form rows (), values ()"
+
+
+def test_bk_4arf_detects_wrong_arf_table_subquotient_half(monkeypatch):
+    """The Arf tables of forms with v != 0 flipped, the isotropic forms'
+    left alone: the first such form with entry 0 checked fails, after
+    every check before it in enumeration order."""
+    from sigmod8 import selfcheck as sc
+
+    def flip(isotropic, dim):
+        return not isotropic
+
+    forms = _checked_by_form(4)
+    at = _first_flipped(forms, flip)
+    _flip_arf_entry(monkeypatch, flip)
+    result = sc._exhaustive_suites(4)[1]
+    assert not result.passed
+    assert result.checked == _bk_4arf_checks(forms[:at]) == 10
+    assert forms[at][0].rows == (3, 1)
+    assert result.counterexample == "form rows (3, 1), values (1, 0)"
+
+
+def test_bk_4arf_doubled_failure_after_subquotient_failure(monkeypatch):
+    """With the non-isotropic forms' tables flipped at every dim and the
+    isotropic forms' at dim 4, the first failure in enumeration order, at
+    dim 2, is reported, even once gauss-vs-classify has failed too."""
+    from sigmod8 import selfcheck as sc
+
+    real_classify = sc._bk_classify_tables
+
+    def shifted(split):
+        tables = real_classify(split)
+        tables[:, 0] ^= 1
+        return tables
+
+    monkeypatch.setattr(sc, "_bk_classify_tables", shifted)
+
+    def flip(isotropic, dim):
+        return not isotropic or dim == 4
+
+    _flip_arf_entry(monkeypatch, flip)
+    forms = _checked_by_form(4)
+    at = _first_flipped(forms, flip)
+    gauss_vs_classify, bk_4arf = sc._exhaustive_suites(4)
+    assert gauss_vs_classify.checked == 0 and not gauss_vs_classify.passed
+    assert not bk_4arf.passed
+    assert forms[at][0].rows == (3, 1)
+    assert bk_4arf.checked == _bk_4arf_checks(forms[:at]) == 10
+    assert bk_4arf.counterexample == "form rows (3, 1), values (1, 0)"
+
+
+def test_bk_4arf_checks_isotropic_forms_as_their_own_subquotient(monkeypatch):
+    """On every isotropic form of dim <= 4, v = 0: _subquotient_pairs checks
+    every enhancement on the form's own pairs, so bk-4arf's comparison there
+    is BK(2h) = 4 Arf(h), and Arf tables flipped on isotropic forms alone
+    fail it."""
+    import numpy as np
+
+    from sigmod8 import selfcheck as sc
+    from sigmod8.enhancements import _split_rows, _subquotient_pairs
+    from sigmod8.z2forms import enumerate_nonsingular_forms
+
+    for dim in (0, 2, 4):
+        forms = list(enumerate_nonsingular_forms(dim, isotropic_only=True))
+        split = _split_rows(np.array([f.rows for f in forms], dtype=np.uint32).reshape(len(forms), dim))
+        pairs, checked = _subquotient_pairs(split)
+        assert checked.all() and checked.shape == (len(forms), 1 << dim)
+        assert (pairs == split.pairs).all()
+
+    # only the isotropic forms of dim 4 flipped: the first of them fails
+    def flip(isotropic, dim):
+        return isotropic and dim == 4
+
+    forms = _checked_by_form(4)
+    at = _first_flipped(forms, flip)
+    _flip_arf_entry(monkeypatch, flip)
+    result = sc._exhaustive_suites(4)[1]
+    assert not result.passed
+    assert result.checked == _bk_4arf_checks(forms[:at]) == 16
+    assert result.counterexample == "form rows (8, 4, 2, 1), values (0, 0, 0, 0)"
+
+
+def test_exhaustive_suites_stop_once_both_have_failed(monkeypatch):
+    """No block past dim 0 is built when gauss-vs-classify and bk-4arf
+    both fail on the dim-0 form."""
+    from sigmod8 import selfcheck as sc
+
+    real_classify, real_split = sc._bk_classify_tables, sc._split_rows
+    dims = []
+
+    def shifted(split):
+        tables = real_classify(split)
+        tables[:, 0] ^= 1
+        return tables
+
+    monkeypatch.setattr(sc, "_bk_classify_tables", shifted)
+    _flip_arf_entry(monkeypatch, lambda isotropic, dim: True)
+    monkeypatch.setattr(sc, "_split_rows", lambda rows: dims.append(rows.shape[1]) or real_split(rows))
+    results = sc._exhaustive_suites(5)
+    assert [r.line() for r in results] == [
+        "suite gauss-vs-classify: FAIL after 0 checks: form rows (), values ()",
+        "suite bk-4arf: FAIL after 0 checks: form rows (), values ()",
+    ]
+    assert dims == [0]
+
+
 def test_bk_4arf_subquotient_failure_counts_checked_entries(monkeypatch):
     """A wrong Gauss entry at d > 0 of a dim-4 form: `checked` counts only
-    the enhancements with q(v) = 0 before it, not d."""
+    the enhancements with q(v) = 0 before it, not d, and each entry of an
+    isotropic form before it twice."""
     import numpy as np
 
     from sigmod8 import selfcheck as sc
     from sigmod8.enhancements import enumerate_z4_enhancements
-    from sigmod8.z2forms import enumerate_nonsingular_forms
 
     forms = _checked_by_form(4)
     for at, (target, flags) in enumerate(forms):  # a checked entry d right after an unchecked one
@@ -707,21 +767,18 @@ def test_bk_4arf_subquotient_failure_counts_checked_entries(monkeypatch):
         return tables
 
     monkeypatch.setattr(sc, "_bk_gauss_tables", wrong)
-    doubled = sum(1 << f.dim for dim in (0, 2, 4)
-                  for f in enumerate_nonsingular_forms(dim, isotropic_only=True))
-    before = sum(sum(row) for _, row in forms[:at])
     result = sc._exhaustive_suites(4)[1]
     assert not result.passed
     checked_before_d = sum(flags[:d])
     assert 0 < checked_before_d < d - 1
-    assert result.checked == doubled + before + checked_before_d
+    assert result.checked == _bk_4arf_checks(forms[:at]) + checked_before_d
     values = list(enumerate_z4_enhancements(target))[d].values
     assert result.counterexample == f"form rows {target.rows}, values {values}"
 
 
 def test_bk_4arf_fails_on_a_zeroed_lifted_pair(monkeypatch):
-    """The subquotient half reads Arf(W) off the lifted pairs: with the last
-    lifted pair of every form with v != 0 zeroed, it fails."""
+    """bk-4arf reads Arf(W) off the lifted pairs: with the last lifted pair
+    of every form with v != 0 zeroed, it fails."""
     from sigmod8 import selfcheck as sc
 
     real = sc._subquotient_pairs
@@ -735,7 +792,7 @@ def test_bk_4arf_fails_on_a_zeroed_lifted_pair(monkeypatch):
 
     monkeypatch.setattr(sc, "_subquotient_pairs", zeroed)
     assert sc._exhaustive_suites(4)[1].line() == (
-        "suite bk-4arf: FAIL after 486 checks: form rows (9, 4, 2, 1), values (1, 2, 2, 0)"
+        "suite bk-4arf: FAIL after 54 checks: form rows (9, 4, 2, 1), values (1, 2, 2, 0)"
     )
 
 
