@@ -12,12 +12,14 @@ Subcommands:
                                   randomized suites report SKIP)
 
 Exit codes: 0 success, 1 selfcheck identity failure, 2 parse error,
-3 precondition error.
+3 precondition error, 141 stdout closed by its reader (the output is cut
+short; nothing is printed about it).
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from typing import List, Optional
 
@@ -42,6 +44,7 @@ EXIT_OK = 0
 EXIT_SUITE_FAILURE = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by it
 
 
 def _fmt_vec(bits) -> str:
@@ -287,7 +290,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    args = build_parser().parse_args(argv)
+    try:
+        code = _dispatch(build_parser().parse_args(argv), out)
+        out.flush()  # a closed reader shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone: send whatever is still buffered to
+        # devnull, so that the interpreter's last flush raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+
+
+def _dispatch(args, out) -> int:
     if args.command == "invariants":
         parse = functools.partial(formats.load, kind=args.kind)
         return _run_on_file(args.path, parse, _REPORTS[args.kind], out)

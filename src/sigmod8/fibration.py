@@ -240,7 +240,13 @@ def wall_form_closed(f: SymplecticMatrix, g: SymplecticMatrix) -> RatSymForm:
         for k in range(i + 1, n):
             if mat[i][k] != mat[k][i]:
                 raise NotSymplectic("closed Wall form is not symmetric")
-    return RatSymForm(n, mat)
+    return RatSymForm._trusted(n, mat)  # square and, as just checked, symmetric
+
+
+def one_minus_f_invertible(f: SymplecticMatrix) -> bool:
+    """det(1 - f) != 0, the hypothesis of wall_form_closed: one elimination of 1 - f."""
+    n = 2 * f.h
+    return len(_eliminate(_mat_sub(_identity(n), f.entries), n)[1]) == n
 
 
 def wall_form_general(
@@ -467,12 +473,18 @@ def bundle_report(m: MonodromyData) -> BundleReport:
 def random_transvection_word(h: int, max_len: int, rng, doubled: bool = False) -> SymplecticMatrix:
     """Product of 1..max_len transvections along random small vectors.
 
-    With doubled=True every twisting vector is doubled, so the word lies in
-    the level-4 congruence subgroup (each factor is I mod 4).
+    The length is drawn first, then a word of that length
+    (transvection_word).  With doubled=True every twisting vector is
+    doubled, so the word lies in the level-4 congruence subgroup (each
+    factor is I mod 4).
     """
+    return transvection_word(h, rng.randint(1, max_len), rng, doubled)
+
+
+def transvection_word(h: int, length: int, rng, doubled: bool = False) -> SymplecticMatrix:
+    """Product of `length` transvections along random small vectors, as in random_transvection_word."""
     n = 2 * h
     rows = [list(row) for row in _identity(n)]
-    length = rng.randint(1, max_len)
     draw = rng.next_u64
     for _ in range(length):
         c = [draw() % 3 - 1 for _ in range(n)]  # rng.randint(-1, 1), without its two calls

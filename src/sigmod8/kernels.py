@@ -8,9 +8,14 @@ of x.  Only the lower triangle of the Gram rows is read.
 
 * gauss_sums: the Gauss sums of all 2^dim enhancements q + 2(x.d) of the
   same form at once.  Since i^(q(x) + 2(x.d)) = i^q(x) (-1)^(x.d), they are
-  one Walsh-Hadamard transform of i^q, done by butterflies in int64; every
-  partial sum is bounded by 2^dim, so nothing can wrap.  A stack of forms
-  of one dim is one (forms, 2^dim) table and one transform along its rows.
+  one Walsh-Hadamard transform of i^q.  A stack of forms of one dim is one
+  (forms, 2^dim) table, transposed so that the 2^dim axis comes first: each
+  butterfly (u, w) -> (u + w, u - w) then adds and subtracts contiguous
+  runs of h * forms entries.  While those runs are short (a single form's
+  low levels) the levels are one matmul with a Hadamard matrix instead.
+  Every partial sum is at most 2^dim in absolute value, so the butterflies
+  run in int8 while 2^dim <= 64, int16 up to 2^14 and int32 above; the
+  result is widened to int64 only at the output.
 * gauss_counts: the four counts #{x : q(x) = c}, c in Z4, of one
   enhancement, from which S = (c0 - c2) + (c1 - c3) i is exact.  It meets
   in the middle: with x = x_L + x_H, x_L in the low a = floor(dim/2)
@@ -43,6 +48,7 @@ Z[zeta], zeta = e^(pi i/D) a primitive 2D-th root of unity:
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Sequence
 
 from .errors import NoGaussMatch
@@ -51,6 +57,20 @@ __all__ = ["gauss_counts", "gauss_sums", "linking_numerators", "linking_bk"]
 
 # numpy is imported inside the kernels, on first use, so that importing the
 # package, and every request that needs no Gauss sum, does without it.
+
+# Contiguous run length (h * forms entries) from which _transform's levels
+# are add/subtract butterflies rather than one Hadamard matmul.
+_MIN_RUN = 32
+
+
+@lru_cache(maxsize=None)
+def _hadamard(h: int, dtype):
+    """The h x h matrix (-1)^(x.d), h a power of 2, in the transform's dtype."""
+    import numpy as np
+    x = np.arange(h)
+    matrix = 1 - 2 * (np.bitwise_count(x[:, None] & x) & 1).astype(dtype)
+    matrix.flags.writeable = False  # shared by every call
+    return matrix
 
 
 def _q_values(dim: int, qdiag, rows):
@@ -82,18 +102,38 @@ def _q_values(dim: int, qdiag, rows):
 def _transform(q):
     """Re and im of sum_x i^q(x) (-1)^(x.d) for every d: int64, shape (2,) + q.shape.
 
-    The butterflies run along the last axis, so a stack of tables is one
-    transform per row.
+    A stack of tables, q of shape (..., 2^dim), is one transform per row.
+    The work is a (2 * 2^dim, forms) table, re above im, so bit log2(h) of
+    the index splits it into contiguous runs of h * forms entries.
     """
     import numpy as np
-    s = np.array([[1, 0, -1, 0], [0, 1, 0, -1]], dtype=np.int64)[:, q]
-    butterfly = np.array([[1, 1], [1, -1]], dtype=np.int64)
+    size = q.shape[-1]
+    dtype = np.int8 if size <= 1 << 6 else np.int16 if size <= 1 << 14 else np.int32
+    table = np.ascontiguousarray(q.reshape(-1, size).T)
+    forms = table.shape[1]
+    s = np.empty((2 * size, forms), dtype=dtype)
+    t = np.empty_like(s)
+    units = np.array([[1, 0, -1, 0], [0, 1, 0, -1]], dtype=dtype)
+    np.take(units, table, axis=1, out=s.reshape(2, size, forms))
+    # levels whose runs are shorter than _MIN_RUN are one matmul over the
+    # low bits; below that length a butterfly costs more in calls than in work
     h = 1
-    while h < q.shape[-1]:
-        # axis 1 is bit log2(h) of the index: (u, v) -> (u + v, u - v)
-        s = butterfly @ s.reshape(-1, 2, h)
+    while h < size and h * forms < _MIN_RUN:
         h *= 2
-    return s.reshape((2,) + q.shape)
+    if h > 1:
+        shape = (2 * size // h, h, forms)
+        np.matmul(_hadamard(h, dtype), s.reshape(shape), out=t.reshape(shape))
+        s, t = t, s
+    while h < size:
+        # axis 1 is bit log2(h) of the index: (u, w) -> (u + w, u - w)
+        shape = (size // h, 2, h * forms)
+        v, out = s.reshape(shape), t.reshape(shape)
+        np.add(v[:, 0], v[:, 1], out=out[:, 0])
+        np.subtract(v[:, 0], v[:, 1], out=out[:, 1])
+        s, t = t, s
+        h *= 2
+    s = s.reshape(2, size, forms).transpose(0, 2, 1)
+    return s.astype(np.int64, order="C").reshape((2,) + q.shape)
 
 
 def gauss_counts(dim: int, qdiag, rows):

@@ -19,10 +19,12 @@ from sigmod8.fibration import (
     handle_signatures,
     is_symplectic,
     local_system_signature,
+    one_minus_f_invertible,
     random_monodromy,
     random_transvection_word,
     standard_j,
     transvection,
+    transvection_word,
     wall_form_closed,
     wall_form_general,
     z2_trivial_check,
@@ -245,6 +247,34 @@ def test_wall_closed_symmetric_random():
             continue
         assert form.dim == 2 * h
         checked += 1
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_short_words_have_singular_one_minus_f(h):
+    """f - I is a sum of L rank-one terms, so L < 2h transvections never give
+    an invertible 1 - f; at L = 2h some words do, so the bound is sharp."""
+    for seed in range(40):
+        for length in range(1, 2 * h):
+            f = transvection_word(h, length, SplitMix64(seed))
+            assert not one_minus_f_invertible(f), (h, length, seed)
+            assert _rank_q(fib._mat_sub(fib._identity(2 * h), f.entries)) <= length
+            with pytest.raises(OneMinusFSingular):
+                wall_form_closed(f, f)
+    full = [one_minus_f_invertible(transvection_word(h, 2 * h, SplitMix64(seed)))
+            for seed in range(40)]
+    assert any(full)
+
+
+def test_one_minus_f_invertible_matches_rank():
+    rng = SplitMix64(34)
+    seen = set()
+    for _ in range(200):
+        f = random_transvection_word(rng.randint(1, 3), 6, rng)
+        n = 2 * f.h
+        full = _rank_q(fib._mat_sub(fib._identity(n), f.entries)) == n
+        assert one_minus_f_invertible(f) == full
+        seen.add(full)
+    assert seen == {False, True}
 
 
 # ----------------------------------------------------------- wall_form_general

@@ -487,6 +487,25 @@ def test_importing_cli_does_not_load_numpy():
     assert proc.stdout.split() == ["False", "False", "False"]
 
 
+def test_cli_closed_stdout_exits_quietly():
+    """A reader that has closed stdout ends the run with the documented code
+    and no traceback: the process writes into a pipe whose read end is gone."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(sigmod8.__file__))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sigmod8.cli", "selfcheck", "--max-dim", "4", "--trials", "0"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ""
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE
+
+
 def test_cli_bundle_report(tmp_path):
     path = tmp_path / "ex1.monodromy"
     path.write_text(EX1_MONODROMY)
@@ -560,6 +579,29 @@ def test_cli_selfcheck_detects_mutation(monkeypatch, tmp_path):
     result = sc.suite_wall(10, SplitMix64(0))
     assert not result.passed
     assert result.counterexample is not None
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_suite_wall_calls_the_closed_form_once_per_trial(monkeypatch, seed):
+    """Every trial's f already has 1 - f invertible, so wall_form_closed is
+    called once per check and never raises OneMinusFSingular.  Genus 3
+    needs words of exactly 2h = 6 letters, the longest drawn, so a sampler
+    that also rejected L = 2h would never reach it."""
+    from sigmod8 import selfcheck as sc
+    from sigmod8.rng import SplitMix64
+
+    real = sc.wall_form_closed
+    genera = []
+
+    def counted(f, g):
+        genera.append(f.h)
+        return real(f, g)  # an exception would propagate out of suite_wall
+
+    monkeypatch.setattr(sc, "wall_form_closed", counted)
+    result = sc.suite_wall(50, SplitMix64(seed))
+    assert result.passed and result.checked == 50
+    assert len(genera) == 50
+    assert set(genera) == {1, 2, 3}
 
 
 def test_gauss_vs_classify_detects_wrong_classify_table(monkeypatch):

@@ -128,3 +128,53 @@ def test_bk_gauss_matches_classification_large_dims():
             assert q.dim == dim and is_nonsingular(q.form)
             m, n, p_plus, p_minus = bk_classify(q)
             assert bk_gauss(q) == (4 * n + p_plus - p_minus) % 8 == bk, (dim, q.values)
+
+
+def reference_transform(q):
+    """The Walsh transform of i^q by int64 matmul butterflies along the last axis."""
+    import numpy as np
+
+    s = np.array([[1, 0, -1, 0], [0, 1, 0, -1]], dtype=np.int64)[:, q]
+    butterfly = np.array([[1, 1], [1, -1]], dtype=np.int64)
+    h = 1
+    while h < q.shape[-1]:
+        s = butterfly @ s.reshape(-1, 2, h)
+        h *= 2
+    return s.reshape((2,) + q.shape)
+
+
+def boundary_tables(size, seed):
+    """The four constant tables (|entry at d = 0| = size) and two random ones."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    consts = [np.full(size, c, dtype=np.uint8) for c in range(4)]
+    return np.stack(consts + [rng.integers(0, 4, size, dtype=np.uint8) for _ in range(2)])
+
+
+@pytest.mark.parametrize("size", [64, 128, 1 << 14, 1 << 15])
+def test_transform_at_the_dtype_boundaries(size):
+    """The narrow-integer transform equals the int64 one where its dtype
+    changes (int8 to 64, int16 to 2^14, int32 above), alone and stacked;
+    a constant table reaches |sum| = 2^dim at d = 0."""
+    import numpy as np
+
+    tables = boundary_tables(size, size)
+    for q in [*tables, tables, tables[::-1].reshape(2, 3, size)]:
+        got = kernels._transform(q)
+        assert got.dtype == np.int64 and got.shape == (2,) + q.shape
+        assert np.array_equal(got, reference_transform(q)), (size, q.shape)
+    s = kernels._transform(tables[:4])
+    assert s[:, :, 0].tolist() == [[size, 0, -size, 0], [0, size, 0, -size]]
+
+
+@pytest.mark.parametrize("forms", [1, 3, 31, 32, 33, 100])
+def test_transform_matmul_and_butterfly_levels(forms):
+    """Stacks on both sides of the run length at which the low levels stop
+    being one Hadamard matmul, at every size up to 2^9."""
+    import numpy as np
+
+    rng = np.random.default_rng(forms)
+    for dim in range(10):
+        q = rng.integers(0, 4, (forms, 1 << dim), dtype=np.uint8)
+        assert np.array_equal(kernels._transform(q), reference_transform(q)), (forms, dim)
