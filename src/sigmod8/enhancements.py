@@ -15,7 +15,10 @@ the Z8-valued Brown-Kervaire invariant, computed here two independent ways:
 The bridge between the two theories is the Wu sublagrangian L = <v>: when
 q(v) = 0 in Z4 the subquotient (L_perp/L, [lambda], [q]/2) carries a
 Z2-enhancement whose Arf invariant satisfies BK = 4*Arf.  wu_sublagrangian
-and isotropic_subquotient share the check that q(v) = 0.
+and isotropic_subquotient share the check that q(v) = 0.  v is the sum of
+the splitting's lines, so a symplectic basis of L_perp/L is read off the
+splitting in closed form (isotropic_subquotient), with no Gram of the
+subquotient and no second splitting.
 
 The splitting behind is_nonsingular, wu_class and split_vectors is kept
 on the form instance (Z2SymForm._split), so bk_gauss, bk_classify, arf
@@ -40,9 +43,9 @@ indexed like enumerate_z4_enhancements of form f:
   _split_rows, the splittings of the whole stack at once, and read
   nothing from the Gauss route.
 * _subquotient_pairs: which enhancements have q(v) = 0, and the
-  symplectic pairs of W = L_perp/L, split by _split_rows on the
-  closed-form representatives of _subquotient_basis and lifted back into
-  the form, on which _arf_tables gives Arf(W) of those enhancements.
+  symplectic pairs of W = L_perp/L lifted into the form, the basis of
+  isotropic_subquotient built from each form's lines and pairs, on which
+  _arf_tables gives Arf(W) of those enhancements.
 
 The batched tables take uint32 stacks of Gram rows, no form objects, and
 are not cached.  Enumeration validates the form once and builds its
@@ -71,9 +74,6 @@ from .z2forms import (
     Z2SymForm,
     Z2Subspace,
     Z2Vec,
-    _apply,
-    _parity,
-    _restrict,
     is_nonsingular,
     solve,
     split_vectors,
@@ -371,38 +371,24 @@ def wu_sublagrangian(q: Z4Quadratic) -> Z2Subspace:
 def isotropic_subquotient(q: Z4Quadratic) -> Z2Quadratic:
     """(W, mu, h) = (L_perp/L, [lambda], [q]/2) with L the Wu sublagrangian.
 
-    Requires q(v) = 0 in Z4; then BK(q) = 4*Arf of the result.
+    Requires q(v) = 0 in Z4; then BK(q) = 4*Arf of the result.  W's basis
+    is read off the splitting: lines s_1..s_p with lambda(s_i, s_k) =
+    delta_ik and sum v, and hyperbolic pairs orthogonal to the lines.
+    q(v) = 0 gives lambda(v, v) = p mod 2 = 0, so p is even, and a
+    symplectic basis of W lifted into the form is the form's own pairs,
+    then for j = 1 .. p/2 - 1 the pair (s_1 + ... + s_2j, s_2j + s_2j+1):
+    dim - 2 vectors in v_perp, or dim when v = 0.  W's form on it is k*H,
+    and each basis vector b has lambda(b, b) = 0, so h(b) = q(b)/2.
     """
     _isotropic_wu_class(q)
-    reps, w_form = _subquotient_basis(q.form)
-    values = []
-    for b in reps:
-        qb = q.evaluate_mask(b)
-        if qb & 1:
-            raise SingularForm("representative is not isotropic")
-        values.append((qb >> 1) & 1)
-    return Z2Quadratic(w_form, tuple(values))
-
-
-def _subquotient_basis(form: Z2SymForm) -> Tuple[Tuple[int, ...], Z2SymForm]:
-    """Representatives of L_perp/L for L = <v>, and the Gram form of L_perp/L.
-
-    With phi = lambda(., v) nonzero and e_h its highest set bit, the
-    vectors e_i + phi_i e_h (i != h) are the reduced echelon basis of
-    L_perp = ker phi, pivots at their lowest set bits.  v is the sum of the
-    rows at its bits, so dropping the row at its lowest bit leaves
-    representatives of L_perp/L.  When v = 0 every e_i is one.  Raises
-    SingularForm when lambda(v, v) = 1, so callers check q(v) first.
-    """
-    v = wu_class(form).mask
-    phi = _apply(form.rows, v)
-    if _parity(phi & v):
-        raise SingularForm("Wu class does not lie in its own perpendicular")
-    reps = [1 << i for i in range(form.dim)]
-    if phi:
-        top = 1 << (phi.bit_length() - 1)
-        reps = [b | (top if phi & b else 0) for b in reps if b != top and b != v & -v]
-    return tuple(reps), Z2SymForm(len(reps), tuple(_restrict(form.rows, reps)))
+    lines, pairs = split_vectors(q.form)
+    basis = [b for pair in pairs for b in pair]
+    prefix = 0
+    for j in range(1, len(lines) // 2):
+        prefix ^= lines[2 * j - 2] ^ lines[2 * j - 1]
+        basis += [prefix, lines[2 * j - 1] ^ lines[2 * j]]
+    w_form = Z2SymForm(len(basis), tuple(1 << (i ^ 1) for i in range(len(basis))))
+    return Z2Quadratic(w_form, tuple(q.evaluate_mask(b) >> 1 for b in basis))
 
 
 def _q0(form: Z2SymForm) -> Z4Quadratic:
@@ -435,17 +421,6 @@ def _diagonal(rows):
     """lambda(e_i, e_i) of each form of a stack of Gram rows (..., dim)."""
     import numpy as np
     return (rows >> np.arange(rows.shape[-1], dtype=np.uint32)) & 1
-
-
-def _apply_rows(rows, vectors):
-    """lambda(., s) as a mask, for each vector s on the form of its row.
-
-    rows is (forms, dim), vectors (forms, k) of bit masks, as in _apply.
-    """
-    out = vectors & 0
-    for i in range(rows.shape[1]):
-        out ^= ((vectors >> i) & 1) * rows[:, i, None]
-    return out
 
 
 def _q0_at(rows, vectors):
@@ -602,29 +577,21 @@ def _subquotient_pairs(split: _SplitArrays):
 
     Returns (pairs, checked): pairs (forms, 2 (dim // 2)) for _arf_tables,
     whose entry d is then Arf(isotropic_subquotient(q_d)) wherever
-    checked[f, d], which holds exactly when q_d(v) = 0.  W's Gram rows on
-    the representatives of _subquotient_basis (e_i + phi_i e_h for i != h,
-    less the one at the lowest bit of v) are split by _split_rows, and
-    each pair of W is lifted back as its sum of representatives, zero
-    padded.  A form with v = 0 is its own W and keeps its own pairs, as
-    does a form with lambda(v, v) = 1, where nothing is checked.  Not
-    cached.
+    checked[f, d], which holds exactly when q_d(v) = 0 (lambda(v, v) = p
+    mod 2 for p lines).  The pairs are isotropic_subquotient's basis: the
+    form's own k pairs keep slots 0..k-1, and line pair j goes to slot
+    dim/2 - j >= k + 1, zero where p is odd or 2j + 1 >= p.  Not cached.
     """
     import numpy as np
-    rows, wu = split.rows, split.wu
-    dim = rows.shape[1]
-    phi = _apply_rows(rows, wu)
-    even = np.bitwise_count(phi & wu) & 1 == 0  # lambda(v, v) = 0
-    checked = even & (_high_bits(rows, wu) == 0)
+    lines, p = split.lines, split.counts
+    even = p % 2 == 0
+    checked = even[:, None] & (_high_bits(split.rows, split.wu) == 0)
+    half = lines.shape[1] // 2
     pairs = split.pairs.copy()
-    lift = (even & (phi != 0))[:, 0]
-    if lift.any():
-        rows, phi, wu = rows[lift], phi[lift], wu[lift]
-        at = np.arange(dim, dtype=np.uint32)
-        top = np.array([m.bit_length() for m in range(1 << dim)], dtype=np.uint32)[phi] - 1
-        low = np.bitwise_count((wu & -wu) - 1)
-        reps = (1 << at) | ((phi >> at) & 1) << top
-        reps = reps[(at != top) & (at != low)].reshape(len(reps), dim - 2)
-        w_rows = _pack(np.bitwise_count(reps[:, :, None] & _apply_rows(rows, reps)[:, None, :]) & 1)
-        pairs[lift] = np.pad(_apply_rows(reps, _split_rows(w_rows).pairs), ((0, 0), (0, 2)))
+    prefix = 0
+    for j in range(1, half):
+        prefix = prefix ^ lines[:, 2 * j - 2] ^ lines[:, 2 * j - 1]
+        keep = even & (2 * j + 1 < p)
+        pairs[:, 2 * (half - j)] |= prefix * keep
+        pairs[:, 2 * (half - j) + 1] |= (lines[:, 2 * j - 1] ^ lines[:, 2 * j]) * keep
     return pairs, checked

@@ -15,7 +15,8 @@ Gram rows (a form object is built only for a counterexample).  Each suite
 makes one comparison per block (_compare) against its Gauss table
 (_bk_gauss_tables): gauss-vs-classify with the classification table, and
 bk-4arf, at every enhancement with q(v) = 0, with 4 Arf(W) of its Wu
-subquotient, read off W's symplectic pairs lifted into the form.  On an
+subquotient, read off W's symplectic pairs, which come in closed form
+from the block's splitting (no Gram of W, no second splitting).  On an
 isotropic form v = 0 and W is the form itself, so there bk-4arf also
 checks BK(2h) = 4 Arf(h), and each entry counts as two checks.  Every
 table is dropped with its block, so nothing of the classification route
@@ -148,8 +149,8 @@ def suite_bk_4arf(block: _Block) -> SuiteResult:
     """BK(q) = 4 Arf(W) on the Wu subquotient, for each enhancement of a block with q(v) = 0.
 
     Only those enhancements are checked and counted; Arf(W) is read off
-    W's symplectic pairs, lifted into the form by _subquotient_pairs.  On
-    an isotropic form v = 0, W is the form with its own pairs and q_d =
+    W's symplectic pairs, built from the splitting by _subquotient_pairs.
+    On an isotropic form v = 0, W is the form with its own pairs and q_d =
     2 h_d, so each entry also checks BK(2h) = 4 Arf(h) and counts twice.
     """
     import numpy as np

@@ -45,6 +45,7 @@ from sigmod8.z2forms import (
     H_FORM,
     P_FORM,
     Z2SymForm,
+    decompose,
     enumerate_nonsingular_forms,
     is_nonsingular,
     split_vectors,
@@ -628,6 +629,37 @@ def test_subquotient_identity_exhaustive_dim4():
                 w = isotropic_subquotient(q)
                 assert w.dim == (dim if v.mask == 0 else dim - 2)
                 assert bk == (4 * arf(w)) % 8
+
+
+def test_subquotient_identity_random_dims_7_to_22():
+    """Past the exhaustive dims, up to the Gauss limit the command line
+    serves: random nonsingular forms with at least 6 lines, so that the
+    line pairs j >= 2 of W's basis occur.  Enhancements are drawn at random
+    and moved to q(v) = 0 by d -> d + e_i for the lowest bit i of v (which
+    adds 2 to q(v)); at an odd dim q(v) is odd and there is no W."""
+    rng = SplitMix64(53)
+    checked = 0
+    for dim in range(7, 23):
+        forms = []
+        while len(forms) < 3:
+            forms += [f for f in random_nonsingular_forms(dim, 1, rng) if decompose(f)[0] >= 6]
+        for form in forms:
+            v = wu_class(form)
+            low = (v.mask & -v.mask).bit_length() - 1
+            for _ in range(4):
+                values = [(form.rows[i] >> i & 1) + 2 * rng.randrange(2) for i in range(dim)]
+                if Z4Quadratic(form, tuple(values)).evaluate(v) == 2:
+                    values[low] ^= 2
+                q = Z4Quadratic(form, tuple(values))
+                if dim % 2:
+                    with pytest.raises(NotDivisibleBy4):
+                        isotropic_subquotient(q)
+                    continue
+                w = isotropic_subquotient(q)
+                assert w.dim == dim - 2
+                assert bk_gauss(q) == 4 * arf(w) % 8, (form.rows, values)
+                checked += 1
+    assert checked == 8 * 3 * 4
 
 
 def test_subquotient_error_precedence():

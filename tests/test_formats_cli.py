@@ -828,14 +828,29 @@ def test_bk_4arf_fails_on_a_zeroed_lifted_pair(monkeypatch):
     def zeroed(split):
         pairs, checked = real(split)
         for f in (split.wu[:, 0] != 0).nonzero()[0]:
-            k = int((pairs[f, 0::2] != 0).sum())  # W's pairs come first
-            pairs[f, 2 * k - 2:2 * k] = 0
+            at = (pairs[f, 0::2] != 0).nonzero()[0]  # W's nonzero pairs
+            if len(at):
+                pairs[f, 2 * at[-1]:2 * at[-1] + 2] = 0
         return pairs, checked
 
     monkeypatch.setattr(sc, "_subquotient_pairs", zeroed)
     assert sc._exhaustive_suites(4)[1].line() == (
         "suite bk-4arf: FAIL after 54 checks: form rows (9, 4, 2, 1), values (1, 2, 2, 0)"
     )
+
+
+def test_bk_4arf_passes_on_a_dim6_block():
+    """A block of dim-6 forms with 4 and 6 lines, where W's line pairs sit
+    beside the form's own pairs (p = 4) or make up all of W (p = 6)."""
+    from sigmod8 import selfcheck as sc
+    from sigmod8.enhancements import _bk_gauss_tables, _split_rows
+    from sigmod8.z2forms import nonsingular_rows
+
+    rows = next(nonsingular_rows(6, 512))
+    split = _split_rows(rows)
+    assert {4, 6} <= set(split.counts.tolist())
+    result = sc.suite_bk_4arf(sc._Block(6, split, _bk_gauss_tables(rows)))
+    assert result.passed and result.checked > 0
 
 
 def test_exhaustive_blocks_do_not_change_the_tables(monkeypatch):

@@ -4,8 +4,10 @@ The SHA-256 of every exit code and stdout below is pinned, so a change to
 the arithmetic behind a report must leave every report byte-identical:
 each file in samples/, even intforms with |T| = 2^1 .. 2^12 and the
 rejected cases around them, and ratforms in p/q, decimal and refused
-spellings.  On a deliberate change of a report, take the new digest from
-the failure message and say in the commit which reports changed and why.
+spellings.  A second digest pins the Wu subquotient reports of seeded
+z4q files and unimodular intforms at dims 8-22.  On a deliberate change
+of a report, take the new digest from the failure message and say in the
+commit which reports changed and why.
 """
 import hashlib
 import io
@@ -14,11 +16,14 @@ import shutil
 from pathlib import Path
 
 from sigmod8 import cli
+from sigmod8.enhancements import Z4Quadratic, p1, pm1, q00, q22
 from sigmod8.rng import SplitMix64
+from sigmod8.z2forms import Z2SymForm, eliminate
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 GOLDEN_SHA256 = "3d2f4f9c044055d8c9245d6bc71f54c7992119c2cbfad3181ecf02be74f71be9"
+SUBQUOTIENT_SHA256 = "d62045610a14357091adf42da8d672e62a4f24887af78acd103e2d2f826845ee"
 
 
 def _even_form(rng, log_order):
@@ -76,3 +81,68 @@ def test_reports_match_golden_digest(tmp_path, monkeypatch):
         code = cli.main(argv, out=out)
         digest.update(f"{name}\n{code}\n{out.getvalue()}".encode())
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+def _z4q_text(rng, dim, divisible):
+    """A GL(dim, Z2) change of basis of a sum of P1, P-1, q00 and q22.
+
+    With divisible and dim even, p_plus - p_minus = 0 mod 4, so BK = 0
+    mod 4 and the report has a Wu subquotient.
+    """
+    pairs = rng.randint(0, dim // 2)
+    lines = dim - 2 * pairs
+    plus = rng.randint(0, lines)
+    while divisible and dim % 2 == 0 and (2 * plus - lines) % 4:
+        plus = rng.randint(0, lines)
+    q = Z4Quadratic(Z2SymForm(0, ()), ())
+    for piece in [p1] * plus + [pm1] * (lines - plus) + [rng.choice((q00, q22)) for _ in range(pairs)]:
+        q = q.direct_sum(piece())
+    basis = None
+    while basis is None or len(eliminate({}, basis)) < dim:
+        basis = [rng.randrange(1 << dim) for _ in range(dim)]
+    gram = [[q.form.evaluate_masks(a, b) for b in basis] for a in basis]
+    return _text("z4q", gram) + " ".join(str(q.evaluate_mask(a)) for a in basis) + "\n"
+
+
+def _unimodular_text(rng, dim, divisible):
+    """A unimodular congruence of a +-1 diagonal; with divisible, sigma = 0 mod 4."""
+    signs = [rng.choice((1, -1)) for _ in range(dim)]
+    while divisible and sum(signs) % 4:
+        signs = [rng.choice((1, -1)) for _ in range(dim)]
+    m = [[signs[i] if i == j else 0 for j in range(dim)] for i in range(dim)]
+    for _ in range(2 * dim):
+        i, j, k = rng.randrange(dim), rng.randrange(dim), rng.choice((-1, 1))
+        if i != j:  # e_j -> e_j + k e_i
+            m[j] = [a + k * b for a, b in zip(m[j], m[i])]
+            for row in m:
+                row[j] += k * row[i]
+    return _text("intform", m)
+
+
+def _subquotient_inputs():
+    rng = SplitMix64(23)
+    for dim in (8, 11, 14, 17, 20, 22):
+        for t in range(2):
+            yield f"sub-{dim}-{t}.z4q", _z4q_text(rng, dim, divisible=t == 0)
+    for dim in (8, 12, 16):
+        for t in range(2):
+            yield f"sub-{dim}-{t}.intform", _unimodular_text(rng, dim, divisible=t == 0)
+
+
+def test_subquotient_reports_match_golden_digest(tmp_path, monkeypatch):
+    """Wu subquotient reports at the dims the command line serves, up to
+    the Gauss limit: z4q files at dims 8-22 and unimodular intforms at
+    dims 8-16, at least half of them with BK = 0 mod 4, so that the
+    subquotient's dim and Arf invariant are printed."""
+    monkeypatch.chdir(tmp_path)
+    digest = hashlib.sha256()
+    inputs = list(_subquotient_inputs())
+    printed = 0
+    for name, text in inputs:
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        out = io.StringIO()
+        code = cli.main(["invariants", name, "--kind", name.rsplit(".", 1)[1]], out=out)
+        printed += "subquotient dim" in out.getvalue()
+        digest.update(f"{name}\n{code}\n{out.getvalue()}".encode())
+    assert 2 * printed >= len(inputs)
+    assert digest.hexdigest() == SUBQUOTIENT_SHA256
