@@ -30,22 +30,13 @@ many forms at once, so both routes also come as batched tables over a
 stack of forms of one dim, one (forms, 2^dim) uint8 array each, row f
 indexed like enumerate_z4_enhancements of form f:
 
-* _bk_gauss_tables: one stack of q0 tables, one transform along its rows
-  (kernels.gauss_sums on a stack) and one exact match against the eighth
-  roots.
-* _bk_classify_tables (4n + p_plus - p_minus of each enhancement) and
-  _arf_tables (Arf of each enhancement, read off symplectic pairs on
-  which q0 is even).  Enhancement d differs from enhancement 0 by
-  2*(d . x), so both evaluate enhancement 0 (q0(e_i) = lambda(e_i, e_i))
-  once on each split vector s and flip bit 1 of the value by the parity
-  of d . s; the flips of all split vectors, packed into one mask per d,
-  are built by doubling (_flip_coordinates).  They start from
-  _split_rows, the splittings of the whole stack at once, and read
-  nothing from the Gauss route.
-* _subquotient_pairs: which enhancements have q(v) = 0, and the
-  symplectic pairs of W = L_perp/L lifted into the form, the basis of
-  isotropic_subquotient built from each form's lines and pairs, on which
-  _arf_tables gives Arf(W) of those enhancements.
+* _bk_gauss_tables: one stack of q0 tables, one transform and one exact
+  match against the eighth roots, 2^dim axis first, then a transpose.
+* _values: q_d of every enhancement d on each of a stack's vectors, one
+  bit column per vector, read by range: _bk_classify_tables (off the
+  lines and pairs of _split_rows, the splittings of the whole stack),
+  _zero_at (where q_d(v) = 0) and _arf_tables (off symplectic pairs,
+  such as W's from _subquotient_pairs).  None reads the Gauss route.
 
 The batched tables take uint32 stacks of Gram rows, no form objects, and
 are not cached.  Enumeration validates the form once and builds its
@@ -280,15 +271,21 @@ def _bk_of_sums(dim: int, re, im):
     An exact match of integer arrays of any shape against the four roots
     the dim allows, by one lookup: a sum of 2^dim units has |re|, |im| <=
     2^dim, and the table over that square holds k at the roots and 8
-    elsewhere.  Returns uint8 of the same shape; NoGaussMatch names the
-    first sum that is no root.
+    elsewhere, indexed in int16 up to dim 6.
+    Returns uint8 of the same shape; NoGaussMatch names the first sum
+    that is no root.
     """
     import numpy as np
     side = 2 * (1 << dim) + 1
-    lookup = np.full(side * side, 8, dtype=np.uint8)
+    center = (1 << dim) * (side + 1)  # the index of 0 + 0i
+    lookup = bytearray([8]) * (side * side)
     for (r, i), k in _eighth_roots(dim).items():
-        lookup[(r + (1 << dim)) * side + i + (1 << dim)] = k
-    bk = lookup[(re + (1 << dim)) * side + im + (1 << dim)]
+        lookup[center + r * side + i] = k
+    index = re.astype(np.int16 if dim <= 6 else np.int64)
+    index *= side
+    index += im
+    index += center
+    bk = np.frombuffer(lookup, dtype=np.uint8).take(index)
     bad = bk.tobytes().find(8)
     if bad >= 0:
         raise _no_gauss_match(dim, int(re.flat[bad]), int(im.flat[bad]))
@@ -296,16 +293,17 @@ def _bk_of_sums(dim: int, re, im):
 
 
 def _bk_gauss_tables(rows):
-    """BK of every enhancement of each form of a stack, given by its Gram rows (..., dim).
+    """BK of every enhancement of each form of a stack, given by its Gram rows (forms, dim).
 
     Entry d of the transform of i^q0 is the Gauss sum of the enhancement
     with values diag_i + 2*d_i, so row f is indexed like
     enumerate_z4_enhancements of form f.  One stack of q0 tables, one
-    transform along its rows and one exact match: a (..., 2^dim) uint8
-    array.
+    transform and one exact match, with the 2^dim axis first, then one
+    uint8 transpose: a (forms, 2^dim) uint8 array.
     """
+    import numpy as np
     dim = rows.shape[-1]
-    return _bk_of_sums(dim, *kernels.gauss_sums(dim, _diagonal(rows), rows))
+    return np.ascontiguousarray(_bk_of_sums(dim, *kernels.gauss_sums(dim, _diagonal(rows), rows)).T)
 
 
 def bk_classify(q: Z4Quadratic) -> Tuple[int, int, int, int]:
@@ -423,56 +421,56 @@ def _diagonal(rows):
     return (rows >> np.arange(rows.shape[-1], dtype=np.uint32)) & 1
 
 
-def _q0_at(rows, vectors):
-    """q0(s) = s^T lambda s mod 4 at each vector s, on the form of its row.
+class _Values(NamedTuple):
+    """q_d(s_k) for every enhancement d and vector s_k of each form of a stack."""
 
-    rows is (forms, dim), vectors (forms, k) of bit masks.  Enhancement 0
-    has q0(e_i) = lambda(e_i, e_i), so q0(s) is the integer sum of lambda_ij
-    over i, j in s (the diagonal once, each pair i < j twice): the sum over
-    i in s of the popcount of row_i & s.
+    odd: Any  # (forms, 1) uint32: bit k is q_d(s_k) mod 2
+    high: Any  # (forms, 2^dim) uint32: bit k of entry d is bit 1 of q_d(s_k)
+
+
+def _values(rows, *vectors) -> _Values:
+    """q_d at each vector, on the form of its row, for every enhancement d.
+
+    rows is (forms, dim), and the vectors are (forms, k_i) stacks of bit
+    masks, their columns in order, at most 32 in all.
+    q_d(s) = q0(s) + 2 (d . s), with q0(e_i) = lambda(e_i, e_i): q0(s),
+    the sum over i in s of the popcount of row_i & s, is evaluated once
+    per vector, and the flips d . s of bit 1, one mask per d, are built
+    by doubling over the coordinates of d.  The coordinates are uint8 up
+    to dim 8, with the forms axis last for long inner loops.
     """
     import numpy as np
-    total = vectors & 0
-    for i in range(rows.shape[1]):
-        total += ((vectors >> i) & 1) * np.bitwise_count(vectors & rows[:, i, None])
-    return total & 3
-
-
-def _pack(bits):
-    """The masks whose bit k is bits[..., k] (0 or 1), as uint32."""
-    import numpy as np
-    return bits.astype(np.uint32) @ (np.uint32(1) << np.arange(bits.shape[-1], dtype=np.uint32))
-
-
-def _flip_coordinates(dim: int, vectors):
-    """For every d in Z2^dim, the mask whose bit k is d . vectors[k], per form.
-
-    vectors is (forms, k), k <= 32; the result is (forms, 2^dim) uint32.
-    Built by doubling over the coordinates of d: the coset +e_i flips the
-    bits of the vectors whose coordinate i is 1.
-    """
-    import numpy as np
-    coords = np.zeros((len(vectors), 1 << dim), dtype=np.uint32)
+    dim = rows.shape[1]
+    narrow = np.uint8 if dim <= 8 else np.uint32
+    vectors = np.concatenate([v.T for v in vectors], dtype=narrow, casting="unsafe")  # (k, forms)
+    rows = rows.T.astype(narrow, order="C")
+    bits = np.zeros((dim + 2,) + vectors.shape, dtype=narrow)  # coordinate i of vector k, then q0's bits
+    q0 = bits[dim]  # mod 2^8 or more, a multiple of 4
     for i in range(dim):
-        column = _pack((vectors >> i) & 1)  # bit k: coordinate i of vectors[k]
-        np.bitwise_xor(coords[:, :1 << i], column[:, None], out=coords[:, 1 << i:2 << i])
-    return coords
+        coordinate = np.bitwise_and(vectors >> i, 1, out=bits[i])
+        q0 += coordinate * np.bitwise_count(vectors & rows[i])
+    np.right_shift(q0, 1, out=bits[dim + 1])
+    bits[dim:] &= 1
+    packed = np.einsum("ikf,k->fi", bits, 1 << np.arange(len(vectors), dtype=np.uint32))
+    high = np.empty((len(packed), 1 << dim), dtype=np.uint32)
+    high[:, 0] = packed[:, dim + 1]
+    for i in range(dim):
+        np.bitwise_xor(high[:, :1 << i], packed[:, i, None], out=high[:, 1 << i:2 << i])
+    return _Values(packed[:, dim, None], high)
 
 
-def _high_bits(rows, vectors):
-    """For every enhancement d, the mask whose bit k is bit 1 of q_d(vectors[k]).
-
-    q_d(s) = q0(s) + 2 (d . s), and adding 2 in Z4 flips bit 1, so it is
-    bit 1 of q0(s) flipped by d . s: q0 is evaluated once per vector.
-    """
-    start = _pack(_q0_at(rows, vectors) >> 1)
-    return _flip_coordinates(rows.shape[1], vectors) ^ start[:, None]
+def _zero_at(values: _Values, at: int):
+    """Where q_d of the vector in bit column `at` is 0 in Z4: (forms, 2^dim) bool."""
+    return (values.high | values.odd) & (1 << at) == 0
 
 
-def _pair_counts(high, at: int):
-    """Per entry of `high`, the pairs of bits (at + 2i, at + 2i + 1) that are both set."""
+def _pair_counts(high, at: int, end: int = 32):
+    """Per entry of `high`, how many bit pairs (at + 2i, at + 2i + 1) below bit `end` are both set."""
     import numpy as np
-    return np.bitwise_count((high >> at) & (high >> (at + 1)) & 0x55555555)
+    both = high >> 1
+    both &= high
+    both &= (0x55555555 << at) & ((1 << end) - 1)
+    return np.bitwise_count(both)
 
 
 class _SplitArrays(NamedTuple):
@@ -541,51 +539,47 @@ def _split_rows(rows) -> _SplitArrays:
     )
 
 
-def _bk_classify_tables(split: _SplitArrays):
+def _bk_classify_tables(split: _SplitArrays, high):
     """4n + p_plus - p_minus mod 8 of every enhancement of each form of a stack.
 
     The residue bk_classify reads off split_vectors, one (forms, 2^dim)
-    uint8 array indexed like _bk_gauss_tables.  A line s counts in p_minus
-    when q_d(s) = 3, its bit 1 set, and p_plus = p - p_minus; a pair counts
-    in n when q_d(e) = q_d(f) = 2.  Not cached.
+    uint8 array indexed like _bk_gauss_tables, from _Values.high on the
+    lines, then the pairs (bit columns from dim on).  A line s counts in
+    p_minus when q_d(s) = 3, its bit 1 set, and p_plus = p - p_minus; a
+    pair counts in n when q_d(e) = q_d(f) = 2.  Not cached.
     """
     import numpy as np
     dim = split.rows.shape[1]
-    high = _high_bits(split.rows, np.concatenate([split.lines, split.pairs], axis=1))
     minus = np.bitwise_count(high & ((1 << dim) - 1))
-    return (4 * _pair_counts(high, dim) + split.counts[:, None] - 2 * minus) & 7
+    return (4 * _pair_counts(high, dim, dim + 2 * (dim // 2)) + split.counts[:, None] - 2 * minus) & 7
 
 
-def _arf_tables(rows, pairs):
+def _arf_tables(values: _Values, at: int):
     """Arf invariant of every enhancement of each form of a stack, read off its pairs.
 
-    rows is (forms, dim) and pairs (forms, 2k), symplectic pairs e_1, f_1,
-    e_2, ... (zero pairs add nothing) on which q0 is even, so that each
-    q_d / 2 is a Z2 enhancement h_d there; row d is indexed like
-    enumerate_z4_enhancements, and the Arf invariant, the sum of h_d(e)
-    h_d(f) over the pairs, is the pair count of _high_bits mod 2.  On an
+    The vectors from bit column `at` of `values` on are symplectic pairs
+    e_1, f_1, e_2, ... (zero pairs add nothing) on which q0 is even, so
+    that each q_d / 2 is a Z2 enhancement h_d there; row d is indexed
+    like enumerate_z4_enhancements, and the Arf invariant, the sum of
+    h_d(e) h_d(f) over the pairs, is their pair count mod 2.  On an
     isotropic form with its own pairs q_d = 2 h_d, so row d is also
     enumerate_z2_enhancements' enhancement d.  Not cached.
     """
-    if (_q0_at(rows, pairs) & 1).any():
+    import numpy as np
+    if np.count_nonzero(values.odd >> at):
         raise AnisotropicInput("Z2 enhancements require q0 even on the pairs")
-    return _pair_counts(_high_bits(rows, pairs), 0) & 1
+    return _pair_counts(values.high, at) & 1
 
 
 def _subquotient_pairs(split: _SplitArrays):
-    """Symplectic pairs of W = L_perp/L lifted into each form, and where q_d(v) = 0.
+    """Symplectic pairs of W = L_perp/L lifted into each form, (forms, 2 (dim // 2)).
 
-    Returns (pairs, checked): pairs (forms, 2 (dim // 2)) for _arf_tables,
-    whose entry d is then Arf(isotropic_subquotient(q_d)) wherever
-    checked[f, d], which holds exactly when q_d(v) = 0 (lambda(v, v) = p
-    mod 2 for p lines).  The pairs are isotropic_subquotient's basis: the
-    form's own k pairs keep slots 0..k-1, and line pair j goes to slot
-    dim/2 - j >= k + 1, zero where p is odd or 2j + 1 >= p.  Not cached.
+    On them _arf_tables gives Arf(isotropic_subquotient(q_d)) wherever
+    q_d(v) = 0.  The form's own k pairs keep slots 0..k-1, and line pair j
+    goes to slot dim/2 - j >= k + 1, zero where p is odd or 2j + 1 >= p.
     """
-    import numpy as np
     lines, p = split.lines, split.counts
     even = p % 2 == 0
-    checked = even[:, None] & (_high_bits(split.rows, split.wu) == 0)
     half = lines.shape[1] // 2
     pairs = split.pairs.copy()
     prefix = 0
@@ -594,4 +588,4 @@ def _subquotient_pairs(split: _SplitArrays):
         keep = even & (2 * j + 1 < p)
         pairs[:, 2 * (half - j)] |= prefix * keep
         pairs[:, 2 * (half - j) + 1] |= (lines[:, 2 * j - 1] ^ lines[:, 2 * j]) * keep
-    return pairs, checked
+    return pairs

@@ -27,8 +27,8 @@ row reduction would give, so the two Gram matrices are congruent by a
 positive diagonal matrix D (D G D), and by Sylvester's law of inertia
 they have the same signature.  The Grams are returned as IntSymForm and
 `signature_exact` eliminates them fraction-free.  Only the closed Wall
-form holds Fractions: it solves (1 - f) X = g - f with the same integral
-kernel routine and divides each column once.
+form holds Fractions: it reads (1 - f)^{-1}(g - f), scaled to integers,
+off the same fraction-free elimination and divides by the scale once.
 
 The convention for the symplectic form is J = [[0, I], [-I, 0]], with
 phi(x, y) = x^T J y; the transvection along c acts by x -> x + phi(x, c) c,
@@ -212,11 +212,11 @@ class MonodromyData(Record):
 def wall_form_closed(f: SymplecticMatrix, g: SymplecticMatrix) -> RatSymForm:
     """S(f, g) = J (1 - g^{-1})(1 - f)^{-1}(g - f), requires det(1-f) != 0.
 
-    X = (1 - f)^{-1}(g - f) solves (1 - f) X = g - f, so column k of X is
-    y / s for the kernel vector (y, s e_k) of [(1 - f) | f - g].  1 - f is
-    invertible exactly when `_integral_kernel` returns one such vector per
-    column, each with s > 0 and 0 in the other columns' slots; S is then
-    the integer product J (1 - g^{-1}) y over s, an exact Fraction.
+    X = (1 - f)^{-1}(g - f) solves (1 - f) X = g - f.  `_eliminate` of
+    [(1 - f) | f - g] pivots on the first n columns exactly when 1 - f is
+    invertible, and row r is then p_r e_r | w_r.  With L = lcm |p_r|, L X
+    has the integer rows -w_r (L / p_r), N = J (1 - g^{-1}) L X is checked
+    symmetric on integers, and S = N / L.
     """
     if f.h != g.h:
         raise ValueError("genus mismatch")
@@ -224,23 +224,15 @@ def wall_form_closed(f: SymplecticMatrix, g: SymplecticMatrix) -> RatSymForm:
     eye = _identity(n)
     one_minus_f = _mat_sub(eye, f.entries)
     f_minus_g = _mat_sub(f.entries, g.entries)
-    basis = _integral_kernel([a + b for a, b in zip(one_minus_f, f_minus_g)], 2 * n)
-    if len(basis) != n or any(
-        bool(u[n + j]) != (j == k) for k, u in enumerate(basis) for j in range(n)
-    ):
+    work, pivots = _eliminate([a + b for a, b in zip(one_minus_f, f_minus_g)], 2 * n)
+    if pivots[:n] != list(range(n)):
         raise OneMinusFSingular("1 - f is singular over Q")
-    j_one_minus_ginv = _j_times(_mat_sub(eye, g.inverse().entries))
-    mat = tuple(
-        [
-            tuple([Fraction(sum(map(mul, row, u[:n])), u[n + k]) for k, u in enumerate(basis)])
-            for row in j_one_minus_ginv
-        ]
-    )
-    for i in range(n):
-        for k in range(i + 1, n):
-            if mat[i][k] != mat[k][i]:
-                raise NotSymplectic("closed Wall form is not symmetric")
-    return RatSymForm._trusted(n, mat)  # square and, as just checked, symmetric
+    scale = lcm(*[abs(work[r][r]) for r in range(n)])
+    scaled_x = [[-(scale // work[r][r]) * w for w in work[r][n:]] for r in range(n)]
+    num = _mat_mul(_j_times(_mat_sub(eye, g.inverse().entries)), scaled_x)
+    if num != _transpose(num):
+        raise NotSymplectic("closed Wall form is not symmetric")
+    return RatSymForm._trusted(n, tuple([tuple([Fraction(x, scale) for x in row]) for row in num]))
 
 
 def one_minus_f_invertible(f: SymplecticMatrix) -> bool:

@@ -37,7 +37,7 @@ from .errors import (
     OddDiagonal,
 )
 from .record import Record
-from .z2forms import Z2SymForm, wu_class
+from .z2forms import Z2SymForm, _pack_bits, wu_class
 
 __all__ = [
     "IntSymForm",
@@ -133,7 +133,8 @@ class IntSymForm(Record):
 
     @cached_property
     def _mod2(self) -> Z2SymForm:
-        return Z2SymForm.from_matrix([[x & 1 for x in row] for row in self.matrix])
+        # the reduction of a symmetric matrix is symmetric
+        return Z2SymForm._trusted(self.dim, tuple([_pack_bits([x & 1 for x in row]) for row in self.matrix]))
 
     def determinant(self) -> int:
         return self._signature_det[1]
@@ -233,8 +234,8 @@ def reduce_to_enhanced(form: IntSymForm) -> Z4Quadratic:
     """(E/2E, phi mod 2, x -> phi(x,x) mod 4); BK of it equals sigma mod 8."""
     if not form.is_unimodular():
         raise NotUnimodular("mod-4 reduction needs a unimodular form")
-    values = tuple(form.matrix[i][i] % 4 for i in range(form.dim))
-    return Z4Quadratic(form._mod2, values)
+    values = tuple([form.matrix[i][i] % 4 for i in range(form.dim)])
+    return Z4Quadratic._trusted(form._mod2, values)  # phi_ii mod 4 has the parity of the diagonal
 
 
 def van_der_blij_residue(form: IntSymForm) -> int:
@@ -523,16 +524,18 @@ def random_unimodular_form(dim: int, rng) -> IntSymForm:
 
     Entries are kept below 2^15 by skipping congruence steps that would
     overflow the bound, so the corpus is reproducible across platforms.
+    The draws of rng.randrange and rng.choice are taken from next_u64.
     """
+    draw = rng.next_u64
     m = [[0] * dim for _ in range(dim)]
     for i in range(dim):
-        m[i][i] = 1 if rng.randrange(2) else -1
-    for _ in range(2 * dim):
-        i = rng.randrange(dim) if dim else 0
-        j = rng.randrange(dim) if dim else 0
-        if i == j or dim < 2:
+        m[i][i] = 1 if draw() % 2 else -1
+    for _ in range(2 * dim):  # dim >= 1 here
+        i = draw() % dim
+        j = draw() % dim
+        if i == j:
             continue
-        k = rng.choice((-2, -1, 1, 2))
+        k = (-2, -1, 1, 2)[draw() % 4]
         # congruence by E = I + k e_j e_i^T: row_j += k row_i, col_j += k col_i.
         # Only row and column j change, and they stay equal (m is symmetric);
         # every other entry is unchanged and already below the bound.
@@ -543,4 +546,4 @@ def random_unimodular_form(dim: int, rng) -> IntSymForm:
         m[j] = row
         for r in range(dim):
             m[r][j] = row[r]
-    return IntSymForm.from_matrix(m)
+    return IntSymForm._trusted(dim, tuple([tuple(row) for row in m]))  # symmetric by construction

@@ -9,13 +9,11 @@ of x.  Only the lower triangle of the Gram rows is read.
 * gauss_sums: the Gauss sums of all 2^dim enhancements q + 2(x.d) of the
   same form at once.  Since i^(q(x) + 2(x.d)) = i^q(x) (-1)^(x.d), they are
   one Walsh-Hadamard transform of i^q.  A stack of forms of one dim is one
-  (forms, 2^dim) table, transposed so that the 2^dim axis comes first: each
-  butterfly (u, w) -> (u + w, u - w) then adds and subtracts contiguous
-  runs of h * forms entries.  While those runs are short (a single form's
-  low levels) the levels are one matmul with a Hadamard matrix instead.
-  Every partial sum is at most 2^dim in absolute value, so the butterflies
-  run in int8 while 2^dim <= 64, int16 up to 2^14 and int32 above; the
-  result is widened to int64 only at the output.
+  (2^dim, forms) table, so each butterfly (u, w) -> (u + w, u - w) adds
+  and subtracts contiguous runs of h * forms entries; while those are
+  short the levels are one matmul with a Hadamard matrix instead.  Every
+  partial sum is at most 2^dim in absolute value, so the sums are int8
+  while 2^dim <= 64, int16 up to 2^14 and int32 above.
 * gauss_counts: the four counts #{x : q(x) = c}, c in Z4, of one
   enhancement, from which S = (c0 - c2) + (c1 - c3) i is exact.  It meets
   in the middle: with x = x_L + x_H, x_L in the low a = floor(dim/2)
@@ -76,45 +74,51 @@ def _hadamard(h: int, dtype):
 def _q_values(dim: int, qdiag, rows):
     """q(x) in Z4 for every x in Z2^dim, indexed by the bit mask of x (uint8).
 
-    qdiag and rows may hold a stack of forms, shape (..., dim); the table
-    then has shape (..., 2^dim), one row per form.  The coset +e_j adds
-    q(e_j) + 2 popcount(x & row_j) to q(x) for every x < 2^j.  Those
-    increments are computed for all j at once, a dim x 2^(dim-1) table per
-    form, so each doubling step is a single addition.  The uint8 sums wrap
-    mod 256, a multiple of 4, and are reduced mod 4 once at the end.
+    qdiag and rows may hold a stack of forms, shape (forms, dim); the
+    table then has shape (2^dim, forms), as _transform takes it.  The coset
+    +e_j adds q(e_j) + 2 popcount(x & row_j) to q(x) for every x < 2^j.
+    Those increments are computed for all j at once, so each doubling step
+    is a single addition.  The uint8 sums wrap mod 256, a multiple of 4,
+    and are reduced mod 4 once at the end.
     """
     import numpy as np
     if dim < 0 or dim > 30:
         raise ValueError("dim out of range for the enumeration kernel")
     qdiag = np.asarray(qdiag, dtype=np.uint8)
-    x = np.arange(1 << max(dim - 1, 0), dtype=np.uint32)
-    step = np.bitwise_count(x & np.asarray(rows, dtype=np.uint32)[..., None])
-    step <<= 1
-    step += qdiag[..., None]
-    q = np.zeros(qdiag.shape[:-1] + (1 << dim,), dtype=np.uint8)
+    stack = qdiag.shape[:-1]  # () for one form, (forms,) for a stack
+    narrow = np.uint8 if dim <= 8 else np.uint32  # holds x; a row's higher bits meet no x
+    x = np.arange(1 << max(dim - 1, 0), dtype=narrow).reshape((-1,) + (1,) * len(stack))
+    rows = np.asarray(rows, dtype=np.uint32).T.astype(narrow, order="C")
+    step = np.bitwise_count(x & rows[:, None])  # (dim, 2^(dim-1)) + stack, uint8
+    step += step
+    step += np.ascontiguousarray(qdiag.T)[:, None]
+    q = np.zeros((1 << dim,) + stack, dtype=np.uint8)
     for j in range(dim):
         half = 1 << j
-        np.add(q[..., :half], step[..., j, :half], out=q[..., half:2 * half])
+        np.add(q[:half], step[j, :half], out=q[half:2 * half])
     q &= 3
     return q
 
 
 def _transform(q):
-    """Re and im of sum_x i^q(x) (-1)^(x.d) for every d: int64, shape (2,) + q.shape.
+    """Re and im of sum_x i^q(x) (-1)^(x.d) for every d: shape (2,) + q.shape.
 
-    A stack of tables, q of shape (..., 2^dim), is one transform per row.
-    The work is a (2 * 2^dim, forms) table, re above im, so bit log2(h) of
-    the index splits it into contiguous runs of h * forms entries.
+    q is a uint8 table of shape (2^dim, ...), one transform per column.
+    The work is a (2 * 2^dim, forms) table, re above im, so bit log2(h)
+    of the index splits it into contiguous runs of h * forms entries.
+    The sums stay in the butterflies' dtype.
     """
     import numpy as np
-    size = q.shape[-1]
+    size = q.shape[0]
     dtype = np.int8 if size <= 1 << 6 else np.int16 if size <= 1 << 14 else np.int32
-    table = np.ascontiguousarray(q.reshape(-1, size).T)
+    table = q.reshape(size, -1)
     forms = table.shape[1]
     s = np.empty((2 * size, forms), dtype=dtype)
     t = np.empty_like(s)
-    units = np.array([[1, 0, -1, 0], [0, 1, 0, -1]], dtype=dtype)
-    np.take(units, table, axis=1, out=s.reshape(2, size, forms))
+    # i^q: re = 1 - q where that is odd (q even), im = 2 - q where that is odd
+    units = s.reshape(2, size, forms)
+    np.subtract(np.arange(1, 3, dtype=dtype)[:, None, None], table.view(np.int8), out=units)
+    units *= units & 1
     # levels whose runs are shorter than _MIN_RUN are one matmul over the
     # low bits; below that length a butterfly costs more in calls than in work
     h = 1
@@ -132,8 +136,7 @@ def _transform(q):
         np.subtract(v[:, 0], v[:, 1], out=out[:, 1])
         s, t = t, s
         h *= 2
-    s = s.reshape(2, size, forms).transpose(0, 2, 1)
-    return s.astype(np.int64, order="C").reshape((2,) + q.shape)
+    return s.reshape((2,) + q.shape)
 
 
 def gauss_counts(dim: int, qdiag, rows):
@@ -146,7 +149,7 @@ def gauss_counts(dim: int, qdiag, rows):
     if dim < 0 or dim > 30:
         raise ValueError("dim out of range for the enumeration kernel")
     a = dim // 2
-    w = _transform(_q_values(a, qdiag[:a], rows[:a]))
+    w = _transform(_q_values(a, qdiag[:a], rows[:a])).astype(np.int64)
     high = rows[a:]
     qh = _q_values(dim - a, qdiag[a:], [r >> a for r in high])
     # y(x_H) = B x_H, by doubling over the high coordinates
@@ -170,8 +173,8 @@ def gauss_sums(dim: int, qdiag, rows):
     """Exact Gauss sums of q_d(x) = q(x) + 2(x.d) for every d in Z2^dim.
 
     Takes the same arguments as gauss_counts, or a stack of them, shape
-    (..., dim), and returns two int64 arrays (re, im) of shape (..., 2^dim),
-    indexed by the bit mask of d.
+    (forms, dim), and returns two arrays (re, im) of shape (2^dim) or
+    (2^dim, forms) in _transform's dtype, indexed by the bit mask of d.
     """
     s = _transform(_q_values(dim, qdiag, rows))
     return s[0], s[1]

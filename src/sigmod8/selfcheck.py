@@ -11,17 +11,17 @@ its own forms and comparing its own residue with sigma mod 8.
 The two exhaustive suites share one pass over the forms (_exhaustive_suites):
 each dim is enumerated once, in blocks of BLOCK_FORMS forms, and each
 block's splittings and tables are array operations on its uint32 stack of
-Gram rows (a form object is built only for a counterexample).  Each suite
-makes one comparison per block (_compare) against its Gauss table
-(_bk_gauss_tables): gauss-vs-classify with the classification table, and
-bk-4arf, at every enhancement with q(v) = 0, with 4 Arf(W) of its Wu
-subquotient, read off W's symplectic pairs, which come in closed form
-from the block's splitting (no Gram of W, no second splitting).  On an
+Gram rows (a form object is built only for a counterexample).  A block
+evaluates every enhancement once on all the vectors either suite reads
+(_block): the lines and pairs of its splitting, and v and W's symplectic
+pairs, which come in closed form from the splitting.  Each suite makes
+one comparison per block (_compare) against its Gauss table:
+gauss-vs-classify with the classification table, and bk-4arf, at every
+enhancement with q(v) = 0, with 4 Arf(W) of its Wu subquotient.  On an
 isotropic form v = 0 and W is the form itself, so there bk-4arf also
 checks BK(2h) = 4 Arf(h), and each entry counts as two checks.  Every
-table is dropped with its block, so nothing of the classification route
-outlives a block.  The check counts and counterexamples are per
-enhancement, in enumeration order.
+table is dropped with its block.  The check counts and counterexamples
+are per enhancement, in enumeration order.
 
 The Wall suite's random symplectic words are built by rank-one updates
 (fibration.transvection_word).  The closed form needs 1 - f invertible.
@@ -40,11 +40,14 @@ from typing import Any, Iterator, List, NamedTuple, Optional, Tuple
 
 from .enhancements import (
     _SplitArrays,
+    _Values,
     _arf_tables,
     _bk_classify_tables,
     _bk_gauss_tables,
     _split_rows,
     _subquotient_pairs,
+    _values,
+    _zero_at,
     bk_gauss,
     enumerate_z4_enhancements,
 )
@@ -90,25 +93,26 @@ def _extend(total: SuiteResult, part: SuiteResult) -> SuiteResult:
     return SuiteResult(total.name, part.passed, total.checked + part.checked, part.counterexample)
 
 
-def _first_mismatch(expected: bytes, got: bytes) -> Optional[int]:
-    """Index of the first entry where two tables differ, None when equal."""
-    if expected == got:
-        return None
-    diffs = (i for i, (a, b) in enumerate(zip(expected, got)) if a != b)
-    return next(diffs, min(len(expected), len(got)))
-
-
 class _Block(NamedTuple):
-    """Forms of one dim, their split vectors and the Gauss-sum BK of each enhancement."""
+    """Forms of one dim, their split vectors, q_d on those and the Gauss-sum BK of each enhancement."""
 
     dim: int
     split: _SplitArrays  # split.rows holds the forms' Gram rows
+    values: _Values  # on [lines | pairs | v | W's pairs]; v and W's only at an even dim
     gauss: Any  # (forms, 2^dim) uint8, row f indexed like enumerate_z4_enhancements
 
 
 def _form(block: _Block, f: int) -> Z2SymForm:
     """Form f of a block, built only to print a counterexample."""
     return Z2SymForm(block.dim, tuple(block.split.rows[f].tolist()))
+
+
+def _block(rows) -> _Block:
+    """The block of a (forms, dim) uint32 stack of Gram rows."""
+    dim = rows.shape[1]
+    split = _split_rows(rows)
+    vectors = (split.lines, split.pairs) + ((split.wu, _subquotient_pairs(split)) if dim % 2 == 0 else ())
+    return _Block(dim, split, _values(rows, *vectors), _bk_gauss_tables(rows))
 
 
 def _blocks(max_dim: int) -> Iterator[_Block]:
@@ -119,22 +123,24 @@ def _blocks(max_dim: int) -> Iterator[_Block]:
     """
     for dim in range(max_dim + 1):
         for rows in nonsingular_rows(dim, BLOCK_FORMS):
-            yield _Block(dim, _split_rows(rows), _bk_gauss_tables(rows))
+            yield _block(rows)
 
 
-def _compare(name: str, block: _Block, table, weights=None) -> SuiteResult:
+def _compare(name: str, block: _Block, table, counted=()) -> SuiteResult:
     """A suite's table against the block's Gauss table, in enumeration order.
 
-    weights (forms, 2^dim), when given, is the number of checks each entry
-    counts for; otherwise each counts once.  A failure counts the checks
-    before the first mismatch and prints that enhancement.
+    counted, when given, holds (forms, 2^dim) bool masks, and an entry
+    counts one check for each mask that holds it; otherwise every entry
+    counts once.  A failure counts the checks before the first mismatch
+    and prints that enhancement.
     """
-    j = _first_mismatch(block.gauss.tobytes(), table.tobytes())
-    entries = block.gauss.size if j is None else j
-    checks = entries if weights is None else int(weights.ravel()[:entries].sum())
-    if j is None:
+    import numpy as np
+    differ = block.gauss.tobytes() != table.tobytes()
+    entries = int((block.gauss != table).argmax()) if differ else block.gauss.size  # up to the first mismatch
+    checks = sum(np.count_nonzero(m.ravel()[:entries]) for m in counted) if counted else entries
+    if not differ:
         return SuiteResult(name, True, checks)
-    f, d = divmod(j, block.gauss.shape[1])
+    f, d = divmod(entries, block.gauss.shape[1])
     form = _form(block, f)
     values = next(islice(enumerate_z4_enhancements(form), d, None)).values
     return SuiteResult(name, False, checks, f"form rows {form.rows}, values {values}")
@@ -142,7 +148,7 @@ def _compare(name: str, block: _Block, table, weights=None) -> SuiteResult:
 
 def suite_gauss_vs_classify(block: _Block) -> SuiteResult:
     """BK by Gauss sum against 4n + p_plus - p_minus, on every enhancement of a block."""
-    return _compare("gauss-vs-classify", block, _bk_classify_tables(block.split))
+    return _compare("gauss-vs-classify", block, _bk_classify_tables(block.split, block.values.high))
 
 
 def suite_bk_4arf(block: _Block) -> SuiteResult:
@@ -150,19 +156,21 @@ def suite_bk_4arf(block: _Block) -> SuiteResult:
 
     Only those enhancements are checked and counted; Arf(W) is read off
     W's symplectic pairs, built from the splitting by _subquotient_pairs.
-    On an isotropic form v = 0, W is the form with its own pairs and q_d =
-    2 h_d, so each entry also checks BK(2h) = 4 Arf(h) and counts twice.
+    On an isotropic form (no lines) v = 0, W is the form with its own
+    pairs and q_d = 2 h_d, so each entry also checks BK(2h) = 4 Arf(h) and
+    counts twice.
     """
     import numpy as np
     # q(v) = lambda(v, v) = dim mod 2 (v is the sum of the lines), so on an odd
     # dim no enhancement has q(v) = 0 and nothing is checked
     if block.dim % 2:
         return SuiteResult("bk-4arf", True, 0)
-    pairs, checked = _subquotient_pairs(block.split)
-    four_arf = _arf_tables(block.split.rows, pairs) << 2
-    weights = checked.astype(np.uint8) << (block.split.counts == 0)[:, None]  # no lines: isotropic
+    wu = 2 * block.dim  # v's bit column, after the lines and the pairs; W's pairs follow
+    checked = _zero_at(block.values, wu)
     # 4 Arf(W) where q(v) = 0, and the Gauss entry itself elsewhere
-    return _compare("bk-4arf", block, np.where(checked, four_arf, block.gauss), weights)
+    table = block.gauss.copy()
+    np.copyto(table, _arf_tables(block.values, wu + 1) * 4, where=checked)
+    return _compare("bk-4arf", block, table, (checked, checked & (block.split.counts == 0)[:, None]))
 
 
 def _exhaustive_suites(max_dim: int) -> Tuple[SuiteResult, SuiteResult]:

@@ -11,10 +11,11 @@ from sigmod8.enhancements import (
     _bk_classify_tables,
     _bk_gauss_tables,
     _SplitArrays,
-    _flip_coordinates,
     _match_gauss,
     _split_rows,
     _subquotient_pairs,
+    _values,
+    _zero_at,
     arf,
     bk_classify,
     bk_gauss,
@@ -374,6 +375,17 @@ def _stack(dim, forms):
     return np.array(rows, dtype=np.uint32).reshape(len(rows), dim)
 
 
+def _classify(split):
+    """_bk_classify_tables on the q_d bits of the split's lines, then pairs."""
+    vectors = np.concatenate([split.lines, split.pairs], axis=1)
+    return _bk_classify_tables(split, _values(split.rows, vectors).high)
+
+
+def _arf(rows, pairs):
+    """_arf_tables on the q_d bits of the pairs alone."""
+    return _arf_tables(_values(rows, pairs), 0)
+
+
 def test_bk_gauss_tables_match_counting():
     """Row f, entry d of the batched Gauss tables is BK of enhancement d of
     form f, counted on its own by gauss_counts."""
@@ -387,7 +399,7 @@ def test_bk_gauss_tables_match_counting():
 def test_classify_table_matches_bk_classify():
     """Entry d of a form's row is 4n + p_plus - p_minus of enhancement d."""
     for dim, forms in _by_dim(_table_forms(44)):
-        tables = _bk_classify_tables(_split_rows(_stack(dim, forms)))
+        tables = _classify(_split_rows(_stack(dim, forms)))
         assert tables.shape == (len(forms), 1 << dim)
         for form, table in zip(forms, tables.tolist()):
             for d, q in enumerate(enumerate_z4_enhancements(form)):
@@ -396,25 +408,31 @@ def test_classify_table_matches_bk_classify():
     # rebuilt on every call: the classification route is never a cache hit
     assert not hasattr(_bk_classify_tables, "cache_info")
     assert not hasattr(_arf_tables, "cache_info")
+    assert not hasattr(_values, "cache_info")
     split = _split_rows(_stack(dim, forms))
-    assert _bk_classify_tables(split) is not _bk_classify_tables(split)
+    assert _classify(split) is not _classify(split)
     isotropic = _split_rows(_stack(4, enumerate_nonsingular_forms(4, isotropic_only=True)))
-    assert _arf_tables(isotropic.rows, isotropic.pairs) is not _arf_tables(isotropic.rows, isotropic.pairs)
+    assert _arf(isotropic.rows, isotropic.pairs) is not _arf(isotropic.rows, isotropic.pairs)
 
 
 def test_flip_coordinates_brute_force():
-    """Bit k of coords[f, d] is the parity of d & vectors[f, k], for any
-    number of vectors (more than dim too)."""
+    """_values: bit k of high[f, d] is bit 1 of q_d(vectors[f, k]), so that
+    high[f, d] ^ high[f, 0] flips bit k by the parity of d & vectors[f, k],
+    and bit k of odd[f] is bit 0 of every q_d there, for any number of
+    vectors (more than dim too)."""
     rng = SplitMix64(47)
     for dim in range(7):
+        forms = random_nonsingular_forms(dim, 3, rng)
         for count in (0, 1, dim, dim + 1, dim + 3, 2 * dim + 5):
             vectors = [[rng.randrange(1 << dim) for _ in range(count)] for _ in range(3)]
-            coords = _flip_coordinates(dim, np.array(vectors, dtype=np.uint8).reshape(3, count))
-            assert coords.shape == (3, 1 << dim)
-            for row, masks in zip(vectors, coords.tolist()):
-                for d, mask in enumerate(masks):
-                    assert mask == sum((d & s).bit_count() % 2 << k
-                                       for k, s in enumerate(row)), (dim, row, d)
+            values = _values(_stack(dim, forms), np.array(vectors, dtype=np.uint32).reshape(3, count))
+            assert values.high.shape == (3, 1 << dim) and values.odd.shape == (3, 1)
+            for form, row, masks, odd in zip(forms, vectors, values.high.tolist(), values.odd[:, 0].tolist()):
+                for d, q in enumerate(enumerate_z4_enhancements(form)):
+                    assert masks[d] ^ masks[0] == sum((d & s).bit_count() % 2 << k
+                                                      for k, s in enumerate(row)), (dim, row, d)
+                    assert masks[d] == sum((q.evaluate_mask(s) >> 1) << k for k, s in enumerate(row))
+                    assert odd == sum((q.evaluate_mask(s) & 1) << k for k, s in enumerate(row))
 
 
 def test_arf_table_matches_arf():
@@ -424,14 +442,14 @@ def test_arf_table_matches_arf():
     forms += [random_isotropic_enhanced(3, rng).form for _ in range(12)]
     for dim, group in _by_dim(forms):
         split = _split_rows(_stack(dim, group))
-        tables = _arf_tables(split.rows, split.pairs)
+        tables = _arf(split.rows, split.pairs)
         assert tables.shape == (len(group), 1 << dim)
         for form, table in zip(group, tables.tolist()):
             for b, h in enumerate(enumerate_z2_enhancements(form)):
                 assert table[b] == arf(h), (form.rows, h.values)
     # q0(e_1) = 1 on P + P: q_d / 2 is no Z2 enhancement on that pair
     with pytest.raises(AnisotropicInput):
-        _arf_tables(_stack(2, [P_FORM.direct_sum(P_FORM)]), np.array([[1, 2]], dtype=np.uint32))
+        _arf(_stack(2, [P_FORM.direct_sum(P_FORM)]), np.array([[1, 2]], dtype=np.uint32))
 
 
 def test_subquotient_pairs_match_isotropic_subquotient():
@@ -439,10 +457,13 @@ def test_subquotient_pairs_match_isotropic_subquotient():
     pairs in v_perp, and the Arf table on them is Arf of each subquotient."""
     for dim, forms in _by_dim(_table_forms(46)):
         rows = _stack(dim, forms)
-        pairs, checked = _subquotient_pairs(_split_rows(rows))
+        split = _split_rows(rows)
+        pairs = _subquotient_pairs(split)
         assert pairs.shape == (len(forms), 2 * (dim // 2))
+        values = _values(rows, np.concatenate([split.wu, pairs], axis=1))  # v, then W's pairs
+        checked = _zero_at(values, 0)
         assert checked.shape == (len(forms), 1 << dim)
-        tables = _arf_tables(rows, pairs)
+        tables = _arf_tables(values, 1)
         for f, form in enumerate(forms):
             v = wu_class(form)
             qs = list(enumerate_z4_enhancements(form))
@@ -539,14 +560,14 @@ def test_split_rows_agrees_with_the_scalar_splitting(dim):
     split = _split_rows(_stack(dim, forms))
     scalar = _split_by_form(dim, forms)
     assert split.counts.tolist() == [len(split_vectors(form)[0]) for form in forms]
-    assert np.array_equal(_bk_classify_tables(split), _bk_classify_tables(scalar))
+    assert np.array_equal(_classify(split), _classify(scalar))
     assert split.wu[:, 0].tolist() == [wu_class(form).mask for form in forms]
     assert [c == 0 for c in split.counts.tolist()] == [form.is_isotropic() for form in forms]
     even = split.counts == 0
     if even.any():
         assert np.array_equal(
-            _arf_tables(split.rows[even], split.pairs[even]),
-            _arf_tables(scalar.rows[even], scalar.pairs[even]),
+            _arf(split.rows[even], split.pairs[even]),
+            _arf(scalar.rows[even], scalar.pairs[even]),
         )
 
 

@@ -249,6 +249,32 @@ def test_wall_closed_symmetric_random():
         checked += 1
 
 
+def test_wall_closed_matches_fraction_solve():
+    """An exact oracle: X solves (1 - f) X = g - f by Fraction Gauss-Jordan
+    and S = J (1 - g^{-1}) X; wall_form_closed returns exactly S on 150
+    seeded pairs (f, g) with 1 - f invertible, at every h = 1..3."""
+    rng = SplitMix64(35)
+    genera = []
+    while len(genera) < 150:
+        h = rng.randint(1, 3)
+        f = random_transvection_word(h, 6, rng)
+        if not one_minus_f_invertible(f):
+            continue
+        g = random_transvection_word(h, 6, rng)
+        n = 2 * h
+        eye = fib._identity(n)
+        system = [a + b for a, b in zip(fib._mat_sub(eye, f.entries), fib._mat_sub(g.entries, f.entries))]
+        work, pivots = _rref_q(system, 2 * n)
+        assert pivots == list(range(n))
+        x = [row[n:] for row in work]
+        left = fib._j_times(fib._mat_sub(eye, g.inverse().entries))
+        expected = tuple(tuple(sum(left[i][k] * x[k][j] for k in range(n)) for j in range(n))
+                         for i in range(n))
+        assert wall_form_closed(f, g).matrix == expected, (f.entries, g.entries)
+        genera.append(h)
+    assert set(genera) == {1, 2, 3}
+
+
 @pytest.mark.parametrize("h", [1, 2, 3])
 def test_short_words_have_singular_one_minus_f(h):
     """f - I is a sum of L rank-one terms, so L < 2h transvections never give

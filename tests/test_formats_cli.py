@@ -609,8 +609,8 @@ def test_gauss_vs_classify_detects_wrong_classify_table(monkeypatch):
 
     real = sc._bk_classify_tables
 
-    def shifted(split):
-        tables = real(split)
+    def shifted(*args):
+        tables = real(*args)
         tables[:, -1] = (tables[:, -1] + 1) % 8
         return tables
 
@@ -632,10 +632,11 @@ def _flip_arf_entry(monkeypatch, flip):
 
     real_arf = sc._arf_tables
 
-    def flipped(rows, pairs):
-        tables = real_arf(rows, pairs)
-        dim = rows.shape[1]
-        isotropic = ((rows >> np.arange(dim, dtype=np.uint32)) & 1).sum(axis=1) == 0
+    def flipped(values, at):
+        tables = real_arf(values, at)
+        dim = tables.shape[1].bit_length() - 1
+        # the block's first dim bit columns are its lines, each with lambda(s, s) = 1
+        isotropic = values.odd[:, 0] & ((1 << dim) - 1) == 0
         hit = np.array([flip(bool(iso), dim) for iso in isotropic], dtype=bool)
         tables[hit, 0] ^= 1
         return tables
@@ -644,14 +645,14 @@ def _flip_arf_entry(monkeypatch, flip):
 
 
 def _checked_by_form(max_dim):
-    """(form, its row of checked flags from _subquotient_pairs) for every form up to max_dim."""
-    from sigmod8.enhancements import _split_rows, _subquotient_pairs
+    """(form, its row of flags q_d(v) = 0) for every form up to max_dim."""
+    from sigmod8.enhancements import _split_rows, _values, _zero_at
     from sigmod8.z2forms import enumerate_nonsingular_forms, nonsingular_rows
 
     out = []
     for dim in range(max_dim + 1):
         (rows,) = nonsingular_rows(dim, 1 << 12)
-        checked = _subquotient_pairs(_split_rows(rows))[1].tolist()
+        checked = _zero_at(_values(rows, _split_rows(rows).wu), 0).tolist()
         out += zip(enumerate_nonsingular_forms(dim), checked)
     return out
 
@@ -708,8 +709,8 @@ def test_bk_4arf_doubled_failure_after_subquotient_failure(monkeypatch):
 
     real_classify = sc._bk_classify_tables
 
-    def shifted(split):
-        tables = real_classify(split)
+    def shifted(*args):
+        tables = real_classify(*args)
         tables[:, 0] ^= 1
         return tables
 
@@ -730,20 +731,21 @@ def test_bk_4arf_doubled_failure_after_subquotient_failure(monkeypatch):
 
 
 def test_bk_4arf_checks_isotropic_forms_as_their_own_subquotient(monkeypatch):
-    """On every isotropic form of dim <= 4, v = 0: _subquotient_pairs checks
-    every enhancement on the form's own pairs, so bk-4arf's comparison there
-    is BK(2h) = 4 Arf(h), and Arf tables flipped on isotropic forms alone
-    fail it."""
+    """On every isotropic form of dim <= 4, v = 0: every enhancement has
+    q(v) = 0 and _subquotient_pairs gives the form's own pairs, so
+    bk-4arf's comparison there is BK(2h) = 4 Arf(h), and Arf tables
+    flipped on isotropic forms alone fail it."""
     import numpy as np
 
     from sigmod8 import selfcheck as sc
-    from sigmod8.enhancements import _split_rows, _subquotient_pairs
+    from sigmod8.enhancements import _split_rows, _subquotient_pairs, _values, _zero_at
     from sigmod8.z2forms import enumerate_nonsingular_forms
 
     for dim in (0, 2, 4):
         forms = list(enumerate_nonsingular_forms(dim, isotropic_only=True))
         split = _split_rows(np.array([f.rows for f in forms], dtype=np.uint32).reshape(len(forms), dim))
-        pairs, checked = _subquotient_pairs(split)
+        pairs = _subquotient_pairs(split)
+        checked = _zero_at(_values(split.rows, split.wu), 0)
         assert checked.all() and checked.shape == (len(forms), 1 << dim)
         assert (pairs == split.pairs).all()
 
@@ -768,8 +770,8 @@ def test_exhaustive_suites_stop_once_both_have_failed(monkeypatch):
     real_classify, real_split = sc._bk_classify_tables, sc._split_rows
     dims = []
 
-    def shifted(split):
-        tables = real_classify(split)
+    def shifted(*args):
+        tables = real_classify(*args)
         tables[:, 0] ^= 1
         return tables
 
@@ -826,12 +828,12 @@ def test_bk_4arf_fails_on_a_zeroed_lifted_pair(monkeypatch):
     real = sc._subquotient_pairs
 
     def zeroed(split):
-        pairs, checked = real(split)
+        pairs = real(split)
         for f in (split.wu[:, 0] != 0).nonzero()[0]:
             at = (pairs[f, 0::2] != 0).nonzero()[0]  # W's nonzero pairs
             if len(at):
                 pairs[f, 2 * at[-1]:2 * at[-1] + 2] = 0
-        return pairs, checked
+        return pairs
 
     monkeypatch.setattr(sc, "_subquotient_pairs", zeroed)
     assert sc._exhaustive_suites(4)[1].line() == (
@@ -843,14 +845,39 @@ def test_bk_4arf_passes_on_a_dim6_block():
     """A block of dim-6 forms with 4 and 6 lines, where W's line pairs sit
     beside the form's own pairs (p = 4) or make up all of W (p = 6)."""
     from sigmod8 import selfcheck as sc
-    from sigmod8.enhancements import _bk_gauss_tables, _split_rows
     from sigmod8.z2forms import nonsingular_rows
 
-    rows = next(nonsingular_rows(6, 512))
-    split = _split_rows(rows)
-    assert {4, 6} <= set(split.counts.tolist())
-    result = sc.suite_bk_4arf(sc._Block(6, split, _bk_gauss_tables(rows)))
+    block = sc._block(next(nonsingular_rows(6, 512)))
+    assert {4, 6} <= set(block.split.counts.tolist())
+    result = sc.suite_bk_4arf(block)
     assert result.passed and result.checked > 0
+
+
+def test_a_full_dim6_block_passes_both_suites():
+    """The first BLOCK_FORMS dim-6 forms as one block, as the exhaustive pass
+    builds it: int8 butterflies at 2^dim = 64, the top of their range, and
+    the int16 root index.  Both suites pass, and the Gauss table agrees
+    with bk_gauss, counted one enhancement at a time, on all 64
+    enhancements of 64 sampled forms."""
+    from sigmod8 import kernels
+    from sigmod8 import selfcheck as sc
+    from sigmod8.enhancements import _diagonal, bk_gauss, enumerate_z4_enhancements
+    from sigmod8.rng import SplitMix64
+    from sigmod8.z2forms import nonsingular_rows
+
+    rows = next(nonsingular_rows(6, sc.BLOCK_FORMS))
+    assert rows.shape == (sc.BLOCK_FORMS, 6)
+    assert kernels.gauss_sums(6, _diagonal(rows), rows)[0].dtype.name == "int8"
+    block = sc._block(rows)
+    assert sc.suite_gauss_vs_classify(block) == sc.SuiteResult("gauss-vs-classify", True, 64 * sc.BLOCK_FORMS)
+    bk_4arf = sc.suite_bk_4arf(block)
+    assert bk_4arf.passed and bk_4arf.checked > 0
+    rng, sample = SplitMix64(6), {0, sc.BLOCK_FORMS - 1}
+    while len(sample) < 64:
+        sample.add(rng.randrange(sc.BLOCK_FORMS))
+    for f in sorted(sample):
+        form = sc._form(block, f)
+        assert [bk_gauss(q) for q in enumerate_z4_enhancements(form)] == block.gauss[f].tolist(), f
 
 
 def test_exhaustive_blocks_do_not_change_the_tables(monkeypatch):
@@ -864,12 +891,13 @@ def test_exhaustive_blocks_do_not_change_the_tables(monkeypatch):
     def tables(max_dim):
         out = {}
         for block in sc._blocks(max_dim):
-            parts = out.setdefault(block.dim, [[], [], [], [], []])
+            parts = out.setdefault(block.dim, [[], [], [], [], [], []])
             parts[0] += block.split.rows.tolist()
             parts[1].append(block.gauss)
-            parts[2].append(_bk_classify_tables(block.split))
-            for part, array in zip(parts[3:], _subquotient_pairs(block.split)):
-                part.append(array)
+            parts[2].append(_bk_classify_tables(block.split, block.values.high))
+            parts[3].append(_subquotient_pairs(block.split))
+            parts[4].append(block.values.high)
+            parts[5].append(block.values.odd)
         return {dim: [forms] + [np.concatenate(t) for t in rest]
                 for dim, (forms, *rest) in out.items()}
 

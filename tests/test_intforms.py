@@ -728,6 +728,25 @@ def test_one_determinant_per_report(monkeypatch):
             assert len(calls) == 1, report.__name__
 
 
+def test_trusted_objects_equal_validated_ones():
+    """The random unimodular forms, their mod-2 reductions and their Z4
+    enhancements are built without re-running the constructors' checks;
+    each equals what the validating constructor builds from the same
+    data, on seeded draws of dims 0-16."""
+    from sigmod8.enhancements import Z4Quadratic
+    from sigmod8.z2forms import Z2SymForm
+
+    rng = SplitMix64(71)
+    for dim in range(17):
+        for _ in range(3):
+            form = random_unimodular_form(dim, rng)
+            assert form == IntSymForm.from_matrix(form.matrix) and form.is_unimodular()
+            mod2 = Z2SymForm.from_matrix(form.matrix)
+            assert form._mod2 == mod2 and hash(form._mod2) == hash(mod2)
+            values = tuple(row[i] % 4 for i, row in enumerate(form.matrix))
+            assert reduce_to_enhanced(form) == Z4Quadratic(mod2, values)
+
+
 def _generated_digest(seed, words):
     """SHA-256 of the forms (dims 0-16), optionally the transvection words,
     and the final generator state drawn from one seed."""

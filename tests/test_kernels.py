@@ -21,6 +21,12 @@ def random_instance(dim, rng):
     return qdiag, form.rows
 
 
+def brute_force_values(qdiag, rows):
+    """q(x) for every x, in pure Python."""
+    q = Z4Quadratic(Z2SymForm(len(rows), rows), qdiag)
+    return [q.evaluate_mask(x) for x in range(1 << q.dim)]
+
+
 def brute_force_counts(qdiag, rows):
     """#{x : q(x) = c} for c in Z4, evaluating q at every x in pure Python."""
     q = Z4Quadratic(Z2SymForm(len(rows), rows), qdiag)
@@ -131,41 +137,53 @@ def test_bk_gauss_matches_classification_large_dims():
 
 
 def reference_transform(q):
-    """The Walsh transform of i^q by int64 matmul butterflies along the last axis."""
+    """The Walsh transform of i^q by int64 matmul butterflies along the first axis."""
     import numpy as np
 
     s = np.array([[1, 0, -1, 0], [0, 1, 0, -1]], dtype=np.int64)[:, q]
+    size = q.shape[0]
+    flat = s.reshape(2, size, -1)
     butterfly = np.array([[1, 1], [1, -1]], dtype=np.int64)
     h = 1
-    while h < q.shape[-1]:
-        s = butterfly @ s.reshape(-1, 2, h)
+    while h < size:
+        # axis 2 is bit log2(h) of the index
+        flat = np.einsum("ab,rhbwf->rhawf", butterfly, flat.reshape(2, size // (2 * h), 2, h, -1))
+        flat = flat.reshape(2, size, -1)
         h *= 2
-    return s.reshape((2,) + q.shape)
+    return flat.reshape((2,) + q.shape)
+
+
+def narrow_dtype(size):
+    import numpy as np
+
+    return np.int8 if size <= 1 << 6 else np.int16 if size <= 1 << 14 else np.int32
 
 
 def boundary_tables(size, seed):
-    """The four constant tables (|entry at d = 0| = size) and two random ones."""
+    """The four constant tables (|entry at d = 0| = size) and two random
+    ones, as the columns of a (size, 6) table, the 2^dim axis first."""
     import numpy as np
 
     rng = np.random.default_rng(seed)
     consts = [np.full(size, c, dtype=np.uint8) for c in range(4)]
-    return np.stack(consts + [rng.integers(0, 4, size, dtype=np.uint8) for _ in range(2)])
+    return np.stack(consts + [rng.integers(0, 4, size, dtype=np.uint8) for _ in range(2)], axis=1)
 
 
 @pytest.mark.parametrize("size", [64, 128, 1 << 14, 1 << 15])
 def test_transform_at_the_dtype_boundaries(size):
     """The narrow-integer transform equals the int64 one where its dtype
-    changes (int8 to 64, int16 to 2^14, int32 above), alone and stacked;
-    a constant table reaches |sum| = 2^dim at d = 0."""
+    changes (int8 to 64, int16 to 2^14, int32 above), alone and stacked,
+    and returns its sums in that dtype; a constant table reaches
+    |sum| = 2^dim at d = 0."""
     import numpy as np
 
     tables = boundary_tables(size, size)
-    for q in [*tables, tables, tables[::-1].reshape(2, 3, size)]:
+    for q in [*tables.T, tables, tables[:, ::-1].reshape(size, 2, 3)]:
         got = kernels._transform(q)
-        assert got.dtype == np.int64 and got.shape == (2,) + q.shape
+        assert got.dtype == narrow_dtype(size) and got.shape == (2,) + q.shape
         assert np.array_equal(got, reference_transform(q)), (size, q.shape)
-    s = kernels._transform(tables[:4])
-    assert s[:, :, 0].tolist() == [[size, 0, -size, 0], [0, size, 0, -size]]
+    s = kernels._transform(tables[:, :4])
+    assert s[:, 0, :].tolist() == [[size, 0, -size, 0], [0, size, 0, -size]]
 
 
 @pytest.mark.parametrize("forms", [1, 3, 31, 32, 33, 100])
@@ -176,5 +194,22 @@ def test_transform_matmul_and_butterfly_levels(forms):
 
     rng = np.random.default_rng(forms)
     for dim in range(10):
-        q = rng.integers(0, 4, (forms, 1 << dim), dtype=np.uint8)
+        q = rng.integers(0, 4, (1 << dim, forms), dtype=np.uint8)
         assert np.array_equal(kernels._transform(q), reference_transform(q)), (forms, dim)
+
+
+def test_gauss_sums_of_a_stack_are_the_transform_of_its_q_tables():
+    """gauss_sums of a stack of forms: column f is the reference transform
+    of form f's q-values, each counted from its enhancement."""
+    import numpy as np
+
+    rng = SplitMix64(49)
+    for dim in (0, 1, 4, 7):
+        instances = [random_instance(dim, rng) for _ in range(5)]
+        q = np.array([brute_force_values(qdiag, rows) for qdiag, rows in instances],
+                     dtype=np.uint8).reshape(5, 1 << dim).T
+        qdiag = np.array([qd for qd, _ in instances], dtype=np.uint8).reshape(5, dim)
+        rows = np.array([r for _, r in instances], dtype=np.uint32).reshape(5, dim)
+        re, im = kernels.gauss_sums(dim, qdiag, rows)
+        assert re.shape == im.shape == (1 << dim, 5) and re.dtype == narrow_dtype(1 << dim)
+        assert np.array_equal(np.stack([re, im]), reference_transform(q)), dim
