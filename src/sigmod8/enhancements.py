@@ -182,7 +182,7 @@ class Z4Quadratic(_Enhancement):
             raise ValueError("table must have one entry per vector")
         if table[0] % 4 != 0:
             raise NotLinearDifference("q(0) must be 0")
-        q = cls(form, tuple(table[1 << i] % 4 for i in range(form.dim)))
+        q = cls(form, tuple([table[1 << i] % 4 for i in range(form.dim)]))
         for x in range(1 << form.dim):
             if q.evaluate_mask(x) != table[x] % 4:
                 raise NotLinearDifference(
@@ -192,7 +192,7 @@ class Z4Quadratic(_Enhancement):
 
     def negate(self) -> "Z4Quadratic":
         """-q, an enhancement of the same form (over Z2, -lambda = lambda)."""
-        return Z4Quadratic(self.form, tuple((-v) % 4 for v in self.values))
+        return Z4Quadratic(self.form, tuple([(-v) % 4 for v in self.values]))
 
 
 def p1() -> Z4Quadratic:
@@ -327,7 +327,7 @@ def bk_classify(q: Z4Quadratic) -> Tuple[int, int, int, int]:
 def double(h: Z2Quadratic) -> Z4Quadratic:
     """q = 2h; satisfies BK(2h) = 4*Arf(h) in Z8."""
     # h's form is isotropic, so the even values 2h(e_i) have the right parity
-    return Z4Quadratic._trusted(h.form, tuple(2 * v for v in h.values))
+    return Z4Quadratic._trusted(h.form, tuple([2 * v for v in h.values]))
 
 
 def difference_vector(q: Z4Quadratic, qprime: Z4Quadratic) -> Tuple[Z2Vec, int]:
@@ -385,8 +385,8 @@ def isotropic_subquotient(q: Z4Quadratic) -> Z2Quadratic:
     for j in range(1, len(lines) // 2):
         prefix ^= lines[2 * j - 2] ^ lines[2 * j - 1]
         basis += [prefix, lines[2 * j - 1] ^ lines[2 * j]]
-    w_form = Z2SymForm(len(basis), tuple(1 << (i ^ 1) for i in range(len(basis))))
-    return Z2Quadratic(w_form, tuple(q.evaluate_mask(b) >> 1 for b in basis))
+    w_form = Z2SymForm(len(basis), tuple([1 << (i ^ 1) for i in range(len(basis))]))
+    return Z2Quadratic(w_form, tuple([q.evaluate_mask(b) >> 1 for b in basis]))
 
 
 def _q0(form: Z2SymForm) -> Z4Quadratic:
@@ -402,7 +402,7 @@ def enumerate_z4_enhancements(form: Z2SymForm) -> Iterator[Z4Quadratic]:
     """
     base = _q0(form).values
     for bits in range(1 << form.dim):
-        vals = tuple(base[i] + 2 * ((bits >> i) & 1) for i in range(form.dim))
+        vals = tuple([base[i] + 2 * ((bits >> i) & 1) for i in range(form.dim)])
         yield Z4Quadratic._trusted(form, vals)
 
 
@@ -411,7 +411,7 @@ def enumerate_z2_enhancements(form: Z2SymForm) -> Iterator[Z2Quadratic]:
     if not form.is_isotropic():
         raise AnisotropicInput("Z2 enhancements require an isotropic form")
     for bits in range(1 << form.dim):
-        vals = tuple((bits >> i) & 1 for i in range(form.dim))
+        vals = tuple([(bits >> i) & 1 for i in range(form.dim)])
         yield Z2Quadratic._trusted(form, vals)
 
 

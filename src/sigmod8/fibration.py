@@ -17,6 +17,12 @@ identity.  Two computations are provided:
   theorems constrain: it is divisible by 4 (Meyer) and by 8 when the
   action is trivial mod 4.
 
+MonodromyData walks the relator f_1 g_1 f_1^{-1} g_1^{-1} ... once and
+keeps its prefix products: they give the commutator check, the
+conjugates g_i f_i^{-1} g_i^{-1} of the Wall forms and every block of the
+cup pairing, so a bundle report forms 7g - 1 matrix products in all
+(2g of them checking that the generators are symplectic).
+
 Both pairings are evaluated as integer Gram matrices on a primitive
 integral basis of a kernel: for the cup pairing, the cocycles that vanish
 on the pivot coordinates of the coboundary map, a complement of the
@@ -39,7 +45,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, mul, sub
 from typing import List, Sequence, Tuple
 
 from .errors import (
@@ -169,13 +175,21 @@ def transvection(c: Sequence[int]) -> SymplecticMatrix:
 
 
 class MonodromyData(Record):
-    """g pairs (f_i, g_i) in Sp(2h, Z) with prod [f_i, g_i] = I."""
+    """g pairs (f_i, g_i) in Sp(2h, Z) with prod [f_i, g_i] = I.
+
+    The relator f_1 g_1 f_1^{-1} g_1^{-1} ... is walked once, on
+    construction: its prefix products Q_0 = I, ..., Q_4g give the
+    commutator check (Q_4g = I), the conjugates and every block of the cup
+    Gram, so no later step forms a product of generators.
+    """
 
     h: int
     g: int
     pairs: Tuple[Tuple[SymplecticMatrix, SymplecticMatrix], ...]
-    # g_i f_i^{-1} g_i^{-1} per handle, formed once for the commutators and
-    # kept for handle_signatures; derived from `pairs`, so not a field
+    # derived from `pairs`, so not fields: the relator's prefix products
+    # Q_0 .. Q_4g (Q_k is the product of its first k letters), and
+    # g_i f_i^{-1} g_i^{-1} = Q_{4i+1}^{-1} Q_{4i+4} per handle
+    _prefixes: Tuple[Matrix, ...]
     _conjugates: Tuple[SymplecticMatrix, ...]
 
     def _validate(self):
@@ -184,18 +198,23 @@ class MonodromyData(Record):
         for f, gg in self.pairs:
             if f.h != self.h or gg.h != self.h:
                 raise ValueError("fibre genus mismatch")
-        conjugates = tuple([gg @ f.inverse() @ gg.inverse() for f, gg in self.pairs])
-        object.__setattr__(self, "_conjugates", conjugates)
-        eye = _identity(2 * self.h)
-        product = eye
-        for k, ((f, _), conj) in enumerate(zip(self.pairs, conjugates)):
-            c = (f @ conj).entries  # the commutator [f_k, g_k]
-            product = _mat_mul(product, c) if k else c
-        if product != eye:
+        prefixes = [_identity(2 * self.h)]
+        for f, gg in self.pairs:
+            f_inv, g_inv = _symplectic_inverse(f.entries), _symplectic_inverse(gg.entries)
+            for x in (f.entries, gg.entries, f_inv, g_inv):
+                # Q_1 = f_1 is no product
+                prefixes.append(_mat_mul(prefixes[-1], x) if len(prefixes) > 1 else x)
+        if prefixes[-1] != prefixes[0]:
             raise CommutatorRelationViolated(
                 "commutators do not multiply to the identity",
-                product=product,
+                product=prefixes[-1],
             )
+        conjugates = [
+            SymplecticMatrix._trusted(self.h, _mat_mul(_symplectic_inverse(prefixes[k + 1]), prefixes[k + 4]))
+            for k in range(0, 4 * self.g, 4)
+        ]
+        object.__setattr__(self, "_prefixes", tuple(prefixes))
+        object.__setattr__(self, "_conjugates", tuple(conjugates))
 
     @classmethod
     def from_matrices(cls, h: int, matrices: Sequence[Sequence[Sequence[int]]]) -> "MonodromyData":
@@ -345,10 +364,12 @@ def _cup_gram(m: MonodromyData) -> Tuple[List[Tuple[int, ...]], List[List[int]]]
     """Primitive integral cocycles C spanning a complement of B^1, and the cup Gram on them.
 
     A 1-cocycle u is its values u_x on the 2g generators; on an inverse
-    letter u(x^{-1}) = -x^{-1} u_x.  With prefix products P_k of the relator
-    prod [f_i, g_i], letter k contributes the block B_k = P_k * (its value
-    map) in the columns of its generator, the cocycle condition is
-    sum_k B_k u = 0, and the cup pairing paired through phi is
+    letter u(x^{-1}) = -x^{-1} u_x.  Letter k of the relator prod [f_i, g_i]
+    contributes the block B_k = Q_k * (its value map) in the columns of its
+    generator, read off the prefix products Q_k kept by MonodromyData: B_k =
+    Q_k for a letter x and B_k = -Q_k x^{-1} = -Q_{k+1} for x^{-1}, so no
+    product is formed here.  The cocycle condition is sum_k B_k u = 0, and
+    the cup pairing paired through phi is
     c(u, v) = sum_{k >= 1} phi(U_{k-1} u, B_k v) + sum_i phi(u_i, v_i),
     where U_{k-1} = sum_{t < k} B_t.
 
@@ -358,59 +379,88 @@ def _cup_gram(m: MonodromyData) -> Tuple[List[Tuple[int, ...]], List[List[int]]]
     and Z^1 = {u in Z^1 : u_S = 0} (+) B^1.  Coboundaries pair to zero with
     every cocycle, so the Gram on the cocycles that vanish on S has the
     signature of the form on H^1.  G, U and the relator kernel are built on
-    the kept coordinates only; C is returned in all 2g * 2h coordinates,
+    the kept coordinates only.  A generator's kept coordinates are one run
+    of them, and U is 0 past the runs of the generators already read, so
+    G^T gains, per letter, the rows of its run over those columns only.
+    C G C^T is then read on each cocycle's nonzero entries (at most
+    rank(relator) + 1 of them).  C is returned in all 2g * 2h coordinates,
     with 0 on S.
     """
-    n = 2 * m.h
-    j = standard_j(m.h)
+    h = m.h
+    n = 2 * h
+    j = standard_j(h)
     mats = [mat.entries for pair in m.pairs for mat in pair]
-    invs = [_symplectic_inverse(mm) for mm in mats]
-    letters: List[Tuple[int, int]] = []
-    for i in range(m.g):
-        letters += [(2 * i, 1), (2 * i + 1, 1), (2 * i, -1), (2 * i + 1, -1)]
     big = n * len(mats)
     coboundary_t = [[mm[a][b] - (a == b) for mm in mats for a in range(n)] for b in range(n)]
     dropped = set(_eliminate(coboundary_t, big)[1])
     keep = [c for c in range(big) if c not in dropped]
-    # per generator: (position in keep, row of the generator's block)
-    slots = [
-        [(k, c - gi * n) for k, c in enumerate(keep) if c // n == gi] for gi in range(len(mats))
-    ]
+    # per generator: the run [lo, hi) of its kept coordinates in `keep`,
+    # and the row of its block at each of them
+    runs, block_rows, hi = [], [], 0
+    for gi in range(len(mats)):
+        block_rows.append([c - gi * n for c in keep if c // n == gi])
+        runs.append((hi, hi + len(block_rows[-1])))
+        hi = runs[-1][1]
 
-    accum = [[0] * len(keep) for _ in range(n)]  # U_{k-1}; the relator at the end
-    gram = [[0] * len(keep) for _ in keep]
-    prefix = _identity(n)
-    for gi, sign in letters:
-        if sign == 1:
-            blk = prefix
-            prefix = _mat_mul(prefix, mats[gi])
-        else:
-            blk = _negate(_mat_mul(prefix, invs[gi]))
-            prefix = _negate(blk)  # P x^{-1} = -B_k
-        jbt = _transpose(_j_times(blk))
-        cols = [(k, jbt[a]) for k, a in slots[gi]]
-        for row, acol in zip(gram, zip(*accum)):  # G += U_{k-1}^T J B_k
-            if any(acol):
-                for k, jbc in cols:
-                    row[k] += sum(map(mul, acol, jbc))
-        for t in range(n):
-            arow, brow = accum[t], blk[t]
-            for k, a in slots[gi]:
-                arow[k] += brow[a]
-    for block in slots:  # phi(u_i, v_i) for each generator
-        for k, a in block:
-            for k2, b in block:
-                gram[k][k2] += j[a][b]
+    width = len(keep)
+    u_t = [[0] * n for _ in keep]  # U_{k-1}^T; the relator's transpose at the end
+    gram_t = [[0] * width for _ in keep]  # G^T
+    for i in range(m.g):
+        q = m._prefixes[4 * i : 4 * i + 5]
+        # B_k = Q_k for f_i and g_i, and -Q_{k+1} for f_i^{-1} and g_i^{-1};
+        # G^T gains (J B_k)^T U_{k-1} in the rows of the letter's run, over
+        # the columns read so far (U is 0 past them).  A run's rows of G^T
+        # and U^T are 0 until its first letter.
+        for gi, qk in ((2 * i, q[0]), (2 * i + 1, q[1])):
+            lo, hi = runs[gi]
+            past, bt = u_t[:lo], _transpose(qk)
+            for kk, a in zip(range(lo, hi), block_rows[gi]):
+                b = bt[a]  # column a of B_k
+                jb = b[h:] + tuple([-x for x in b[:h]])  # J b
+                gram_t[kk][:lo] = [sum(map(mul, jb, col)) for col in past]
+                u_t[kk] = list(b)
+        seen = runs[2 * i + 1][1]
+        for gi, qk in ((2 * i, q[3]), (2 * i + 1, q[4])):
+            lo, hi = runs[gi]
+            past, bt = u_t[:seen], _transpose(qk)
+            for kk, a in zip(range(lo, hi), block_rows[gi]):
+                b = bt[a]  # minus column a of B_k
+                jb = b[h:] + tuple([-x for x in b[:h]])
+                row = gram_t[kk]
+                row[:seen] = [x - sum(map(mul, jb, col)) for x, col in zip(row, past)]
+                # a new list: `past` keeps U_{k-1}^T for the rows after kk
+                u_t[kk] = list(map(sub, u_t[kk], b))
+    for (lo, hi), block in zip(runs, block_rows):  # phi(u_i, v_i) for each generator
+        for kk, a in zip(range(lo, hi), block):
+            row = gram_t[kk]
+            for k2, b in zip(range(lo, hi), block):
+                row[k2] += j[b][a]
 
-    cocycles = _integral_kernel(accum, len(keep))
-    gct = [[sum(map(mul, row, c)) for row in gram] for c in cocycles]  # (G C^T)^T
+    cocycles = _integral_kernel(_transpose(u_t), width)
+    supports = []
+    for c in cocycles:
+        at = [i for i, x in enumerate(c) if x]
+        supports.append((at, [c[i] for i in at]))
+    # G c^T is a combination of the rows of G^T at the support of c, and
+    # row p of C (G C^T) one of the rows of (G C^T)^T at the support of c_p
+    gct_t = [_combine(gram_t, at, xs) for at, xs in supports]
+    gct = _transpose(gct_t)
+    gram = [_combine(gct, at, xs) for at, xs in supports]
     full = []
     for c in cocycles:
         vec = [0] * big
         for col, x in zip(keep, c):
             vec[col] = x
         full.append(tuple(vec))
-    return full, [[sum(map(mul, c, w)) for w in gct] for c in cocycles]
+    return full, gram
+
+
+def _combine(rows: Sequence[Sequence[int]], at: Sequence[int], xs: Sequence[int]) -> List[int]:
+    """sum_i xs[i] * rows[at[i]], for a nonempty `at`."""
+    out = [xs[0] * v for v in rows[at[0]]]
+    for i, x in zip(at[1:], xs[1:]):
+        out = [a + x * v for a, v in zip(out, rows[i])]
+    return out
 
 
 def local_system_signature(m: MonodromyData) -> int:

@@ -120,12 +120,12 @@ class IntSymForm(Record):
 
     @classmethod
     def from_matrix(cls, matrix: Sequence[Sequence[int]]) -> "IntSymForm":
-        return cls(len(matrix), tuple(tuple(int(x) for x in r) for r in matrix))
+        return cls(len(matrix), tuple([tuple([int(x) for x in r]) for r in matrix]))
 
     @classmethod
     def diagonal(cls, entries: Sequence[int]) -> "IntSymForm":
         n = len(entries)
-        return cls(n, tuple(tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls(n, tuple([tuple([entries[i] if i == j else 0 for j in range(n)]) for i in range(n)]))
 
     @cached_property
     def _signature_det(self) -> Tuple[int, int]:
@@ -149,11 +149,11 @@ class IntSymForm(Record):
         return IntSymForm(n + m, tuple(rows))
 
     def negate(self) -> "IntSymForm":
-        return IntSymForm(self.dim, tuple(tuple(-x for x in r) for r in self.matrix))
+        return IntSymForm(self.dim, tuple([tuple([-x for x in r]) for r in self.matrix]))
 
     def to_rational(self) -> "RatSymForm":
         return RatSymForm(
-            self.dim, tuple(tuple(Fraction(x) for x in r) for r in self.matrix)
+            self.dim, tuple([tuple([Fraction(x) for x in r]) for r in self.matrix])
         )
 
     def evaluate(self, x: Sequence[int], y: Sequence[int]) -> int:
@@ -173,7 +173,7 @@ class RatSymForm(Record):
 
     @classmethod
     def from_matrix(cls, matrix: Sequence[Sequence]) -> "RatSymForm":
-        return cls(len(matrix), tuple(tuple(Fraction(x) for x in r) for r in matrix))
+        return cls(len(matrix), tuple([tuple([Fraction(x) for x in r]) for r in matrix]))
 
 
 def _bareiss(matrix: Sequence[Sequence[int]]) -> Tuple[int, int]:
@@ -402,7 +402,7 @@ class LinkingForm(Record):
         ]
         return LinkingForm(
             self.orders + other.orders,
-            tuple(tuple(r) for r in bmat),
+            tuple([tuple(r) for r in bmat]),
             self.qvec + other.qvec,
         )
 
@@ -433,7 +433,7 @@ def boundary_linking_form(form: IntSymForm) -> LinkingForm:
     # b(g_i, g_j) = g_i^T phi^{-1} g_j = (V^T phi V)_{ij} / (d_i d_j):
     # two integer products over the kept columns of V, one division each.
     keep = [i for i in range(form.dim) if d[i][i] != 1]
-    orders = tuple(d[i][i] for i in keep)
+    orders = tuple([d[i][i] for i in keep])
     v_t = _transpose(v)
     cols = [v_t[i] for i in keep]  # kept columns of V
     gram = _mat_mul(cols, _mat_mul(form.matrix, _transpose(cols)))

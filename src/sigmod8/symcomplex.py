@@ -292,7 +292,7 @@ def middle_form_complex(matrix: Sequence[Sequence[int]], quarter: int = 1) -> Sy
     m = len(matrix)
     n = 4 * quarter
     mid = n // 2
-    ranks = tuple(m if r == mid else 0 for r in range(n + 1))
+    ranks = tuple([m if r == mid else 0 for r in range(n + 1)])
     return SymComplex(ranks=ranks, phi0={mid: matrix})
 
 
@@ -304,7 +304,7 @@ def two_degree_complex(d: int, a: int, p: int, quarter: int = 1) -> SymComplex:
     """
     n = 4 * quarter
     mid = n // 2
-    ranks = tuple(1 if r in (mid, mid + 1) else 0 for r in range(n + 1))
+    ranks = tuple([1 if r in (mid, mid + 1) else 0 for r in range(n + 1)])
     return SymComplex(
         ranks=ranks,
         diffs={mid + 1: [[d]]},

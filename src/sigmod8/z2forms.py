@@ -60,7 +60,7 @@ class Z2Vec(Record):
 
     @property
     def bits(self) -> Tuple[int, ...]:
-        return tuple((self.mask >> i) & 1 for i in range(self.dim))
+        return tuple([(self.mask >> i) & 1 for i in range(self.dim)])
 
     def __add__(self, other: "Z2Vec") -> "Z2Vec":
         if self.dim != other.dim:
@@ -118,7 +118,7 @@ class Z2SymForm(Record):
 
     @property
     def matrix(self) -> Tuple[Tuple[int, ...], ...]:
-        return tuple(tuple((r >> j) & 1 for j in range(self.dim)) for r in self.rows)
+        return tuple([tuple([(r >> j) & 1 for j in range(self.dim)]) for r in self.rows])
 
     def evaluate(self, x: Z2Vec, y: Z2Vec) -> int:
         """lambda(x, y)."""
@@ -231,7 +231,7 @@ class Z2Subspace(Record):
 
     @classmethod
     def full(cls, dim: int) -> "Z2Subspace":
-        return cls(dim, tuple(1 << i for i in range(dim)))
+        return cls(dim, tuple([1 << i for i in range(dim)]))
 
     @property
     def dim(self) -> int:

@@ -1,4 +1,5 @@
 """Symplectic monodromy, Wall forms, and the local-system signature."""
+import io
 import math
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from sigmod8.errors import (
     OneMinusFSingular,
     ZeroVector,
 )
+from sigmod8 import cli
 import sigmod8.fibration as fib
 from sigmod8.fibration import (
     MonodromyData,
@@ -348,10 +350,72 @@ def test_example1_per_handle_signatures():
 
 # ------------------------------------------------------------------- monodromy
 
+def _walk_cases():
+    rng = SplitMix64(43)
+    eye = SymplecticMatrix.from_matrix([[1, 0], [0, 1]])
+    return _gram_cases() + [MonodromyData(1, 0, ()), MonodromyData(1, 1, ((eye, eye),))] + _genus3_cases(rng)
+
+
+def test_kept_prefixes_equal_an_independent_walk():
+    for m in _walk_cases():
+        expected = _prefix_walk(m)
+        assert len(m._prefixes) == 4 * m.g + 1
+        assert [[list(r) for r in q] for q in m._prefixes] == expected
+        assert all(type(x) is int for q in m._prefixes for r in q for x in r)
+
+
+def test_conjugates_are_g_f_inverse_g_inverse():
+    for m in _walk_cases():
+        assert len(m._conjugates) == m.g
+        for (f, g), conj in zip(m.pairs, m._conjugates):
+            assert conj == g @ f.inverse() @ g.inverse()
+
+
 def test_commutator_relation_enforced():
-    with pytest.raises(CommutatorRelationViolated) as exc:
-        MonodromyData(1, 2, ((F1, G1), (F1, G1)))
-    assert exc.value.product is not None
+    """`product` is the product of the commutators, which the CLI prints
+    as the offending product."""
+    rng = SplitMix64(44)
+    cases = [((F1, G1), (F1, G1)), ((F1, G1),), ((F1, G1), (F2, G2), (G1, F2))]
+    for h in (1, 2, 3):
+        f, g, k = (random_transvection_word(h, 4, rng) for _ in range(3))
+        cases += [((f, g),), ((f, g), (k, f)), ((f, g), (g, f), (k, g))]
+    checked = 0
+    for pairs in cases:
+        product = None
+        for f, g in pairs:
+            c = f @ g @ f.inverse() @ g.inverse()
+            product = c if product is None else product @ c
+        n = 2 * product.h
+        if product.entries == tuple(tuple(int(i == k) for k in range(n)) for i in range(n)):
+            continue  # the relation happens to hold
+        with pytest.raises(CommutatorRelationViolated) as exc:
+            MonodromyData(pairs[0][0].h, len(pairs), pairs)
+        assert exc.value.product == product.entries
+        checked += 1
+    assert checked >= 8
+
+
+def test_bundle_request_forms_seven_products_per_handle_less_one(monkeypatch, tmp_path):
+    """2g symplectic checks, 4g - 1 prefix products (Q_1 = f_1 is free) and g conjugates."""
+    calls = []
+    orig = fib._mat_mul
+
+    def counting(a, b):
+        calls.append(1)
+        return orig(a, b)
+
+    rng = SplitMix64(45)
+    f, g, k = (random_transvection_word(2, 4, rng) for _ in range(3))
+    for pairs in (((f, g), (g, f)), ((f, g), (g, f), (k, k))):
+        rows = [row for pair in pairs for mat in pair for row in mat.entries]
+        path = tmp_path / f"g{len(pairs)}.monodromy"
+        path.write_text(f"monodromy 2 {len(pairs)}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+        calls.clear()
+        monkeypatch.setattr(fib, "_mat_mul", counting)
+        out = io.StringIO()
+        assert cli.main(["bundle", str(path)], out=out) == 0
+        monkeypatch.setattr(fib, "_mat_mul", orig)
+        assert len(calls) == 7 * len(pairs) - 1, out.getvalue()
 
 
 def test_bundle_signature_examples():
@@ -533,6 +597,43 @@ def _assert_primitive_kernel(basis, rows, ncols):
         assert all(_dot(row, v) == 0 for row in rows)
 
 
+def _relator_word(m):
+    """(generator index, +-1) per letter of prod [f_i, g_i] = f_1 g_1 f_1^{-1} g_1^{-1} ..."""
+    word = []
+    for i in range(m.g):
+        word += [(2 * i, 1), (2 * i + 1, 1), (2 * i, -1), (2 * i + 1, -1)]
+    return word
+
+
+def _letter_matrices(m):
+    """Each letter's matrix as nested lists; x^{-1} = J^T x^T J, checked against x."""
+    n = 2 * m.h
+    j = [list(r) for r in standard_j(m.h)]
+    jt = [list(c) for c in zip(*j)]
+    out = []
+    for gi, sign in _relator_word(m):
+        x = [list(r) for r in m.pairs[gi // 2][gi % 2].entries]
+        if sign == -1:
+            inv = _matmul(_matmul(jt, [list(c) for c in zip(*x)]), j)
+            assert _matmul(x, inv) == [[int(a == b) for b in range(n)] for a in range(n)]
+            x = inv
+        out.append(x)
+    return out
+
+
+def _matmul(a, b):
+    return [[_dot(row, col) for col in zip(*b)] for row in a]
+
+
+def _prefix_walk(m):
+    """P_0 = I, P_k = P_{k-1} (letter k) along the relator, as nested lists."""
+    n = 2 * m.h
+    prefixes = [[[int(i == k) for k in range(n)] for i in range(n)]]
+    for a in _letter_matrices(m):
+        prefixes.append(_matmul(prefixes[-1], a))
+    return prefixes
+
+
 def _relator_and_cup_oracle(m):
     """Relator matrix and the big x big cup matrix, from the cocycle rule.
 
@@ -542,24 +643,21 @@ def _relator_and_cup_oracle(m):
     sum_k phi(u(l_1 ... l_{k-1}), l_1 ... l_{k-1}.v(l_k)) + sum_i phi(u_i, v_i).
     """
     n = 2 * m.h
-    gens = [mat for pair in m.pairs for mat in pair]
-    word = []
-    for i in range(m.g):
-        word += [(2 * i, 1), (2 * i + 1, 1), (2 * i, -1), (2 * i + 1, -1)]
-    big = n * len(gens)
+    ngens = 2 * m.g
+    word = _relator_word(m)
+    letters = _letter_matrices(m)
+    prefixes = _prefix_walk(m)
+    big = n * ngens
 
     def walk(u):
         """(u(prefix), prefix.u(letter)) per letter, and u(relator)."""
-        prefix = [[int(i == k) for k in range(n)] for i in range(n)]
         value, steps = [0] * n, []
-        for gi, sign in word:
+        for (gi, sign), a, prefix in zip(word, letters, prefixes):
             ux = u[gi * n : gi * n + n]
-            a = gens[gi].entries if sign == 1 else gens[gi].inverse().entries
             letter = ux if sign == 1 else [-x for x in _apply(a, ux)]
             step = _apply(prefix, letter)
             steps.append((value, step))
             value = [x + y for x, y in zip(value, step)]
-            prefix = [[_dot(row, col) for col in zip(*a)] for row in prefix]
         return steps, value
 
     units = [[int(r == c) for c in range(big)] for r in range(big)]
@@ -570,11 +668,21 @@ def _relator_and_cup_oracle(m):
         total = sum(_phi(ur, vc) for (ur, _), (_, vc) in zip(walks[r][0], walks[c][0]))
         total += sum(
             _phi(units[r][gi * n : gi * n + n], units[c][gi * n : gi * n + n])
-            for gi in range(len(gens))
+            for gi in range(ngens)
         )
         return total
 
     return relator, [[cup(r, c) for c in range(big)] for r in range(big)]
+
+
+def _genus3_cases(rng):
+    """Base genus 3, so prefix products past the second handle are read."""
+    cases = []
+    for h in (1, 2):
+        f, g, k = (random_transvection_word(h, 4, rng) for _ in range(3))
+        cases.append(MonodromyData(h, 3, ((f, g), (g, f), (k, k))))
+        cases.append(MonodromyData(h, 3, ((f, f @ f), (k, k), (g, g))))
+    return cases
 
 
 def _gram_cases():
@@ -583,7 +691,7 @@ def _gram_cases():
     for h in (1, 2, 3):
         cases.append(random_monodromy(h, rng))
         cases.append(random_monodromy(h, rng, doubled=True))
-    return cases
+    return cases + _genus3_cases(rng)
 
 
 def test_integral_kernel_positive_multiples_of_rational_rref():
@@ -618,7 +726,7 @@ def test_integral_kernel_positive_multiples_of_rational_rref():
             assert v[fc] > 0 and [v[fc] * x for x in rational] == list(v)
 
 
-@pytest.mark.parametrize("case", range(8))
+@pytest.mark.parametrize("case", range(12))
 def test_cup_gram_equals_fraction_triple_sum(case):
     m = _gram_cases()[case]
     relator, cup = _relator_and_cup_oracle(m)
@@ -662,10 +770,10 @@ def _inertia_cases():
         cases.append(random_monodromy(h, rng, max_len=3, doubled=True))
     f = random_transvection_word(2, 3, rng)
     cases.append(MonodromyData(2, 1, ((f, f @ f),)))
-    return cases
+    return cases + _genus3_cases(rng)
 
 
-@pytest.mark.parametrize("case", range(10))
+@pytest.mark.parametrize("case", range(14))
 def test_cup_inertia_on_h1_equals_inertia_on_z1(case):
     """(p, q) of the reduced Gram equal (p, q) of the full Z^1 Gram of the oracle.
 
@@ -689,7 +797,7 @@ def test_cup_inertia_on_h1_equals_inertia_on_z1(case):
     assert _inertia(gram) == _inertia(full)
 
 
-@pytest.mark.parametrize("case", range(8))
+@pytest.mark.parametrize("case", range(12))
 def test_wall_gram_equals_psi_on_kernel_basis(case):
     rng = SplitMix64(41 + case)
     m = _gram_cases()[case]

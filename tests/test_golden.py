@@ -7,7 +7,10 @@ rejected cases around them, and ratforms in p/q, decimal and refused
 spellings.  A second digest pins the Wu subquotient reports of seeded
 z4q files and unimodular intforms at dims 8-22.  On a deliberate change
 of a report, take the new digest from the failure message and say in the
-commit which reports changed and why.
+commit which reports changed and why.  A third digest pins `bundle`
+reports: seeded (f, g, g, f) files at fibre genus 1-3, plain and doubled,
+single twists (H^0 != 0), a base of genus 3, a violated commutator
+relation and the empty headers `monodromy 1 0` and `monodromy 0 2`.
 """
 import hashlib
 import io
@@ -17,6 +20,7 @@ from pathlib import Path
 
 from sigmod8 import cli
 from sigmod8.enhancements import Z4Quadratic, p1, pm1, q00, q22
+from sigmod8.fibration import random_monodromy, random_transvection_word
 from sigmod8.rng import SplitMix64
 from sigmod8.z2forms import Z2SymForm, eliminate
 
@@ -24,6 +28,7 @@ SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 GOLDEN_SHA256 = "3d2f4f9c044055d8c9245d6bc71f54c7992119c2cbfad3181ecf02be74f71be9"
 SUBQUOTIENT_SHA256 = "d62045610a14357091adf42da8d672e62a4f24887af78acd103e2d2f826845ee"
+BUNDLE_SHA256 = "3d3650cd021ca5cc2fbf1354146e0dda8c66ead258e4fde747da7bdb0e0bcbd2"
 
 
 def _even_form(rng, log_order):
@@ -146,3 +151,41 @@ def test_subquotient_reports_match_golden_digest(tmp_path, monkeypatch):
         digest.update(f"{name}\n{code}\n{out.getvalue()}".encode())
     assert 2 * printed >= len(inputs)
     assert digest.hexdigest() == SUBQUOTIENT_SHA256
+
+
+def _monodromy_text(h, pairs):
+    rows = [row for pair in pairs for mat in pair for row in mat.entries]
+    return f"monodromy {h} {len(pairs)}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows)
+
+
+def _bundle_inputs():
+    rng = SplitMix64(25)
+    for h in (1, 2, 3):
+        for doubled in (False, True):
+            for t in range(2):
+                m = random_monodromy(h, rng, doubled=doubled)
+                yield f"fggf-{h}-{int(doubled)}-{t}.monodromy", _monodromy_text(h, m.pairs)
+    for t in range(3):
+        m = random_monodromy(1, rng, max_len=1)  # single twists: H^0 != 0
+        yield f"twist-1-{t}.monodromy", _monodromy_text(1, m.pairs)
+    for h in (1, 2):
+        f, g, k = (random_transvection_word(h, 4, rng) for _ in range(3))
+        yield f"genus3-{h}.monodromy", _monodromy_text(h, ((f, g), (g, f), (k, k)))
+        yield f"violated-{h}.monodromy", _monodromy_text(h, ((f, g), (k, f)))
+    yield "empty-base.monodromy", "monodromy 1 0\n"
+    yield "empty-fibre.monodromy", "monodromy 0 2\n"
+
+
+def test_bundle_reports_match_golden_digest(tmp_path, monkeypatch):
+    """`bundle` reports, exit codes included, on seeded monodromy files."""
+    monkeypatch.chdir(tmp_path)
+    digest = hashlib.sha256()
+    codes = []
+    for name, text in _bundle_inputs():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        out = io.StringIO()
+        code = cli.main(["bundle", name], out=out)
+        codes.append(code)
+        digest.update(f"{name}\n{code}\n{out.getvalue()}".encode())
+    assert codes.count(0) == len(codes) - 2  # only the two violated relations refused
+    assert digest.hexdigest() == BUNDLE_SHA256
