@@ -21,7 +21,11 @@ MonodromyData walks the relator f_1 g_1 f_1^{-1} g_1^{-1} ... once and
 keeps its prefix products: they give the commutator check, the
 conjugates g_i f_i^{-1} g_i^{-1} of the Wall forms and every block of the
 cup pairing, so a bundle report forms 7g - 1 matrix products in all
-(2g of them checking that the generators are symplectic).
+(2g of them checking that the generators are symplectic).  Inverses are
+read off the columns in one pass, 1 - x is built in one pass by
+_one_minus, the cup Gram's block between a handle and the earlier ones is
+formed once per generator, and a kernel basis is scaled by one lcm of
+the pivots.
 
 Both pairings are evaluated as integer Gram matrices on a primitive
 integral basis of a kernel: for the cup pairing, the cocycles that vanish
@@ -56,7 +60,7 @@ from .errors import (
     ZeroVector,
 )
 from .intforms import IntSymForm, Matrix, RatSymForm, signature_exact
-from .intforms import _identity, _mat_mul, _mat_sub, _mat_vec, _negate, _transpose
+from .intforms import _identity, _mat_mul, _negate, _transpose
 from .record import Record
 
 __all__ = [
@@ -100,9 +104,23 @@ def _j_times(m: Matrix) -> Matrix:
     return m[h:] + _negate(m[:h])
 
 
+def _one_minus(m: Matrix) -> List[List[int]]:
+    """The rows of 1 - M, built in one pass."""
+    return [[(i == c) - x for c, x in enumerate(r)] for i, r in enumerate(m)]
+
+
 def _symplectic_inverse(m: Matrix) -> Matrix:
-    """M^{-1} = -J M^T J = J (J M)^T, exact and integral for symplectic M."""
-    return _j_times(_transpose(_j_times(m)))
+    """M^{-1} = -J M^T J = [[D^T, -B^T], [-C^T, A^T]] for M = [[A, B], [C, D]].
+
+    Exact and integral for symplectic M; row i is read off column i + h of
+    M (i < h) or column i - h (i >= h), in one pass over M's columns.
+    """
+    h = len(m) // 2
+    cols = list(zip(*m))
+    return tuple(
+        [c[h:] + tuple([-x for x in c[:h]]) for c in cols[h:]]
+        + [tuple([-x for x in c[h:]]) + c[:h] for c in cols[:h]]
+    )
 
 
 def _preserves_j(m: Matrix) -> bool:
@@ -139,12 +157,7 @@ class SymplecticMatrix(Record):
         return SymplecticMatrix._trusted(self.h, _mat_mul(self.entries, other.entries))
 
     def is_identity_mod(self, k: int) -> bool:
-        n = 2 * self.h
-        return all(
-            (self.entries[i][j] - int(i == j)) % k == 0
-            for i in range(n)
-            for j in range(n)
-        )
+        return all((x - (i == j)) % k == 0 for i, row in enumerate(self.entries) for j, x in enumerate(row))
 
 
 def is_symplectic(matrix: Sequence[Sequence[int]]) -> bool:
@@ -240,15 +253,17 @@ def wall_form_closed(f: SymplecticMatrix, g: SymplecticMatrix) -> RatSymForm:
     if f.h != g.h:
         raise ValueError("genus mismatch")
     n = 2 * f.h
-    eye = _identity(n)
-    one_minus_f = _mat_sub(eye, f.entries)
-    f_minus_g = _mat_sub(f.entries, g.entries)
-    work, pivots = _eliminate([a + b for a, b in zip(one_minus_f, f_minus_g)], 2 * n)
+    system = [  # [(1 - f) | f - g]
+        a + [x - y for x, y in zip(fr, gr)]
+        for a, fr, gr in zip(_one_minus(f.entries), f.entries, g.entries)
+    ]
+    work, pivots = _eliminate(system, 2 * n)
     if pivots[:n] != list(range(n)):
         raise OneMinusFSingular("1 - f is singular over Q")
     scale = lcm(*[abs(work[r][r]) for r in range(n)])
     scaled_x = [[-(scale // work[r][r]) * w for w in work[r][n:]] for r in range(n)]
-    num = _mat_mul(_j_times(_mat_sub(eye, g.inverse().entries)), scaled_x)
+    one_minus_g_inv = tuple(_one_minus(_symplectic_inverse(g.entries)))
+    num = _mat_mul(_j_times(one_minus_g_inv), scaled_x)
     if num != _transpose(num):
         raise NotSymplectic("closed Wall form is not symmetric")
     return RatSymForm._trusted(n, tuple([tuple([Fraction(x, scale) for x in row]) for row in num]))
@@ -257,7 +272,7 @@ def wall_form_closed(f: SymplecticMatrix, g: SymplecticMatrix) -> RatSymForm:
 def one_minus_f_invertible(f: SymplecticMatrix) -> bool:
     """det(1 - f) != 0, the hypothesis of wall_form_closed: one elimination of 1 - f."""
     n = 2 * f.h
-    return len(_eliminate(_mat_sub(_identity(n), f.entries), n)[1]) == n
+    return len(_eliminate(_one_minus(f.entries), n)[1]) == n
 
 
 def wall_form_general(
@@ -275,17 +290,13 @@ def wall_form_general(
     """
     if f.h != g.h:
         raise ValueError("genus mismatch")
-    n = 2 * f.h
-    eye = _identity(n)
-    one_minus_f = _mat_sub(eye, f.entries)
-    one_minus_g = _mat_sub(eye, g.entries)
-    rows = [
-        tuple(one_minus_f[i]) + tuple(one_minus_g[i]) for i in range(n)
-    ]
+    h, n = f.h, 2 * f.h
+    rows = [a + b for a, b in zip(_one_minus(f.entries), _one_minus(g.entries))]  # [(1 - f) | (1 - g)]
     basis = _integral_kernel(rows, 2 * n)
-    j_one_minus_f = _j_times(one_minus_f)
     xs = [list(map(add, u[:n], u[n:])) for u in basis]  # x = y + z
-    jws = [_mat_vec(j_one_minus_f, u[:n]) for u in basis]  # J (1 - f) y'
+    # (1 - f) y': map stops at the end of y', so only the 1 - f half of a row is read
+    ws = [[sum(map(mul, row, u[:n])) for row in rows] for u in basis]
+    jws = [w[h:] + [-x for x in w[:h]] for w in ws]  # J (1 - f) y'
     gram = [[sum(map(mul, x, jw)) for jw in jws] for x in xs]
     return _int_form_signature(gram, "Wall pairing is not symmetric on the kernel")
 
@@ -335,13 +346,17 @@ def _integral_kernel(rows: Sequence[Sequence[int]], ncols: int) -> List[Tuple[in
     a positive multiple of the rational RREF kernel vector.
     """
     work, pivots = _eliminate(rows, ncols)
+    # one scale L = lcm of the pivots serves every free column: L / p_r is
+    # exact, and the primitive part of a vector does not depend on the
+    # positive multiple it was built at
+    scale = lcm(*[abs(work[rr][pc]) for rr, pc in enumerate(pivots)])
+    steps = [(pc, scale // work[rr][pc], work[rr]) for rr, pc in enumerate(pivots)]
     out = []
     for fc in (c for c in range(ncols) if c not in pivots):
-        scale = lcm(*[abs(work[rr][pc]) for rr, pc in enumerate(pivots) if work[rr][fc]])
         vec = [0] * ncols
         vec[fc] = scale
-        for rr, pc in enumerate(pivots):
-            vec[pc] = -work[rr][fc] * scale // work[rr][pc]
+        for pc, per, row in steps:
+            vec[pc] = -row[fc] * per
         out.append(_primitive(vec))
     return out
 
@@ -382,6 +397,9 @@ def _cup_gram(m: MonodromyData) -> Tuple[List[Tuple[int, ...]], List[List[int]]]
     the kept coordinates only.  A generator's kept coordinates are one run
     of them, and U is 0 past the runs of the generators already read, so
     G^T gains, per letter, the rows of its run over those columns only.
+    Over the columns of earlier handles U is already the final relator R,
+    so there the two letters of a generator x add (J R_x)^T R in one pass,
+    where R_x = B_k + B_k' is the sum of their blocks.
     C G C^T is then read on each cocycle's nonzero entries (at most
     rank(relator) + 1 of them).  C is returned in all 2g * 2h coordinates,
     with 0 on S.
@@ -407,29 +425,36 @@ def _cup_gram(m: MonodromyData) -> Tuple[List[Tuple[int, ...]], List[List[int]]]
     gram_t = [[0] * width for _ in keep]  # G^T
     for i in range(m.g):
         q = m._prefixes[4 * i : 4 * i + 5]
+        start, seen = runs[2 * i][0], runs[2 * i + 1][1]
         # B_k = Q_k for f_i and g_i, and -Q_{k+1} for f_i^{-1} and g_i^{-1};
         # G^T gains (J B_k)^T U_{k-1} in the rows of the letter's run, over
         # the columns read so far (U is 0 past them).  A run's rows of G^T
-        # and U^T are 0 until its first letter.
+        # and U^T are 0 until its first letter.  Letter by letter on this
+        # handle's columns [start, seen); on the earlier handles' columns,
+        # where U_{k-1} is already the relator R, once per row from R_x.
+        earlier = u_t[:start]
         for gi, qk in ((2 * i, q[0]), (2 * i + 1, q[1])):
             lo, hi = runs[gi]
-            past, bt = u_t[:lo], _transpose(qk)
+            past, bt = u_t[start:lo], _transpose(qk)
             for kk, a in zip(range(lo, hi), block_rows[gi]):
                 b = bt[a]  # column a of B_k
-                jb = b[h:] + tuple([-x for x in b[:h]])  # J b
-                gram_t[kk][:lo] = [sum(map(mul, jb, col)) for col in past]
+                if past:  # empty for f_i, the first letter on this handle's columns
+                    jb = b[h:] + tuple([-x for x in b[:h]])  # J b
+                    gram_t[kk][start:lo] = [sum(map(mul, jb, col)) for col in past]
                 u_t[kk] = list(b)
-        seen = runs[2 * i + 1][1]
         for gi, qk in ((2 * i, q[3]), (2 * i + 1, q[4])):
             lo, hi = runs[gi]
-            past, bt = u_t[:seen], _transpose(qk)
+            past, bt = u_t[start:seen], _transpose(qk)
             for kk, a in zip(range(lo, hi), block_rows[gi]):
                 b = bt[a]  # minus column a of B_k
                 jb = b[h:] + tuple([-x for x in b[:h]])
                 row = gram_t[kk]
-                row[:seen] = [x - sum(map(mul, jb, col)) for x, col in zip(row, past)]
-                # a new list: `past` keeps U_{k-1}^T for the rows after kk
-                u_t[kk] = list(map(sub, u_t[kk], b))
+                row[start:seen] = [x - sum(map(mul, jb, col)) for x, col in zip(row[start:seen], past)]
+                # column a of R_x; a new list: `past` keeps U_{k-1}^T for the rows after kk
+                r = u_t[kk] = list(map(sub, u_t[kk], b))
+                if earlier:
+                    jr = r[h:] + [-x for x in r[:h]]
+                    row[:start] = [sum(map(mul, jr, col)) for col in earlier]
     for (lo, hi), block in zip(runs, block_rows):  # phi(u_i, v_i) for each generator
         for kk, a in zip(range(lo, hi), block):
             row = gram_t[kk]
@@ -447,10 +472,10 @@ def _cup_gram(m: MonodromyData) -> Tuple[List[Tuple[int, ...]], List[List[int]]]
     gct = _transpose(gct_t)
     gram = [_combine(gct, at, xs) for at, xs in supports]
     full = []
-    for c in cocycles:
+    for at, xs in supports:  # each cocycle in all coordinates, set on its support only
         vec = [0] * big
-        for col, x in zip(keep, c):
-            vec[col] = x
+        for i, x in zip(at, xs):
+            vec[keep[i]] = x
         full.append(tuple(vec))
     return full, gram
 

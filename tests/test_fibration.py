@@ -32,7 +32,7 @@ from sigmod8.fibration import (
     z2_trivial_check,
     z4_trivial_check,
 )
-from sigmod8.intforms import signature_exact
+from sigmod8.intforms import _mat_sub, signature_exact
 from sigmod8.rng import SplitMix64
 
 
@@ -177,6 +177,48 @@ def test_products_and_inverses_stay_symplectic():
         assert (f @ f.inverse()).entries == fib._identity(2 * h)
 
 
+def _inverse_reference(m):
+    """J (J M)^T, with J M as the signed row permutation (M_lower; -M_upper)."""
+    h = len(m) // 2
+    jm = m[h:] + fib._negate(m[:h])
+    t = fib._transpose(jm)
+    return t[h:] + fib._negate(t[:h])
+
+
+def _test_words(rng):
+    """(h, word) for plain and doubled transvection words at h = 0-4 and the identities."""
+    yield 0, SymplecticMatrix(0, ())
+    for h in range(1, 5):
+        yield h, SymplecticMatrix(h, fib._identity(2 * h))
+        for doubled in (False, True):
+            for _ in range(12):
+                yield h, random_transvection_word(h, 6, rng, doubled)
+
+
+def test_symplectic_inverse_is_a_one_pass_inverse():
+    """M M^{-1} = M^{-1} M = I, and M^{-1} equals the two-permutation J (J M)^T."""
+    for h, word in _test_words(SplitMix64(46)):
+        m = word.entries
+        inv = fib._symplectic_inverse(m)
+        eye = fib._identity(2 * h)
+        assert fib._mat_mul(m, inv) == eye and fib._mat_mul(inv, m) == eye, m
+        assert inv == _inverse_reference(m)
+        assert all(type(r) is tuple and all(type(x) is int for x in r) for r in inv)
+        assert word.inverse().entries == inv
+
+
+def test_is_identity_mod_matches_entrywise_definition():
+    """Plain words (rarely I mod 2), doubled words (always I mod 4) and identities."""
+    seen = set()
+    for h, word in _test_words(SplitMix64(47)):
+        n = 2 * h
+        for k in (2, 4):
+            expected = all((word.entries[i][j] - (1 if i == j else 0)) % k == 0 for i in range(n) for j in range(n))
+            assert word.is_identity_mod(k) is expected
+            seen.add((k, expected))
+    assert seen == {(2, True), (2, False), (4, True), (4, False)}
+
+
 def test_symplectic_check_matches_two_product_reference():
     """The one-product check agrees with M^T J M = J by two products.
 
@@ -265,11 +307,11 @@ def test_wall_closed_matches_fraction_solve():
         g = random_transvection_word(h, 6, rng)
         n = 2 * h
         eye = fib._identity(n)
-        system = [a + b for a, b in zip(fib._mat_sub(eye, f.entries), fib._mat_sub(g.entries, f.entries))]
+        system = [a + b for a, b in zip(_mat_sub(eye, f.entries), _mat_sub(g.entries, f.entries))]
         work, pivots = _rref_q(system, 2 * n)
         assert pivots == list(range(n))
         x = [row[n:] for row in work]
-        left = fib._j_times(fib._mat_sub(eye, g.inverse().entries))
+        left = fib._j_times(_mat_sub(eye, g.inverse().entries))
         expected = tuple(tuple(sum(left[i][k] * x[k][j] for k in range(n)) for j in range(n))
                          for i in range(n))
         assert wall_form_closed(f, g).matrix == expected, (f.entries, g.entries)
@@ -285,7 +327,7 @@ def test_short_words_have_singular_one_minus_f(h):
         for length in range(1, 2 * h):
             f = transvection_word(h, length, SplitMix64(seed))
             assert not one_minus_f_invertible(f), (h, length, seed)
-            assert _rank_q(fib._mat_sub(fib._identity(2 * h), f.entries)) <= length
+            assert _rank_q(_mat_sub(fib._identity(2 * h), f.entries)) <= length
             with pytest.raises(OneMinusFSingular):
                 wall_form_closed(f, f)
     full = [one_minus_f_invertible(transvection_word(h, 2 * h, SplitMix64(seed)))
@@ -299,7 +341,7 @@ def test_one_minus_f_invertible_matches_rank():
     for _ in range(200):
         f = random_transvection_word(rng.randint(1, 3), 6, rng)
         n = 2 * f.h
-        full = _rank_q(fib._mat_sub(fib._identity(n), f.entries)) == n
+        full = _rank_q(_mat_sub(fib._identity(n), f.entries)) == n
         assert one_minus_f_invertible(f) == full
         seen.add(full)
     assert seen == {False, True}

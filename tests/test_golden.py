@@ -11,6 +11,9 @@ commit which reports changed and why.  A third digest pins `bundle`
 reports: seeded (f, g, g, f) files at fibre genus 1-3, plain and doubled,
 single twists (H^0 != 0), a base of genus 3, a violated commutator
 relation and the empty headers `monodromy 1 0` and `monodromy 0 2`.
+A fourth pins the bundle linear algebra below the report: the reprs of
+the cup Gram with its cocycles, the bundle report and the Wall Grams of
+seeded monodromies.
 """
 import hashlib
 import io
@@ -20,7 +23,15 @@ from pathlib import Path
 
 from sigmod8 import cli
 from sigmod8.enhancements import Z4Quadratic, p1, pm1, q00, q22
-from sigmod8.fibration import random_monodromy, random_transvection_word
+from sigmod8.fibration import (
+    MonodromyData,
+    _cup_gram,
+    bundle_report,
+    random_monodromy,
+    random_transvection_word,
+    wall_form_general,
+)
+from sigmod8.formats import parse_monodromy
 from sigmod8.rng import SplitMix64
 from sigmod8.z2forms import Z2SymForm, eliminate
 
@@ -29,6 +40,7 @@ SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 GOLDEN_SHA256 = "3d2f4f9c044055d8c9245d6bc71f54c7992119c2cbfad3181ecf02be74f71be9"
 SUBQUOTIENT_SHA256 = "d62045610a14357091adf42da8d672e62a4f24887af78acd103e2d2f826845ee"
 BUNDLE_SHA256 = "3d3650cd021ca5cc2fbf1354146e0dda8c66ead258e4fde747da7bdb0e0bcbd2"
+BUNDLE_ALGEBRA_SHA256 = "782004acd6c21a40a71c9d2b020a05921ec09b9f4ad29209db4262134bbe8521"
 
 
 def _even_form(rng, log_order):
@@ -189,3 +201,40 @@ def test_bundle_reports_match_golden_digest(tmp_path, monkeypatch):
         digest.update(f"{name}\n{code}\n{out.getvalue()}".encode())
     assert codes.count(0) == len(codes) - 2  # only the two violated relations refused
     assert digest.hexdigest() == BUNDLE_SHA256
+
+
+def _algebra_cases():
+    """Seeded monodromies for the bundle linear-algebra digest.
+
+    (f, g, g, f) at fibre genus 1-3, plain and doubled; the genus-3
+    relator solution ((f, g), (k g k^-1, k f k^-1), (k, [f, g])), whose
+    commutators are nontrivial on every handle, so the cup Gram's
+    cross-handle columns reach handle 3; and the degenerate headers.
+    """
+    rng = SplitMix64(26)
+    for h in (1, 2, 3):
+        for doubled in (False, True):
+            for _ in range(40):
+                yield random_monodromy(h, rng, doubled=doubled)
+    for h in (1, 2, 3):
+        for _ in range(21):
+            f, g, k = (random_transvection_word(h, 4, rng) for _ in range(3))
+            ki, fg = k.inverse(), f @ g @ f.inverse() @ g.inverse()
+            yield MonodromyData(h, 3, ((f, g), (k @ g @ ki, k @ f @ ki), (k, fg)))
+    for header in ("monodromy 0 2\n", "monodromy 1 0\n", "monodromy 0 0\n"):
+        yield parse_monodromy(header)
+
+
+def test_bundle_linear_algebra_matches_digest():
+    """The reprs of `_cup_gram` (cocycles and Gram), `bundle_report` and the
+    `wall_form_general` Gram of every pair (f_i, g_i) and of every handle's
+    (f_i, g_i f_i^-1 g_i^-1), bit for bit, on 306 seeded monodromies."""
+    digest = hashlib.sha256()
+    count = 0
+    for m in _algebra_cases():
+        walls = [wall_form_general(f, g) for f, g in m.pairs]
+        walls += [wall_form_general(f, conj) for (f, _), conj in zip(m.pairs, m._conjugates)]
+        digest.update(f"{_cup_gram(m)!r}\n{bundle_report(m)!r}\n{walls!r}\n".encode())
+        count += 1
+    assert count == 306
+    assert digest.hexdigest() == BUNDLE_ALGEBRA_SHA256
