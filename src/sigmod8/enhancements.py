@@ -14,11 +14,11 @@ the Z8-valued Brown-Kervaire invariant, computed here two independent ways:
 
 The bridge between the two theories is the Wu sublagrangian L = <v>: when
 q(v) = 0 in Z4 the subquotient (L_perp/L, [lambda], [q]/2) carries a
-Z2-enhancement whose Arf invariant satisfies BK = 4*Arf.  wu_sublagrangian
-and isotropic_subquotient share the check that q(v) = 0.  v is the sum of
-the splitting's lines, so a symplectic basis of L_perp/L is read off the
-splitting in closed form (isotropic_subquotient), with no Gram of the
-subquotient and no second splitting.
+Z2-enhancement whose Arf invariant satisfies BK = 4*Arf.
+isotropic_subquotient checks q(v) = 0 and builds it: v is the sum of the
+splitting's lines, so a symplectic basis of L_perp/L is read off the
+splitting in closed form, with no Gram of the subquotient and no second
+splitting.
 
 The splitting behind is_nonsingular, wu_class and split_vectors is kept
 on the form instance (Z2SymForm._split), so bk_gauss, bk_classify, arf
@@ -63,7 +63,6 @@ from .z2forms import (
     H_FORM,
     P_FORM,
     Z2SymForm,
-    Z2Subspace,
     Z2Vec,
     is_nonsingular,
     solve,
@@ -79,7 +78,6 @@ __all__ = [
     "bk_classify",
     "double",
     "difference_vector",
-    "wu_sublagrangian",
     "isotropic_subquotient",
     "p1",
     "pm1",
@@ -352,20 +350,6 @@ def difference_vector(q: Z4Quadratic, qprime: Z4Quadratic) -> Tuple[Z2Vec, int]:
     return Z2Vec(form.dim, t), delta
 
 
-def _isotropic_wu_class(q: Z4Quadratic) -> Z2Vec:
-    """The Wu class v of q's form; NotDivisibleBy4 unless q(v) = 0 in Z4."""
-    v = wu_class(q.form)
-    qv = q.evaluate(v)
-    if qv != 0:
-        raise NotDivisibleBy4(f"q(v) = {qv} in Z4; BK is not divisible by 4")
-    return v
-
-
-def wu_sublagrangian(q: Z4Quadratic) -> Z2Subspace:
-    """L = <v> for the Wu class v; defined iff q(v) = 0 in Z4."""
-    return Z2Subspace(q.dim, (_isotropic_wu_class(q).mask,))
-
-
 def isotropic_subquotient(q: Z4Quadratic) -> Z2Quadratic:
     """(W, mu, h) = (L_perp/L, [lambda], [q]/2) with L the Wu sublagrangian.
 
@@ -378,7 +362,9 @@ def isotropic_subquotient(q: Z4Quadratic) -> Z2Quadratic:
     dim - 2 vectors in v_perp, or dim when v = 0.  W's form on it is k*H,
     and each basis vector b has lambda(b, b) = 0, so h(b) = q(b)/2.
     """
-    _isotropic_wu_class(q)
+    qv = q.evaluate(wu_class(q.form))
+    if qv != 0:
+        raise NotDivisibleBy4(f"q(v) = {qv} in Z4; BK is not divisible by 4")
     lines, pairs = split_vectors(q.form)
     basis = [b for pair in pairs for b in pair]
     prefix = 0
@@ -488,12 +474,12 @@ def _split_rows(rows) -> _SplitArrays:
     """The splitting _splitting finds, for each form of a stack of Gram rows (forms, dim).
 
     Each step splits one piece off every form, with the updates of
-    _splitting and _symplectic_pairs: its lowest alive line, else the pair
-    of its lowest alive e and e's lowest alive mate f.  A word holds a Gram
-    row and, from bit 16, its vector, so one XOR updates both; word dim is
-    zero, read where a form has no line, mate or position left.  A form
-    out of lines stays isotropic, so its p lines take steps 0..p-1 and its
-    pairs follow.  SingularForm when a step finds no mate.
+    _splitting: its lowest alive line, else the pair of its lowest alive e
+    and e's lowest alive mate f.  A word holds a Gram row and, from bit 16,
+    its vector, so one XOR updates both; word dim is zero, read where a
+    form has no line, mate or position left.  A form out of lines stays
+    isotropic, so its p lines take steps 0..p-1 and its pairs follow.
+    SingularForm when a step finds no mate.
     """
     import numpy as np
     count, dim = rows.shape

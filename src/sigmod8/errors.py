@@ -18,10 +18,6 @@ class AnisotropicInput(InvariantError):
     """An isotropic form (zero diagonal) was required."""
 
 
-class DegenerateRestriction(InvariantError):
-    """A form restricted to a subspace turned out to be singular."""
-
-
 class FormMismatch(InvariantError):
     """Two enhancements do not live on the same underlying form."""
 

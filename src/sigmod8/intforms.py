@@ -79,10 +79,6 @@ def _identity(n: int) -> Matrix:
     return tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)])
 
 
-def _mat_sub(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
-    return tuple([tuple([x - y for x, y in zip(ra, rb)]) for ra, rb in zip(a, b)])
-
-
 def _negate(a: Sequence[Sequence[int]]) -> Matrix:
     return tuple([tuple([-x for x in row]) for row in a])
 
@@ -246,27 +242,26 @@ def van_der_blij_residue(form: IntSymForm) -> int:
 
 def smith_normal_form(
     matrix: Sequence[Sequence[int]],
-) -> Tuple[List[List[int]], List[List[int]], List[List[int]]]:
-    """(U, D, V) with D = U @ matrix @ V diagonal and U, V unimodular."""
+) -> Tuple[List[List[int]], List[List[int]]]:
+    """(D, V) with D = U @ matrix @ V diagonal, V unimodular, and d_i | d_i+1.
+
+    U is unimodular too, made of the row operations, but it is not built:
+    the one caller needs only V, since for nonsingular matrix
+    U^{-1} = matrix @ V @ D^{-1}.
+    """
     a = [list(row) for row in matrix]
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
     v = [[int(i == j) for j in range(cols)] for i in range(cols)]
 
     def row_op(i, j, c):  # row_i -= c * row_j
         a[i] = [x - c * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - c * y for x, y in zip(u[i], u[j])]
 
     def col_op(i, j, c):  # col_i -= c * col_j
         for r in a:
             r[i] -= c * r[j]
         for r in v:
             r[i] -= c * r[j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for r in a:
@@ -287,7 +282,7 @@ def smith_normal_form(
             break
         _, pi, pj = min(entries)
         if pi != t:
-            swap_rows(t, pi)
+            a[t], a[pi] = a[pi], a[t]
         if pj != t:
             swap_cols(t, pj)
         dirty = False
@@ -321,9 +316,8 @@ def smith_normal_form(
             continue
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
         t += 1
-    return u, a, v
+    return a, v
 
 
 class LinkingForm(Record):
@@ -426,10 +420,10 @@ def boundary_linking_form(form: IntSymForm) -> LinkingForm:
         odd //= 2
     if odd != 1:
         raise NotTwoPrimary(f"cokernel has odd part {odd}")
-    _u, d, v = smith_normal_form(form.matrix)
-    # coker(phi) = Z^n / phi Z^n maps isomorphically to Z^n / D Z^n by x -> Ux,
-    # so the generators are g_i = U^{-1} e_i.  From D = U phi V,
-    # U^{-1} = phi V D^{-1}, so g_i = phi V e_i / d_i and
+    d, v = smith_normal_form(form.matrix)
+    # coker(phi) = Z^n / phi Z^n maps isomorphically to Z^n / D Z^n by x -> Ux
+    # for the unimodular U with D = U phi V, so the generators are
+    # g_i = U^{-1} e_i.  U^{-1} = phi V D^{-1}, so g_i = phi V e_i / d_i and
     # b(g_i, g_j) = g_i^T phi^{-1} g_j = (V^T phi V)_{ij} / (d_i d_j):
     # two integer products over the kept columns of V, one division each.
     keep = [i for i in range(form.dim) if d[i][i] != 1]
@@ -524,7 +518,7 @@ def random_unimodular_form(dim: int, rng) -> IntSymForm:
 
     Entries are kept below 2^15 by skipping congruence steps that would
     overflow the bound, so the corpus is reproducible across platforms.
-    The draws of rng.randrange and rng.choice are taken from next_u64.
+    Every draw is one rng.next_u64, reduced modulo its range.
     """
     draw = rng.next_u64
     m = [[0] * dim for _ in range(dim)]

@@ -9,7 +9,10 @@ nonsingular symmetric forms are
 
 and every nonsingular form splits (non-uniquely) as p*P + k*H.  One pass
 per form (_splitting, kept on the instance as Z2SymForm._split) finds a
-splitting, decides nonsingularity and sums the P lines to the Wu class.
+splitting, decides nonsingularity and sums the P lines to the Wu class;
+is_nonsingular reads it, and wu_class, split_vectors and decompose raise
+SingularForm on a singular form.  Solving, rank and canonical bases go
+through the one elimination, eliminate.
 nonsingular_rows lists every nonsingular form of a small dim as uint32
 arrays of Gram rows by bordering: each (dim - 1)-block's key
 det A | adj(A)_diag << 1 makes each first row's determinant one popcount.
@@ -20,24 +23,17 @@ from functools import cached_property, reduce
 from operator import xor
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import (
-    AnisotropicInput,
-    DegenerateRestriction,
-    DimTooLarge,
-    SingularForm,
-)
+from .errors import DimTooLarge, SingularForm
 from .record import Record
 
 __all__ = [
     "Z2Vec",
     "Z2SymForm",
-    "Z2Subspace",
     "eliminate",
     "is_nonsingular",
     "wu_class",
     "decompose",
     "split_vectors",
-    "symplectic_split",
     "witt_class_sym",
     "P_FORM",
     "H_FORM",
@@ -215,35 +211,6 @@ def rref_basis(vectors: Iterable[int], dim: int) -> Tuple[int, ...]:
     return tuple([echelon[pivot] for pivot in sorted(echelon)])
 
 
-class Z2Subspace(Record):
-    """Subspace of Z2^ambient_dim, stored by its canonical RREF basis."""
-
-    ambient_dim: int
-    basis: Tuple[int, ...]
-
-    def _validate(self):
-        for b in self.basis:
-            if b >> self.ambient_dim:
-                raise ValueError("basis vector outside ambient space")
-        canon = rref_basis(self.basis, self.ambient_dim)
-        if canon != self.basis:
-            object.__setattr__(self, "basis", canon)
-
-    @classmethod
-    def full(cls, dim: int) -> "Z2Subspace":
-        return cls(dim, tuple([1 << i for i in range(dim)]))
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def vectors(self) -> List[Z2Vec]:
-        return [Z2Vec(self.ambient_dim, b) for b in self.basis]
-
-    def contains(self, v: Z2Vec) -> bool:
-        return not eliminate({b & -b: b for b in self.basis}, [v.mask])
-
-
 def _splitting(form: Z2SymForm) -> Optional[tuple]:
     """((aniso, pairs), wu) of a nonsingular form, kept as form._split and
     read by is_nonsingular, wu_class and split_vectors; None for a singular
@@ -254,10 +221,13 @@ def _splitting(form: Z2SymForm) -> Optional[tuple]:
     lambda_jk + lambda(b_j, v) lambda(b_k, v) and row j gains the row of v
     when lambda(b_j, v) = 1.  Basis and Gram rows keep their positions;
     `alive` lists those not split off, and stale bits are never read.  The
-    isotropic rest splits into hyperbolic pairs unless a row finds no mate,
-    which makes the form singular.  The Wu class is the sum of the lines:
-    lambda(x, x) and lambda(x, sum) are linear in x and agree on every line
-    and pair.
+    isotropic rest splits into hyperbolic pairs (e, f), e its first alive
+    position and f e's first alive mate; with alpha = lambda(., f) and
+    beta = lambda(., e), b_j + alpha_j e + beta_j f is orthogonal to both
+    and the Gram entries change to lambda_jk + alpha_j beta_k + alpha_k
+    beta_j.  A row with no mate lies in the radical: the form is singular.
+    The Wu class is the sum of the lines: lambda(x, x) and lambda(x, sum)
+    are linear in x and agree on every line and pair.
     """
     gram = list(form.rows)
     basis = [1 << i for i in range(form.dim)]
@@ -274,9 +244,24 @@ def _splitting(form: Z2SymForm) -> Optional[tuple]:
             if (row_v >> j) & 1:
                 basis[j] ^= v
                 gram[j] ^= row_v
-    pairs = _symplectic_pairs(basis, gram, alive)
-    if pairs is None:
-        return None
+    pairs = []
+    while alive:
+        first = alive[0]
+        row_e = gram[first]
+        mate = next((j for j in alive[1:] if (row_e >> j) & 1), None)
+        if mate is None:
+            return None
+        row_f = gram[mate]
+        e, f = basis[first], basis[mate]
+        alive = [j for j in alive[1:] if j != mate]
+        for j in alive:
+            if (row_f >> j) & 1:
+                basis[j] ^= e
+                gram[j] ^= row_e
+            if (row_e >> j) & 1:
+                basis[j] ^= f
+                gram[j] ^= row_f
+        pairs.append((e, f))
     return (tuple(aniso), tuple(pairs)), Z2Vec(form.dim, reduce(xor, aniso, 0))
 
 
@@ -293,88 +278,21 @@ def wu_class(form: Z2SymForm) -> Z2Vec:
     return split[1]
 
 
-def _restrict(rows: Sequence[int], basis: Sequence[int]) -> List[int]:
-    """Gram matrix of the form restricted to `basis`, again bit-packed."""
-    n = len(basis)
-    out = []
-    for i in range(n):
-        row = 0
-        mi = _apply(rows, basis[i])
-        for j in range(n):
-            row |= _parity(mi & basis[j]) << j
-        out.append(row)
-    return out
-
-
 def split_vectors(form: Z2SymForm) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int], ...]]:
     """(aniso, pairs): the lines and hyperbolic pairs of _splitting, as bit
-    masks; deterministic.  A singular form raises DegenerateRestriction.
+    masks; deterministic.  A singular form raises SingularForm.
     """
     split = form._split
     if split is None:
-        raise DegenerateRestriction("restricted form is singular")
+        raise SingularForm("matrix is singular over Z2")
     return split[0]
 
 
 def decompose(form: Z2SymForm) -> Tuple[int, int]:
-    """Multiplicities (p, k) with form = p*P + k*H and p + 2k = dim, from split_vectors."""
-    if not is_nonsingular(form):
-        raise SingularForm("decompose requires a nonsingular form")
+    """Multiplicities (p, k) with form = p*P + k*H and p + 2k = dim, from
+    split_vectors; SingularForm as there."""
     aniso, pairs = split_vectors(form)
     return len(aniso), len(pairs)
-
-
-def _symplectic_pairs(
-    basis: List[int], gram: List[int], alive: Sequence[int]
-) -> Optional[List[Tuple[int, int]]]:
-    """Split an isotropic restriction into hyperbolic pairs; None if singular.
-
-    basis[i] is a vector and gram[i] its Gram row (bit k is
-    lambda(basis[i], basis[k])) for each position i in `alive`, taken in
-    order; both lists are updated in place.  Once (e, f) is split off,
-    b_j + lambda(b_j, f) e + lambda(b_j, e) f is orthogonal to both, and
-    with alpha = lambda(., f), beta = lambda(., e) the Gram entries change
-    to lambda_jk + alpha_j beta_k + alpha_k beta_j.
-    """
-    pairs: List[Tuple[int, int]] = []
-    alive = list(alive)
-    while alive:
-        first = alive[0]
-        row_e = gram[first]
-        mate = next((j for j in alive[1:] if (row_e >> j) & 1), None)
-        if mate is None:  # `first` is in the radical
-            return None
-        row_f = gram[mate]
-        e, f = basis[first], basis[mate]
-        alive = [j for j in alive[1:] if j != mate]
-        for j in alive:
-            if (row_f >> j) & 1:
-                basis[j] ^= e
-                gram[j] ^= row_e
-            if (row_e >> j) & 1:
-                basis[j] ^= f
-                gram[j] ^= row_f
-        pairs.append((e, f))
-    return pairs
-
-
-def symplectic_split(form: Z2SymForm, restricted_to: Z2Subspace) -> List[Tuple[Z2Vec, Z2Vec]]:
-    """Hyperbolic pairs (e_i, f_i) with lambda(e_i, f_j) = delta_ij.
-
-    The form restricted to the subspace must be isotropic and nonsingular.
-    Returned vectors live in the ambient space.
-    """
-    if restricted_to.ambient_dim != form.dim:
-        raise ValueError("subspace ambient dimension mismatch")
-    basis = list(restricted_to.basis)
-    gram = _restrict(form.rows, basis)
-    for i in range(len(basis)):
-        if (gram[i] >> i) & 1:
-            raise AnisotropicInput("form is anisotropic on the subspace")
-    pairs = _symplectic_pairs(basis, gram, range(len(basis)))
-    if pairs is None:
-        raise DegenerateRestriction("restricted form is singular")
-    return [(Z2Vec(form.dim, e), Z2Vec(form.dim, f)) for e, f in pairs]
 
 
 def witt_class_sym(form: Z2SymForm) -> int:

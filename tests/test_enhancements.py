@@ -30,7 +30,6 @@ from sigmod8.enhancements import (
     pm1,
     q00,
     q22,
-    wu_sublagrangian,
 )
 from sigmod8.errors import (
     AnisotropicInput,
@@ -616,15 +615,6 @@ def test_difference_form_mismatch():
 
 
 # --------------------------------------------- wu sublagrangian / subquotient
-
-def test_wu_sublagrangian_examples():
-    sub = wu_sublagrangian(n_copies(p1(), 4))
-    assert sub.basis == (0b1111,)
-    with pytest.raises(NotDivisibleBy4):
-        wu_sublagrangian(p1())
-    zero = wu_sublagrangian(q00())
-    assert zero.basis == ()
-
 
 def test_subquotient_examples():
     w = isotropic_subquotient(n_copies(p1(), 4))

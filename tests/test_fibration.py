@@ -32,8 +32,12 @@ from sigmod8.fibration import (
     z2_trivial_check,
     z4_trivial_check,
 )
-from sigmod8.intforms import _mat_sub, signature_exact
+from sigmod8.intforms import signature_exact
 from sigmod8.rng import SplitMix64
+
+
+def _mat_sub(a, b):
+    return tuple([tuple([x - y for x, y in zip(ra, rb)]) for ra, rb in zip(a, b)])
 
 
 def _rank_q(m):

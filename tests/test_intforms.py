@@ -1,5 +1,7 @@
 """Integral and rational forms: signatures, mod-8 identities, linking forms."""
 import itertools
+import math
+import operator
 from fractions import Fraction
 from pathlib import Path
 
@@ -567,7 +569,7 @@ def test_boundary_linking_form_oracle(form):
     """The boundary form equals the one built in Fraction arithmetic from
     the Smith form: b_ij = (V^T phi V)_ij / (d_i d_j) mod 1 and
     q_i = (V^T phi V)_ii / d_i^2 mod 2; its BK is sigma mod 8."""
-    _u, d, v = smith_normal_form(form.matrix)
+    d, v = smith_normal_form(form.matrix)
     keep = [i for i in range(form.dim) if d[i][i] != 1]
     orders = tuple(d[i][i] for i in keep)
     n = form.dim
@@ -670,34 +672,49 @@ def test_defect_requires_mod4():
 
 # ----------------------------------------------------------------------- SNF
 
+def _minor_gcds(m):
+    """The gcd of the k x k minors of a square m for k = 1 .. n, by brute force."""
+    n = len(m)
+    out = []
+    for k in range(1, n + 1):
+        g = 0
+        for rows in itertools.combinations(range(n), k):
+            for cols in itertools.combinations(range(n), k):
+                g = math.gcd(g, int(_det_fraction([[m[i][j] for j in cols] for i in rows])))
+        out.append(g)
+    return out
+
+
 def test_smith_normal_form_properties():
+    """D is the Smith form of M: diagonal and nonnegative, each d_i dividing
+    the next, and d_1...d_k the gcd of M's k x k minors.  V is unimodular
+    and column i of M V is d_i times column i of U^{-1}: zero where d_i = 0,
+    and for a nonsingular M the quotients form a matrix of det +-1."""
     rng = SplitMix64(17)
-    for _ in range(25):
+    seen = {True: 0, False: 0}
+    for trial in range(60):
         n = rng.randint(1, 4)
         m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-        u, d, v = smith_normal_form(m)
-        prod = [
-            [sum(u[i][k] * m[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        prod = [
-            [sum(prod[i][k] * v[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        assert prod == [list(row) for row in d]
-        assert abs(_det_fraction(u)) == 1
-        assert abs(_det_fraction(v)) == 1
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    assert d[i][j] == 0
+        if trial % 3 == 0:  # singular: the last row a combination of the others
+            m[-1] = [sum(rng.randint(-2, 2) * m[r][j] for r in range(n - 1)) for j in range(n)]
+        d, v = smith_normal_form(m)
         diag = [d[i][i] for i in range(n)]
-        for i in range(n - 1):
-            if diag[i] and diag[i + 1]:
-                assert diag[i + 1] % diag[i] == 0
-        for i in range(n - 1):
-            if diag[i] == 0:
-                assert diag[i + 1] == 0
+        assert all(d[i][j] == 0 for i in range(n) for j in range(n) if i != j)
+        assert all(x >= 0 for x in diag)
+        for a, b in zip(diag, diag[1:]):
+            assert b == 0 if a == 0 else b % a == 0
+        assert list(itertools.accumulate(diag, operator.mul)) == _minor_gcds(m)
+        assert abs(_det_fraction(v)) == 1
+        mv = [[sum(m[i][k] * v[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        for j, dj in enumerate(diag):
+            col = [row[j] for row in mv]
+            assert all(x % dj == 0 for x in col) if dj else not any(col)
+        nonsingular = all(diag)
+        seen[nonsingular] += 1
+        if nonsingular:
+            u_inv = [[x // dj for x, dj in zip(row, diag)] for row in mv]
+            assert abs(_det_fraction(u_inv)) == 1
+    assert seen[True] and seen[False]
 
 
 def test_linking_gauss_mismatch_for_degenerate_pairing():

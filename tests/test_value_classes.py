@@ -2,7 +2,7 @@
 
 Every class stores named fields, compares and hashes by them, prints as
 Name(field=value, ...) and refuses assignment; these tests pin that for all
-fifteen, whatever mechanism provides it.
+fourteen, whatever mechanism provides it.
 """
 from fractions import Fraction
 
@@ -13,7 +13,7 @@ from sigmod8.fibration import BundleReport, MonodromyData, SymplecticMatrix, bun
 from sigmod8.intforms import DefectReport, IntSymForm, LinkingForm, RatSymForm
 from sigmod8.selfcheck import SuiteResult
 from sigmod8.symcomplex import Mod2CohomologyClass, SymComplex
-from sigmod8.z2forms import H_FORM, P_FORM, Z2Subspace, Z2SymForm, Z2Vec
+from sigmod8.z2forms import H_FORM, P_FORM, Z2SymForm, Z2Vec
 
 F = SymplecticMatrix(1, ((0, 1), (-1, 0)))
 G = SymplecticMatrix(1, ((1, 1), (0, 1)))
@@ -23,7 +23,6 @@ PAIRS = ((F, G), (G, F))  # [f, g][g, f] = I
 CASES = [
     (Z2Vec, dict(dim=3, mask=5)),
     (Z2SymForm, dict(dim=2, rows=(2, 1))),
-    (Z2Subspace, dict(ambient_dim=3, basis=(1, 6))),
     (Z2Quadratic, dict(form=H_FORM, values=(1, 1))),
     (Z4Quadratic, dict(form=P_FORM, values=(3,))),
     (IntSymForm, dict(dim=2, matrix=((2, 1), (1, 2)))),

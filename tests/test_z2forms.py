@@ -3,31 +3,22 @@ from itertools import permutations
 
 import pytest
 
-from sigmod8.errors import AnisotropicInput, DegenerateRestriction, DimTooLarge, SingularForm
+from sigmod8.errors import DimTooLarge, SingularForm
 from sigmod8.rng import SplitMix64
 from sigmod8.z2forms import (
     ENUMERATION_DIM_LIMIT,
     H_FORM,
     P_FORM,
     Z2SymForm,
-    Z2Subspace,
     Z2Vec,
     decompose,
     enumerate_nonsingular_forms,
     is_nonsingular,
     rref_basis,
     split_vectors,
-    symplectic_split,
     witt_class_sym,
     wu_class,
 )
-
-
-def direct_sum(*forms):
-    total = forms[0]
-    for f in forms[1:]:
-        total = total.direct_sum(f)
-    return total
 
 
 def rebuild(p, k):
@@ -306,8 +297,9 @@ def test_large_form_keeps_its_values_on_its_instance():
     assert wu_class(b) == v and wu_class(b) is not v
     assert split_vectors(b) == split_vectors(a) and split_vectors(b) is not split_vectors(a)
     assert not is_nonsingular(singular)
-    with pytest.raises(SingularForm):
-        wu_class(singular)
+    for read in (wu_class, split_vectors, decompose):
+        with pytest.raises(SingularForm):
+            read(singular)
     for x in range(1 << 8):  # the Wu class read off the splitting
         assert a.evaluate_masks(x, x) == a.evaluate_masks(x, v.mask)
     kept = weakref.ref(a)
@@ -342,49 +334,6 @@ def test_split_vectors_matches_reference():
                     assert form.evaluate_masks(v, w) == expected
 
 
-# ---------------------------------------------------------- symplectic_split
-
-def test_symplectic_split_H():
-    pairs = symplectic_split(H_FORM, Z2Subspace.full(2))
-    assert [(e.bits, f.bits) for e, f in pairs] == [((1, 0), (0, 1))]
-
-
-def test_symplectic_split_HH_postconditions():
-    form = direct_sum(H_FORM, H_FORM)
-    pairs = symplectic_split(form, Z2Subspace.full(4))
-    assert len(pairs) == 2
-    es = [e for e, _ in pairs]
-    fs = [f for _, f in pairs]
-    for i in range(2):
-        for j in range(2):
-            assert form.evaluate(es[i], fs[j]) == int(i == j)
-            assert form.evaluate(es[i], es[j]) == 0
-            assert form.evaluate(fs[i], fs[j]) == 0
-
-
-def test_symplectic_split_anisotropic_raises():
-    with pytest.raises(AnisotropicInput):
-        symplectic_split(P_FORM, Z2Subspace.full(1))
-
-
-def test_symplectic_split_degenerate_restriction():
-    sub = Z2Subspace(2, (1,))  # the line <e1> inside H is totally isotropic
-    with pytest.raises(DegenerateRestriction):
-        symplectic_split(H_FORM, sub)
-
-
-def test_symplectic_split_exhaustive_isotropic():
-    for dim in (2, 4):
-        for form in enumerate_nonsingular_forms(dim, isotropic_only=True):
-            pairs = symplectic_split(form, Z2Subspace.full(dim))
-            assert len(pairs) == dim // 2
-            for i, e in enumerate(pairs):
-                for j, f in enumerate(pairs):
-                    assert form.evaluate(e[0], f[1]) == int(i == j)
-                    assert form.evaluate(e[0], f[0]) == 0
-                    assert form.evaluate(e[1], f[1]) == 0
-
-
 # ------------------------------------------------------------ witt_class_sym
 
 def test_witt_examples():
@@ -405,14 +354,6 @@ def test_witt_additive_under_direct_sum():
 
 
 # ------------------------------------------------------------------ subspaces
-
-def test_subspace_canonical_equality():
-    a = Z2Subspace(3, (0b011, 0b110))
-    b = Z2Subspace(3, (0b101, 0b011))
-    assert a == b  # same span, same canonical basis
-    assert a.contains(Z2Vec(3, 0b101))
-    assert not a.contains(Z2Vec(3, 0b100))
-
 
 def test_rref_basis_is_canonical():
     assert rref_basis([0b11, 0b10], 2) == rref_basis([0b01, 0b10], 2)
@@ -488,9 +429,6 @@ def test_rref_basis_canonical_against_brute_force():
         for b in basis:
             assert all(not (b & p) for p in pivots if p != b & -b)
         assert rref_basis(sorted(span, reverse=True), dim) == basis
-        sub = Z2Subspace(dim, basis)
-        for x in range(1 << dim):
-            assert sub.contains(Z2Vec(dim, x)) == (x in span)
 
 
 # ------------------------------------------------ bordered enumeration, brute force
